@@ -26,10 +26,7 @@ from .extension import (
 from .grid import (
     Field,
     Grid,
-    SpectralField,
-    forward,
     gaussian_field,
-    inverse,
     l2_inner,
     l2_norm,
     l2_norm2,

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, l2_inner, l2_norm, random_smooth_field, shift
+from .grid import Field, Grid, apply_multiplier, l2_inner, l2_norm, random_smooth_field, shift
 from .operators import RieszKernel, SqrtOp, apply_sqrt, build_riesz, build_sqrt_op, phi_u
 from .problem import PotentialSpec, ProblemParams, sample_potentials, validate
 
@@ -130,7 +130,7 @@ def grad_energy(ctx: EnergyContext, u: Field) -> Field:
 
 def precondition(ctx: EnergyContext, g: Field) -> Field:
     """Spectral division by the symbol plus the potential floor; tames stiffness."""
-    return Field(ctx.grid, np.fft.ifftn(ctx._precond * np.fft.fftn(g.values)).real)
+    return Field(ctx.grid, apply_multiplier(ctx._precond, g.values))
 
 
 def dual_grad_norm(ctx: EnergyContext, g: Field) -> float:

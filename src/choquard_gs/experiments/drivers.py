@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,17 +28,17 @@ from ..extension import (
 from ..grid import (
     Field,
     Grid,
+    apply_multiplier,
     gaussian_field,
     l2_inner,
     l2_norm,
     l2_norm2,
-    min_image,
     random_smooth_field,
     save_field,
     shift,
 )
 from ..nehari import check_J_conditions, fiber_scan, fiber_scan_csv, project_to_nehari
-from ..operators import apply_sqrt, build_riesz, phi_u, singular_cell_average
+from ..operators import apply_sqrt, build_riesz, phi_u, riesz_convolve, singular_cell_average
 from ..problem import (
     ConfigError,
     Descriptor,
@@ -47,7 +48,7 @@ from ..problem import (
     resolved_config_text,
     validate,
 )
-from ..solver import SolverConfig, SolveFailure, multistart, random_initial, solve
+from ..solver import SolverConfig, SolveFailure, multistart, solve
 from .config import ExperimentConfig, Report
 
 
@@ -106,12 +107,16 @@ def run_solve(ecfg: ExperimentConfig) -> int:
     (out / "energy.json").write_text(er.to_json() + "\n", encoding="utf-8")
     save_field(best.u_final, out / "u_final.cgsf",
                {"experiment": "solve", "seed": ecfg.seed, "energy": er.e_val})
-    for it, (e, res) in enumerate(zip(best.energy_trace, best.residual_trace)):
-        rep.add_metric(iter=it, energy=e, residual=res)
-    # deterministic re-run of the winner to capture the iteration trace
-    winner = next(i for i, r in enumerate(runs) if r is best)
-    trace_cfg = replace(cfg, trace_path=str(out / "trace.ndjson"))
-    solve(ctx, random_initial(ctx, np.random.default_rng([cfg.seed, winner])), trace_cfg)
+    # shift_iters holds the index of the first iterate after each recentering
+    shifts = dict(zip(best.shift_iters, best.shifts_applied))
+    with open(out / "trace.ndjson", "w", encoding="utf-8") as fh:
+        for it, (e, res, t) in enumerate(zip(best.energy_trace, best.residual_trace,
+                                             best.t_star_trace)):
+            rep.add_metric(iter=it, energy=e, residual=res)
+            z = shifts.get(it)
+            fh.write(json.dumps({"iter": it, "energy": float(e), "residual": float(res),
+                                 "t_star": float(t),
+                                 "shift": None if z is None else [int(c) for c in z]}) + "\n")
     rep.write(ecfg.out_dir)
     return 0 if rep.all_passed else 1
 
@@ -210,15 +215,15 @@ def _suite_kernel_oracles(ctx: EnergyContext, rep: Report, scale: float,
     kern = build_riesz(small, alpha_small, p=ctx.params.p,
                        singular_correction=uses_correction)
     f = rng.standard_normal(n_small)
-    via_fft = np.fft.ifft(kern.conv_multiplier * np.fft.fft(f)).real
+    spectral = riesz_convolve(kern, Field(small, f)).values
     brute = _brute_convolve_1d(small.L, n_small, alpha_small, f)
-    err = float(np.max(np.abs(via_fft - brute)))
+    err = float(np.max(np.abs(spectral - brute)))
     rep.add_check("spectral convolution matches independent direct sum",
                   err <= 1e-10 * scale * max(1.0, np.max(np.abs(brute))),
                   f"max abs err {err:.3e}")
     spike = np.zeros(n_small)
     spike[3] = 1.0 / small.h
-    row = np.fft.ifft(kern.conv_multiplier * np.fft.fft(spike)).real
+    row = riesz_convolve(kern, Field(small, spike)).values
     row_expect = np.roll(kern.kernel_samples, 3)
     err_row = float(np.max(np.abs(row - row_expect)))
     rep.add_check("unit spike reproduces the kernel row",
@@ -252,7 +257,7 @@ def _suite_operator(ctx: EnergyContext, rep: Report, scale: float,
     rep.add_check("boundary-derivative operator agrees with the spectral square root",
                   max(rel_errs) <= 1e-4 * scale, f"max rel err {max(rel_errs):.3e}")
     tt = dtn_apply(dtn_apply(u, wall, m), wall, m)
-    lap = Field(g, np.fft.ifftn((g.freq2() + m * m) * np.fft.fftn(u.values)).real)
+    lap = Field(g, apply_multiplier(g.freq2() + m * m, u.values))
     rel_tt = l2_norm(Field(g, tt.values - lap.values)) / l2_norm(lap)
     rep.add_check("operator squares to the Schrodinger operator",
                   rel_tt <= 1e-4 * scale, f"rel err {rel_tt:.3e}")
@@ -487,11 +492,7 @@ def _solve_best(ctx: EnergyContext, inits: list[Field], cfg: SolverConfig):
 
 def _overlap_near_origin(u: Field, radius: float) -> float:
     g = u.grid
-    r2 = np.zeros(g.shape)
-    for cax in g.coords():
-        d = min_image(g, cax)
-        r2 = r2 + d * d
-    return float(g.cell_volume * np.sum(u.values[r2 < radius**2] ** 2))
+    return float(g.cell_volume * np.sum(u.values[g.r2() < radius**2] ** 2))
 
 
 def run_vl_sign(ecfg: ExperimentConfig) -> int:
@@ -581,13 +582,8 @@ def run_box_sweep(ecfg: ExperimentConfig) -> int:
         r = _solve_best(ctx, inits, cfg)
         prev = r.u_final
         c = r.energy_trace[-1]
-        g = ctx.grid
-        r2 = np.zeros(g.shape)
-        for cax in g.coords():
-            d = min_image(g, cax)
-            r2 = r2 + d * d
         w = r.u_final.values**2
-        tail = float(np.sum(w[r2 >= (L / 2.0) ** 2]) / np.sum(w))
+        tail = float(np.sum(w[ctx.grid.r2() >= (L / 2.0) ** 2]) / np.sum(w))
         cs.append(c)
         tails.append(tail)
         rep.add_metric(L=L, c=c, tail_mass=tail)

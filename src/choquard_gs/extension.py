@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Field, Grid, apply_multiplier, dft, idft_real
 
 
 def _solve_ratio(nx: int, x_max: float, delta0: float) -> float:
@@ -129,13 +129,13 @@ def harmonic_extend(u: Field, wall: WallGrid, m: float) -> ExtendedField:
         raise ValueError("field grid does not match wall grid")
     g = u.grid
     s = np.sqrt(g.freq2() + m * m)
-    U = np.fft.fftn(u.values)
+    U = dft(u.values)
     values = np.empty((wall.nx,) + g.shape)
     dvalues = np.empty_like(values)
     for i, xi in enumerate(wall.x):
         decay = np.exp(-xi * s)
-        values[i] = np.fft.ifftn(U * decay).real
-        dvalues[i] = np.fft.ifftn(-s * U * decay).real
+        values[i] = idft_real(U * decay)
+        dvalues[i] = idft_real(-s * U * decay)
     return ExtendedField(wall, values, dvalues)
 
 
@@ -165,8 +165,7 @@ def dtn_apply(u: Field, wall: WallGrid, m: float, npts: int = 3) -> Field:
     symbol = np.zeros(g.shape)
     for j in range(npts):
         symbol = symbol + w[j] * np.exp(-wall.x[j] * s)
-    out = np.fft.ifftn(-symbol * np.fft.fftn(u.values)).real
-    return Field(g, out)
+    return Field(g, apply_multiplier(-symbol, u.values))
 
 
 def _row_mass(grid: Grid, row: np.ndarray) -> float:
@@ -175,7 +174,7 @@ def _row_mass(grid: Grid, row: np.ndarray) -> float:
 
 def _row_grad_y2(grid: Grid, row: np.ndarray) -> float:
     """Integral of |grad_y row|^2 over the box, spectral in y."""
-    C = np.fft.fftn(row)
+    C = dft(row)
     return float(grid.cell_volume / grid.size * np.sum(grid.freq2() * np.abs(C) ** 2))
 
 
@@ -297,7 +296,7 @@ def pde_residual(v: ExtendedField, m: float) -> float:
         d2 = 2.0 * (hm * v.values[i + 1] - (hm + hp) * v.values[i] + hp * v.values[i - 1]) / (
             hm * hp * (hm + hp)
         )
-        r = -d2 + np.fft.ifftn(s2 * np.fft.fftn(v.values[i])).real
+        r = -d2 + apply_multiplier(s2, v.values[i])
         total += w[i] * _row_mass(g, r)
         norm += w[i] * _row_mass(g, v.values[i])
     return float(np.sqrt(total / max(norm, 1e-300)))

@@ -1,4 +1,11 @@
-"""Periodic box discretization: spectral transforms, quadrature, exact lattice shifts."""
+"""Periodic box discretization: the one transform convention, the torus metric,
+quadrature and exact lattice shifts.
+
+Transform convention, used by every spectral operator in the package: the
+unnormalised DFT over all axes (``np.fft.fftn``/``ifftn``), coefficients in FFT
+index order with node 0 at x = -L, and the real part of every inverse. No other
+module calls ``np.fft``.
+"""
 
 from __future__ import annotations
 
@@ -51,26 +58,39 @@ class Grid:
     def axis_coords(self) -> np.ndarray:
         return -self.L + self.h * np.arange(self.n)
 
-    def coords(self) -> list[np.ndarray]:
-        """Node coordinates as N sparse broadcastable arrays."""
-        x = self.axis_coords()
-        if self.N == 1:
-            return [x]
-        return list(np.meshgrid(*([x] * self.N), indexing="ij", sparse=True))
-
     def axis_freqs(self) -> np.ndarray:
         """Angular frequencies xi_k = pi*k/L in FFT index order."""
         return (np.pi / self.L) * np.fft.fftfreq(self.n, d=1.0 / self.n)
 
-    def freq2(self) -> np.ndarray:
-        """|xi|^2 on the frequency grid, FFT index order."""
-        xi2 = self.axis_freqs() ** 2
+    def _axis_sum(self, rows) -> np.ndarray:
+        """Sum over axes of per-axis 1-D terms, each broadcast along its own axis."""
         out = np.zeros(self.shape)
-        for axis in range(self.N):
+        for axis, row in enumerate(rows):
             shape = [1] * self.N
             shape[axis] = self.n
-            out = out + xi2.reshape(shape)
+            out = out + row.reshape(shape)
         return out
+
+    def freq2(self) -> np.ndarray:
+        """|xi|^2 on the frequency grid, FFT index order."""
+        return self._axis_sum([self.axis_freqs() ** 2] * self.N)
+
+    def r2(self, center=None) -> np.ndarray:
+        """Squared minimal-image distance of every node from center (default the origin)."""
+        if center is None:
+            center = np.zeros(self.N)
+        center = np.atleast_1d(np.asarray(center, dtype=float))
+        x = self.axis_coords()
+        rows = []
+        for axis in range(self.N):
+            d = min_image(self, x - center[axis])
+            rows.append(d * d)
+        return self._axis_sum(rows)
+
+    def offset_r2(self) -> np.ndarray:
+        """Squared minimal-image length of each node offset, FFT index order (0 first)."""
+        d = self.h * (((np.arange(self.n) + self.n // 2) % self.n) - self.n // 2)
+        return self._axis_sum([d**2] * self.N)
 
     def cells_per_unit(self) -> int:
         """Grid cells per unit length; integral so unit-lattice shifts are exact."""
@@ -102,49 +122,24 @@ class Field:
         return Field(self.grid, self.values.copy())
 
 
-@dataclass(eq=False)
-class SpectralField:
-    """DFT coefficients of a Field; coefficient at xi=0 equals the field mean."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != self.grid.shape:
-            raise ValueError("coefficient shape does not match grid")
-
-
 def _check_same_grid(f: Field, g: Field) -> None:
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
 
 
-def forward(f: Field) -> SpectralField:
-    """Transform to Fourier coefficients, phase referenced to x = 0.
-
-    Normalized so the coefficient at xi = 0 is the mean of f; a pure mode
-    c*cos(xi_k . x) produces coefficients c/2 at +-k.
-    """
-    g = f.grid
-    shifted = np.roll(f.values, (-(g.n // 2),) * g.N, axis=tuple(range(g.N)))
-    return SpectralField(g, np.fft.fftn(shifted) / g.size)
+def dft(values: np.ndarray) -> np.ndarray:
+    """Unnormalised DFT over all axes, coefficients in FFT index order."""
+    return np.fft.fftn(values)
 
 
-def inverse(F: SpectralField) -> Field:
-    g = F.grid
-    vals = np.fft.ifftn(F.coeffs * g.size).real
-    return Field(g, np.roll(vals, (g.n // 2,) * g.N, axis=tuple(range(g.N))))
+def idft_real(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of dft, real part."""
+    return np.fft.ifftn(coeffs).real
 
 
-def is_hermitian(F: SpectralField, tol: float = 1e-12) -> bool:
-    """Whether coefficients at xi and -xi are conjugate (real underlying field)."""
-    c = F.coeffs
-    flipped = c
-    for axis in range(F.grid.N):
-        flipped = np.roll(np.flip(flipped, axis=axis), 1, axis=axis)
-    scale = np.max(np.abs(c)) or 1.0
-    return bool(np.max(np.abs(c - np.conj(flipped))) <= tol * scale)
+def apply_multiplier(multiplier: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Fourier multiplier (symbol on the freq2 grid) applied to real grid values."""
+    return idft_real(multiplier * dft(values))
 
 
 def l2_inner(f: Field, g: Field) -> float:
@@ -185,14 +180,7 @@ def min_image(grid: Grid, x: np.ndarray) -> np.ndarray:
 
 def gaussian_field(grid: Grid, center=None, width: float = 1.0, amplitude: float = 1.0) -> Field:
     """Gaussian bump, periodized through minimal-image distance so it is smooth on the torus."""
-    if center is None:
-        center = np.zeros(grid.N)
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    r2 = np.zeros(grid.shape)
-    for axis, c in enumerate(grid.coords()):
-        d = min_image(grid, c - center[axis])
-        r2 = r2 + d * d
-    return Field(grid, amplitude * np.exp(-r2 / width**2))
+    return Field(grid, amplitude * np.exp(-grid.r2(center) / width**2))
 
 
 def random_smooth_field(grid: Grid, rng: np.random.Generator, n_bumps: int = 3) -> Field:
@@ -234,6 +222,8 @@ def save_field(f: Field, path, metadata: dict | None = None) -> None:
 def load_field(path) -> Field:
     with open(str(path), "rb") as fh:
         header = fh.read(_FIELD_HEADER.size)
+        if len(header) < _FIELD_HEADER.size:
+            raise ValueError("field file truncated")
         magic, N, n, L = _FIELD_HEADER.unpack(header)
         if magic != FIELD_MAGIC:
             raise ValueError(f"not a field file (magic {magic!r})")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Field, Grid, apply_multiplier, dft
 
 
 @dataclass
@@ -24,22 +24,18 @@ def build_sqrt_op(grid: Grid, m: float) -> SqrtOp:
     return SqrtOp(grid, m, np.sqrt(grid.freq2() + m * m))
 
 
-def _spectral_apply(grid: Grid, multiplier: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(multiplier * np.fft.fftn(values)).real
-
-
 def apply_sqrt(op: SqrtOp, u: Field) -> Field:
     """sqrt(-Laplacian + m^2) u via per-frequency multiplication."""
     if u.grid != op.grid:
         raise ValueError("field grid does not match operator grid")
-    return Field(u.grid, _spectral_apply(u.grid, op.multiplier, u.values))
+    return Field(u.grid, apply_multiplier(op.multiplier, u.values))
 
 
 def apply_sqrt_minus_m(op: SqrtOp, u: Field) -> Field:
     """(sqrt(-Laplacian + m^2) - m) u; vanishes on constants."""
     if u.grid != op.grid:
         raise ValueError("field grid does not match operator grid")
-    return Field(u.grid, _spectral_apply(u.grid, op.multiplier - op.m, u.values))
+    return Field(u.grid, apply_multiplier(op.multiplier - op.m, u.values))
 
 
 _SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -89,15 +85,15 @@ def sample_riesz_kernel(grid: Grid, alpha: float, quadrature_order: int = 16,
     with singular_correction=False that cell is dropped (set to zero), which
     reproduces the bias of naive sampling.
     """
-    axis = grid.h * (((np.arange(grid.n) + grid.n // 2) % grid.n) - grid.n // 2)
-    d2 = np.zeros(grid.shape)
-    for a in range(grid.N):
-        shape = [1] * grid.N
-        shape[a] = grid.n
-        d2 = d2 + (axis**2).reshape(shape)
+    return _riesz_samples(grid, grid.offset_r2(), alpha, quadrature_order, singular_correction)
+
+
+def _riesz_samples(grid: Grid, d2: np.ndarray, alpha: float, quadrature_order: int,
+                   singular_correction: bool) -> np.ndarray:
+    """sample_riesz_kernel on the squared offset lengths d2 (left unchanged)."""
     origin = (0,) * grid.N
-    d2[origin] = 1.0  # placeholder, overwritten below
-    S = d2 ** ((alpha - grid.N) / 2.0)
+    with np.errstate(divide="ignore"):
+        S = d2 ** ((alpha - grid.N) / 2.0)  # infinite at the origin, overwritten below
     if singular_correction:
         S[origin] = singular_cell_average(grid.N, grid.h, alpha, quadrature_order)
     else:
@@ -128,8 +124,9 @@ def build_riesz(grid: Grid, alpha: float, cell_quadrature_order: int = 16,
                 p: float = 2.0, singular_correction: bool = True) -> RieszKernel:
     if not 0 < alpha < grid.N:
         raise ValueError(f"Riesz order must lie in (0, N)=(0, {grid.N}), got {alpha}")
-    S = sample_riesz_kernel(grid, alpha, cell_quadrature_order, singular_correction)
-    multiplier = grid.cell_volume * np.fft.fftn(S)
+    d2 = grid.offset_r2()
+    S = _riesz_samples(grid, d2, alpha, cell_quadrature_order, singular_correction)
+    multiplier = grid.cell_volume * dft(S)
     imag_max = float(np.max(np.abs(multiplier.imag)))
     scale = float(np.max(np.abs(multiplier.real)))
     if imag_max > 1e-9 * scale:
@@ -138,12 +135,6 @@ def build_riesz(grid: Grid, alpha: float, cell_quadrature_order: int = 16,
     t = 0.5 * (lo + hi)
     sphere = _SPHERE_MEASURE[grid.N]
     near = (sphere / ((alpha - grid.N) * t + grid.N)) ** (1.0 / t)
-    axis = grid.h * (((np.arange(grid.n) + grid.n // 2) % grid.n) - grid.n // 2)
-    d2 = np.zeros(grid.shape)
-    for a in range(grid.N):
-        shape = [1] * grid.N
-        shape[a] = grid.n
-        d2 = d2 + (axis**2).reshape(shape)
     outside = d2 >= 1.0
     far = float(np.max(S[outside])) if np.any(outside) else 0.0
     return RieszKernel(grid, alpha, multiplier.real, S, t, float(near), far)
@@ -153,8 +144,7 @@ def riesz_convolve(kernel: RieszKernel, f: Field) -> Field:
     """Circular convolution (kernel * f) on the box, h^N-weighted."""
     if f.grid != kernel.grid:
         raise ValueError("field grid does not match kernel grid")
-    out = np.fft.ifftn(kernel.conv_multiplier * np.fft.fftn(f.values)).real
-    return Field(f.grid, out)
+    return Field(f.grid, apply_multiplier(kernel.conv_multiplier, f.values))
 
 
 def phi_u(kernel: RieszKernel, u: Field, p: float) -> Field:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, Grid, min_image
+from .grid import Field, Grid
 
 
 class ConfigError(Exception):
@@ -106,11 +106,7 @@ def _sample_periodic(desc: Descriptor, grid: Grid) -> np.ndarray:
 def _sample_localized(desc: Descriptor, grid: Grid) -> np.ndarray:
     if desc.tag == "zero":
         return np.zeros(grid.shape)
-    center = np.full(grid.N, desc.get("center", 0.0))
-    r2 = np.zeros(grid.shape)
-    for axis, c in enumerate(grid.coords()):
-        d = min_image(grid, c - center[axis])
-        r2 = r2 + d * d
+    r2 = grid.r2(np.full(grid.N, desc.get("center", 0.0)))
     if desc.tag == "gaussian-bump":
         amp = desc.get("amplitude")
         width = desc.get("width", 1.0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from .energy import (
     qdg,
 )
 from .grid import Field, gaussian_field, l2_inner, l2_norm, min_image, shift
-from .nehari import NehariProjectionError, nehari_t_from_qdg
+from .nehari import NehariProjectionError, nehari_t_from_qdg, project_to_nehari
 
 
 class SolveFailure(RuntimeError):
@@ -39,7 +38,6 @@ class SolverConfig:
     preconditioned: bool = True
     dual_residual: bool = False
     seed: int = 0
-    trace_path: str | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -58,6 +56,7 @@ class SolverResult:
 
     u_final: Field
     energy_trace: np.ndarray
+    t_star_trace: np.ndarray         # Nehari scaling that produced each iterate
     residual_trace: np.ndarray
     qnorm_trace: np.ndarray
     com_trace: np.ndarray
@@ -102,8 +101,8 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     guarded otherwise).
     """
     cfg = cfg or SolverConfig()
-    trace_fh = open(cfg.trace_path, "w", encoding="utf-8") if cfg.trace_path else None
     energies: list[float] = []
+    t_stars: list[float] = []
     residuals: list[float] = []
     qnorms: list[float] = []
     coms: list[np.ndarray] = []
@@ -111,14 +110,13 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     shift_iters: list[int] = []
 
     def result(u, status, iterations, threshold):
-        if trace_fh:
-            trace_fh.close()
-        return SolverResult(u, np.asarray(energies), np.asarray(residuals),
-                            np.asarray(qnorms), np.asarray(coms) if coms else np.zeros((0, ctx.grid.N)),
+        return SolverResult(u, np.asarray(energies), np.asarray(t_stars),
+                            np.asarray(residuals), np.asarray(qnorms),
+                            np.asarray(coms) if coms else np.zeros((0, ctx.grid.N)),
                             shifts_applied, shift_iters, status, iterations, threshold)
 
     try:
-        t_star, u = project_step(ctx, init)
+        t_star, u = project_to_nehari(ctx, init)
     except NehariProjectionError:
         return result(init, "projection_failed", 0, 0.0)
     q, d, g = qdg(ctx, u)
@@ -136,20 +134,16 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     threshold = 0.0
     status = "max_iters"
     it = 0
-    last_shift: list[int] | None = None
     for it in range(cfg.max_iters + 1):
         grad = grad_energy(ctx, u)
         res = res_norm(grad)
         if it == 0:
             threshold = max(cfg.grad_tol * res, cfg.grad_tol_abs)
         energies.append(e)
+        t_stars.append(t_star)
         residuals.append(res)
         qnorms.append(np.sqrt(max(q, 0.0)))
         coms.append(_center_of_mass(u))
-        if trace_fh:
-            trace_fh.write(json.dumps({"iter": it, "energy": e, "residual": res,
-                                       "t_star": t_star, "shift": last_shift}) + "\n")
-        last_shift = None
         if res <= threshold:
             status = "converged"
             break
@@ -201,14 +195,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
                 if applied:
                     shifts_applied.append(z.astype(int))
                     shift_iters.append(it + 1)
-                    last_shift = [int(c) for c in z]
     return result(u, status, it, threshold)
-
-
-def project_step(ctx: EnergyContext, u: Field) -> tuple[float, Field]:
-    q, d, g = qdg(ctx, u)
-    t = nehari_t_from_qdg(q, d, g, ctx.params.p, ctx.params.q)
-    return t, Field(ctx.grid, t * u.values)
 
 
 def random_initial(ctx: EnergyContext, rng: np.random.Generator,
@@ -274,11 +261,7 @@ def escape_diagnostic(result: SolverResult, run_threshold: int = 50) -> EscapeRe
         current = current + 1 if step > 0 else 0
         longest = max(longest, current)
     g = result.u_final.grid
-    r2 = np.zeros(g.shape)
-    for c in g.coords():
-        d = min_image(g, c)
-        r2 = r2 + d * d
     w = result.u_final.values ** 2
     total = float(np.sum(w))
-    near = float(np.sum(w[r2 <= (g.L / 4.0) ** 2]) / total) if total > 0 else 1.0
+    near = float(np.sum(w[g.r2() <= (g.L / 4.0) ** 2]) / total) if total > 0 else 1.0
     return EscapeReport(radius, drift, longest, near, longest > run_threshold)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,18 @@ def test_cli_fiber_scan(config_path, tmp_path):
     csv = (out / "fiber_scan.csv").read_text().splitlines()
     assert csv[0] == "t,energy,residual"
     assert len(csv) == 42
+
+
+def test_cli_runs_as_module(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "fs"
+    proc = subprocess.run([sys.executable, "-m", "choquard_gs.cli", "fiber-scan",
+                           "--config", str(root / "configs" / "smoke.ini"), "--out", str(out)],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "report.md").is_file()
 
 
 def test_gamma_sweep_requires_zero_vl(tmp_path):

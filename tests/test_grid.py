@@ -4,10 +4,10 @@ import pytest
 from choquard_gs.grid import (
     Field,
     Grid,
-    forward,
+    apply_multiplier,
+    dft,
     gaussian_field,
-    inverse,
-    is_hermitian,
+    idft_real,
     l2_inner,
     l2_norm2,
     load_field,
@@ -47,36 +47,56 @@ def test_field_shape_and_finite_guard():
 
 
 def test_forward_constant_is_mean():
+    # unnormalised: the coefficient at xi = 0 is size times the mean
     g = Grid(1, 4.0, 32)
-    F = forward(Field(g, np.full(32, 2.5)))
-    assert F.coeffs[0] == pytest.approx(2.5)
-    assert np.max(np.abs(F.coeffs[1:])) < 1e-14
+    F = dft(np.full(32, 2.5))
+    assert F[0] == pytest.approx(g.size * 2.5)
+    assert np.max(np.abs(F[1:])) < 1e-14 * g.size
 
 
 def test_forward_cosine_mode_pair():
     g = Grid(1, 4.0, 32)
     c = 1.7
-    f = Field(g, c * np.cos(np.pi * g.axis_coords() / g.L))
-    F = forward(f)
-    assert F.coeffs[1] == pytest.approx(c / 2, abs=1e-13)
-    assert F.coeffs[-1] == pytest.approx(c / 2, abs=1e-13)
-    others = np.delete(F.coeffs, [1, 31])
-    assert np.max(np.abs(others)) < 1e-13
+    f = c * np.cos(np.pi * g.axis_coords() / g.L)
+    F = dft(f)
+    # node 0 sits at x = -L, so mode k carries the phase (-1)^k
+    assert F[1] == pytest.approx(-c * g.n / 2, abs=1e-12)
+    assert F[-1] == pytest.approx(-c * g.n / 2, abs=1e-12)
+    others = np.delete(F, [1, 31])
+    assert np.max(np.abs(others)) < 1e-12
+    # the multiplier grid is ordered like the coefficients
+    lap = apply_multiplier(g.freq2(), f)
+    assert np.max(np.abs(lap - (np.pi / g.L) ** 2 * f)) < 1e-12
 
 
 @pytest.mark.parametrize("N,n", [(1, 64), (2, 16), (3, 8)])
 def test_round_trip(N, n, rng):
     g = Grid(N, 2.0, n)
-    f = Field(g, rng.standard_normal(g.shape))
-    back = inverse(forward(f))
-    scale = np.max(np.abs(f.values))
-    assert np.max(np.abs(back.values - f.values)) <= 1e-12 * scale
+    f = rng.standard_normal(g.shape)
+    back = idft_real(dft(f))
+    assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
 
 def test_forward_hermitian_for_real_fields(rng):
     g = Grid(2, 2.0, 16)
-    F = forward(Field(g, rng.standard_normal(g.shape)))
-    assert is_hermitian(F)
+    F = dft(rng.standard_normal(g.shape))
+    flipped = F
+    for axis in range(g.N):
+        flipped = np.roll(np.flip(flipped, axis=axis), 1, axis=axis)
+    assert np.max(np.abs(F - np.conj(flipped))) <= 1e-12 * np.max(np.abs(F))
+
+
+def test_r2_is_the_minimal_image_distance():
+    g = Grid(2, 2.0, 16)
+    center = np.array([1.75, -2.0])
+    x = g.axis_coords()
+    d = [np.min(np.abs(x[:, None] - c + 2 * g.L * np.arange(-1, 2)), axis=1) for c in center]
+    expect = d[0][:, None] ** 2 + d[1][None, :] ** 2
+    assert np.allclose(g.r2(center), expect, rtol=0, atol=1e-12)
+    # offsets in FFT index order are the node distances from the origin, rolled
+    rolled = np.roll(g.r2(), (-(g.n // 2),) * g.N, axis=(0, 1))
+    assert np.allclose(g.offset_r2(), rolled, rtol=0, atol=1e-12)
+    assert g.offset_r2()[0, 0] == 0.0
 
 
 def test_l2_norms_on_reference_fields():
@@ -101,8 +121,7 @@ def test_inner_product_symmetry_and_grid_guard(rng):
 def test_parseval(rng):
     g = Grid(1, 8.0, 128)
     f = Field(g, rng.standard_normal(128))
-    F = forward(f)
-    spectral = g.box_volume * np.sum(np.abs(F.coeffs) ** 2)
+    spectral = g.cell_volume / g.size * np.sum(np.abs(dft(f.values)) ** 2)
     assert spectral == pytest.approx(l2_norm2(f), rel=1e-12)
 
 
@@ -162,6 +181,13 @@ def test_load_rejects_wrong_magic(tmp_path):
     p = tmp_path / "bad.cgsf"
     p.write_bytes(b"XXXX" + b"\0" * 100)
     with pytest.raises(ValueError):
+        load_field(p)
+
+
+def test_load_rejects_truncated_header(tmp_path):
+    p = tmp_path / "short.cgsf"
+    p.write_bytes(b"CGSF\x01\0\0")
+    with pytest.raises(ValueError, match="truncated"):
         load_field(p)
 
 

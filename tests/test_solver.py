@@ -136,18 +136,29 @@ def test_multistart_failure_path(ctx_solver):
 
 
 def test_trace_file(ctx_solver, tmp_path):
+    """The solve driver writes trace.ndjson from the winning run's own records."""
     import json
+    from pathlib import Path
 
-    path = tmp_path / "trace.ndjson"
-    cfg = SolverConfig(max_iters=40, trace_path=str(path))
-    solve(ctx_solver, gaussian_field(ctx_solver.grid, [0.0], 2.0), cfg)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) >= 2
-    rec = json.loads(lines[0])
-    assert set(rec) == {"iter", "energy", "residual", "t_star", "shift"}
+    from choquard_gs.cli import main
+
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), "--out", str(out),
+                 "--multistarts", "1", "--seed", "0"]) == 0
+    lines = (out / "trace.ndjson").read_text().strip().splitlines()
     recs = [json.loads(line) for line in lines]
-    shifts = [r["shift"] for r in recs if r["shift"] is not None]
-    assert all(isinstance(s, list) for s in shifts)
+    assert len(recs) >= 2
+    assert all(set(rec) == {"iter", "energy", "residual", "t_star", "shift"} for rec in recs)
+    # the same start solved directly: configs/default.ini is the ctx_solver problem
+    r = solve(ctx_solver, random_initial(ctx_solver, np.random.default_rng([0, 0])),
+              SolverConfig(seed=0))
+    assert [rec["iter"] for rec in recs] == list(range(len(r.energy_trace)))
+    assert [rec["energy"] for rec in recs] == r.energy_trace.tolist()
+    assert [rec["residual"] for rec in recs] == r.residual_trace.tolist()
+    assert [rec["t_star"] for rec in recs] == r.t_star_trace.tolist()
+    shifts = {it: z.tolist() for it, z in zip(r.shift_iters, r.shifts_applied)}
+    assert [rec["shift"] for rec in recs] == [shifts.get(i) for i in range(len(recs))]
 
 
 def test_escape_diagnostic_on_converged_state(converged):
@@ -160,11 +171,11 @@ def test_escape_diagnostic_synthetic_traces(ctx_solver):
     g = ctx_solver.grid
     u = gaussian_field(g, [0.0], 1.0)
     static = np.zeros((200, 1))
-    r = SolverResult(u, np.zeros(200), np.zeros(200), np.zeros(200), static,
+    r = SolverResult(u, np.zeros(200), np.ones(200), np.zeros(200), np.zeros(200), static,
                      [], [], "converged", 199, 0.0)
     assert not escape_diagnostic(r).escaping
     outward = np.linspace(0.0, 6.0, 200).reshape(-1, 1)
-    r2 = SolverResult(u, np.zeros(200), np.zeros(200), np.zeros(200), outward,
+    r2 = SolverResult(u, np.zeros(200), np.ones(200), np.zeros(200), np.zeros(200), outward,
                       [], [], "max_iters", 199, 0.0)
     assert escape_diagnostic(r2).escaping
     assert escape_diagnostic(r2).longest_outward_run > 50

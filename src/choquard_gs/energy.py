@@ -12,8 +12,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, apply_multiplier, l2_inner, l2_norm, random_smooth_field, shift
-from .operators import RieszKernel, SqrtOp, apply_sqrt, build_riesz, build_sqrt_op, phi_u
+from .grid import (Field, Grid, apply_multiplier, dft, idft_real, l2_inner, l2_norm,
+                   random_smooth_field, shift)
+from .operators import RieszKernel, SqrtOp, build_riesz, build_sqrt_op
 from .problem import PotentialSpec, ProblemParams, sample_potentials, validate
 
 
@@ -63,23 +64,67 @@ def build_context(params: ProblemParams, pot: PotentialSpec,
     return EnergyContext(params, grid, sqrt_op, kernel, vp, vl, gam)
 
 
+def _b_from_spectrum(ctx: EnergyContext, spec: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    return idft_real(ctx.sqrt_op.multiplier * spec, vals.shape) + ctx.v_minus_m * vals
+
+
+def b_values(ctx: EnergyContext, vals: np.ndarray) -> np.ndarray:
+    """(A + V - m) u on raw grid values, A the square-root operator; Q(u) = <Bu, u>."""
+    return _b_from_spectrum(ctx, dft(vals), vals)
+
+
+def direction_and_b(ctx: EnergyContext, grad: np.ndarray,
+                    preconditioned: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Descent direction d (the preconditioned gradient, or the gradient) and Bd,
+    from one forward and at most two inverse transforms."""
+    spec = dft(grad)
+    if preconditioned:
+        spec = ctx._precond * spec
+        grad = idft_real(spec, grad.shape)
+    return grad, _b_from_spectrum(ctx, spec, grad)
+
+
+def precondition(ctx: EnergyContext, g: Field) -> Field:
+    """Spectral division by the symbol plus the potential floor; tames stiffness."""
+    return Field(ctx.grid, apply_multiplier(ctx._precond, g.values))
+
+
+def nonlocal_terms(ctx: EnergyContext, vals: np.ndarray) -> tuple[np.ndarray, float]:
+    """phi = I_alpha * |u|^p and D(u) = <phi, |u|^p> on raw grid values."""
+    up = np.abs(vals) ** ctx.params.p
+    phi = apply_multiplier(ctx.kernel.conv_multiplier, up)
+    return phi, float(ctx.grid.cell_volume * np.sum(phi * up))
+
+
+def gamma_values(ctx: EnergyContext, vals: np.ndarray) -> float:
+    """G(u), the local-factor integral, on raw grid values."""
+    if not ctx.has_gamma:
+        return 0.0
+    return float(ctx.grid.cell_volume * np.sum(ctx.Gamma.values * np.abs(vals) ** ctx.params.q))
+
+
+def grad_values(ctx: EnergyContext, vals: np.ndarray, bu: np.ndarray,
+                phi: np.ndarray) -> np.ndarray:
+    """L^2 gradient at raw values u from Bu and phi = I_alpha * |u|^p; no transform."""
+    p, qe = ctx.params.p, ctx.params.q
+    out = bu - phi * np.abs(vals) ** (p - 2.0) * vals
+    if ctx.has_gamma:
+        out = out + ctx.Gamma.values * np.abs(vals) ** (qe - 2.0) * vals
+    return out
+
+
 def q_boundary(ctx: EnergyContext, u: Field) -> float:
     """Quadratic form in the boundary representation; the squared problem norm."""
-    au = apply_sqrt(ctx.sqrt_op, u)
-    return l2_inner(au, u) + float(ctx.grid.cell_volume * np.sum(ctx.v_minus_m * u.values**2))
+    return float(ctx.grid.cell_volume * np.sum(b_values(ctx, u.values) * u.values))
 
 
 def d_value(ctx: EnergyContext, u: Field) -> float:
     """Nonlocal interaction: pairing of the Riesz convolution of |u|^p with |u|^p."""
-    g = np.abs(u.values) ** ctx.params.p
-    phi = phi_u(ctx.kernel, u, ctx.params.p)
-    return float(ctx.grid.cell_volume * np.sum(phi.values * g))
+    return nonlocal_terms(ctx, u.values)[1]
 
 
 def gamma_integral(ctx: EnergyContext, u: Field) -> float:
-    if not ctx.has_gamma:
-        return 0.0
-    return float(ctx.grid.cell_volume * np.sum(ctx.Gamma.values * np.abs(u.values) ** ctx.params.q))
+    return gamma_values(ctx, u.values)
 
 
 def qdg(ctx: EnergyContext, u: Field) -> tuple[float, float, float]:
@@ -118,19 +163,8 @@ def energy_per(ctx: EnergyContext, u: Field) -> float:
 
 def grad_energy(ctx: EnergyContext, u: Field) -> Field:
     """L^2 gradient field of the energy at u."""
-    p, qe = ctx.params.p, ctx.params.q
-    au = apply_sqrt(ctx.sqrt_op, u)
-    phi = phi_u(ctx.kernel, u, p)
-    vals = u.values
-    out = au.values + ctx.v_minus_m * vals - phi.values * np.abs(vals) ** (p - 2.0) * vals
-    if ctx.has_gamma:
-        out = out + ctx.Gamma.values * np.abs(vals) ** (qe - 2.0) * vals
-    return Field(ctx.grid, out)
-
-
-def precondition(ctx: EnergyContext, g: Field) -> Field:
-    """Spectral division by the symbol plus the potential floor; tames stiffness."""
-    return Field(ctx.grid, apply_multiplier(ctx._precond, g.values))
+    phi = nonlocal_terms(ctx, u.values)[0]
+    return Field(ctx.grid, grad_values(ctx, u.values, b_values(ctx, u.values), phi))
 
 
 def dual_grad_norm(ctx: EnergyContext, g: Field) -> float:

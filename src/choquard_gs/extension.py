@@ -123,20 +123,16 @@ def harmonic_extend(u: Field, wall: WallGrid, m: float) -> ExtendedField:
     """Solve -Laplacian v + m^2 v = 0 on the half-space with trace u.
 
     Per boundary mode the solution is exp(-x*sqrt(|xi|^2 + m^2)) times the
-    mode amplitude; rows are synthesized at each wall node.
+    mode amplitude; all wall rows are synthesized by one batched inverse.
     """
     if u.grid != wall.grid:
         raise ValueError("field grid does not match wall grid")
     g = u.grid
     s = np.sqrt(g.freq2() + m * m)
-    U = dft(u.values)
-    values = np.empty((wall.nx,) + g.shape)
-    dvalues = np.empty_like(values)
-    for i, xi in enumerate(wall.x):
-        decay = np.exp(-xi * s)
-        values[i] = idft_real(U * decay)
-        dvalues[i] = idft_real(-s * U * decay)
-    return ExtendedField(wall, values, dvalues)
+    spec = dft(u.values) * np.exp(-np.multiply.outer(wall.x, s))
+    values = idft_real(spec, g.shape)
+    spec *= -s
+    return ExtendedField(wall, values, idft_real(spec, g.shape))
 
 
 def _diff_weights(nodes: np.ndarray) -> np.ndarray:
@@ -162,32 +158,24 @@ def dtn_apply(u: Field, wall: WallGrid, m: float, npts: int = 3) -> Field:
     g = u.grid
     s = np.sqrt(g.freq2() + m * m)
     w = _diff_weights(wall.x[:npts])
-    symbol = np.zeros(g.shape)
-    for j in range(npts):
-        symbol = symbol + w[j] * np.exp(-wall.x[j] * s)
+    symbol = np.tensordot(w, np.exp(-np.multiply.outer(wall.x[:npts], s)), axes=1)
     return Field(g, apply_multiplier(-symbol, u.values))
 
 
-def _row_mass(grid: Grid, row: np.ndarray) -> float:
-    return float(grid.cell_volume * np.sum(row * row))
-
-
-def _row_grad_y2(grid: Grid, row: np.ndarray) -> float:
-    """Integral of |grad_y row|^2 over the box, spectral in y."""
-    C = dft(row)
-    return float(grid.cell_volume / grid.size * np.sum(grid.freq2() * np.abs(C) ** 2))
+def _row_integrals(g: Grid, rows: np.ndarray) -> np.ndarray:
+    """Box integral (weight h^N) over the trailing N axes, for each row of a stack."""
+    return g.cell_volume * np.sum(rows, axis=tuple(range(1, g.N + 1)))
 
 
 def volume_integrals(v: ExtendedField) -> tuple[float, float]:
     """(integral of |grad v|^2, integral of v^2) over the half-space slab."""
     g = v.wall.grid
     w = v.wall.weights()
-    grad = 0.0
-    mass = 0.0
-    for i in range(v.wall.nx):
-        grad += w[i] * (_row_mass(g, v.dvalues[i]) + _row_grad_y2(g, v.values[i]))
-        mass += w[i] * _row_mass(g, v.values[i])
-    return grad, mass
+    C = dft(v.values, g.N)
+    # integral of |grad_y v|^2 on every row at once, Parseval on the half spectrum
+    grad_y = _row_integrals(g, g.half_weights() * g.freq2() * (C.real**2 + C.imag**2)) / g.size
+    return (float(w @ (_row_integrals(g, v.dvalues**2) + grad_y)),
+            float(w @ _row_integrals(g, v.values**2)))
 
 
 def h1_norm2_volume(v: ExtendedField) -> float:
@@ -236,16 +224,10 @@ def check_trace_inequalities(v: ExtendedField, m: float, p: float) -> Inequality
     w = v.wall.weights()
     u0 = v.values[0]
     lhs_p = float(g.cell_volume * np.sum(np.abs(u0) ** p))
-    vol_2p2 = 0.0  # L^{2(p-1)} norm of v over the volume, raised to 2(p-1)
-    dx2 = 0.0
-    grad = 0.0
-    mass = 0.0
-    for i in range(v.wall.nx):
-        row = v.values[i]
-        vol_2p2 += w[i] * float(g.cell_volume * np.sum(np.abs(row) ** (2.0 * (p - 1.0))))
-        dx2 += w[i] * _row_mass(g, v.dvalues[i])
-        grad += w[i] * (_row_mass(g, v.dvalues[i]) + _row_grad_y2(g, row))
-        mass += w[i] * _row_mass(g, row)
+    # L^{2(p-1)} norm of v over the volume, raised to 2(p-1)
+    vol_2p2 = float(w @ _row_integrals(g, np.abs(v.values) ** (2.0 * (p - 1.0))))
+    dx2 = float(w @ _row_integrals(g, v.dvalues**2))
+    grad, mass = volume_integrals(v)
     rhs_p = p * vol_2p2 ** ((p - 1.0) / (2.0 * (p - 1.0))) * np.sqrt(dx2)
     lhs_2 = float(g.cell_volume * np.sum(u0 * u0))
     rhs_2 = m * grad + mass / m
@@ -285,18 +267,13 @@ def pde_residual(v: ExtendedField, m: float) -> float:
     """Interior residual of the extension equation: finite differences in x,
     spectral in y; decays at second order under wall refinement."""
     g = v.wall.grid
-    x = v.wall.x
     w = v.wall.weights()
-    s2 = g.freq2() + m * m
-    total = 0.0
-    norm = 0.0
-    for i in range(1, v.wall.nx - 1):
-        hm = x[i] - x[i - 1]
-        hp = x[i + 1] - x[i]
-        d2 = 2.0 * (hm * v.values[i + 1] - (hm + hp) * v.values[i] + hp * v.values[i - 1]) / (
-            hm * hp * (hm + hp)
-        )
-        r = -d2 + apply_multiplier(s2, v.values[i])
-        total += w[i] * _row_mass(g, r)
-        norm += w[i] * _row_mass(g, v.values[i])
+    dx = np.diff(v.wall.x).reshape((-1,) + (1,) * g.N)
+    hm, hp, vals = dx[:-1], dx[1:], v.values
+    d2 = 2.0 * (hm * vals[2:] - (hm + hp) * vals[1:-1] + hp * vals[:-2]) / (
+        hm * hp * (hm + hp)
+    )
+    r = -d2 + apply_multiplier(g.freq2() + m * m, vals[1:-1])
+    total = float(w[1:-1] @ _row_integrals(g, r * r))
+    norm = float(w[1:-1] @ _row_integrals(g, vals[1:-1] ** 2))
     return float(np.sqrt(total / max(norm, 1e-300)))

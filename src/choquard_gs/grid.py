@@ -2,13 +2,16 @@
 quadrature and exact lattice shifts.
 
 Transform convention, used by every spectral operator in the package: the
-unnormalised DFT over all axes (``np.fft.fftn``/``ifftn``), coefficients in FFT
-index order with node 0 at x = -L, and the real part of every inverse. No other
-module calls ``np.fft``.
+unnormalised real-to-complex DFT over the trailing N axes (``np.fft.rfftn``,
+inverse ``irfftn``; further leading axes stack rows), node 0 at x = -L. Fields
+are real, so only the half spectrum is kept, on the grid of ``Grid.freq2``: FFT
+index order on the leading axes, wavenumbers 0..n/2 on the last; sums over the
+full spectrum weight it by ``Grid.half_weights``. No other module calls ``np.fft``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -62,18 +65,20 @@ class Grid:
         """Angular frequencies xi_k = pi*k/L in FFT index order."""
         return (np.pi / self.L) * np.fft.fftfreq(self.n, d=1.0 / self.n)
 
-    def _axis_sum(self, rows) -> np.ndarray:
+    @staticmethod
+    def _axis_sum(rows) -> np.ndarray:
         """Sum over axes of per-axis 1-D terms, each broadcast along its own axis."""
-        out = np.zeros(self.shape)
-        for axis, row in enumerate(rows):
-            shape = [1] * self.N
-            shape[axis] = self.n
-            out = out + row.reshape(shape)
-        return out
+        return functools.reduce(np.add.outer, rows)
 
     def freq2(self) -> np.ndarray:
-        """|xi|^2 on the frequency grid, FFT index order."""
-        return self._axis_sum([self.axis_freqs() ** 2] * self.N)
+        """|xi|^2 on the half-spectrum grid of dft (FFT entry n/2 is -n/2, same square)."""
+        xi2 = self.axis_freqs() ** 2
+        return self._axis_sum([xi2] * (self.N - 1) + [xi2[: self.n // 2 + 1]])
+
+    def half_weights(self) -> np.ndarray:
+        """Copies in the full spectrum of each half-spectrum coefficient, along the
+        last axis: 1 at k = 0 and k = n/2 (self-mirrored), 2 elsewhere."""
+        return np.where(np.arange(self.n // 2 + 1) % (self.n // 2) == 0, 1.0, 2.0)
 
     def r2(self, center=None) -> np.ndarray:
         """Squared minimal-image distance of every node from center (default the origin)."""
@@ -127,19 +132,22 @@ def _check_same_grid(f: Field, g: Field) -> None:
         raise ValueError("fields live on different grids")
 
 
-def dft(values: np.ndarray) -> np.ndarray:
-    """Unnormalised DFT over all axes, coefficients in FFT index order."""
-    return np.fft.fftn(values)
+def dft(values: np.ndarray, N: int | None = None) -> np.ndarray:
+    """Unnormalised real-to-complex DFT over the trailing N axes (default all)."""
+    N = np.ndim(values) if N is None else N
+    return np.fft.rfftn(values, axes=tuple(range(-N, 0)))
 
 
-def idft_real(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of dft, real part."""
-    return np.fft.ifftn(coeffs).real
+def idft_real(coeffs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of dft back to real values whose trailing axes have the given shape."""
+    return np.fft.irfftn(coeffs, s=shape, axes=tuple(range(-len(shape), 0)))
 
 
 def apply_multiplier(multiplier: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Fourier multiplier (symbol on the freq2 grid) applied to real grid values."""
-    return idft_real(multiplier * dft(values))
+    """Fourier multiplier (symbol on the freq2 grid) applied to real grid values,
+    or to each of a stack of them."""
+    N = multiplier.ndim
+    return idft_real(multiplier * dft(values, N), values.shape[-N:])
 
 
 def l2_inner(f: Field, g: Field) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ def nehari_t_from_qdg(q: float, d: float, g: float, p: float, qe: float,
     Bracketing plus safeguarded Newton; the closed form (q/d)^(1/(2p-2)) is
     both the g = 0 answer and the lower bracket end otherwise.
     """
+    if not (math.isfinite(q) and math.isfinite(d) and math.isfinite(g)):
+        raise NehariProjectionError(f"non-finite triple ({q}, {d}, {g})")
     if not q > 0:
         raise NehariProjectionError(f"quadratic form must be positive, got {q}")
     if not d > 0:

@@ -8,15 +8,16 @@ import numpy as np
 
 from .energy import (
     EnergyContext,
+    b_values,
+    direction_and_b,
     dual_grad_norm,
     energy_from_qdg,
-    energy_value,
-    grad_energy,
-    precondition,
-    q_boundary,
-    qdg,
+    gamma_values,
+    grad_values,
+    nonlocal_terms,
+    vl_integral,
 )
-from .grid import Field, gaussian_field, l2_inner, l2_norm, min_image, shift
+from .grid import Field, Grid, gaussian_field, min_image, shift
 from .nehari import NehariProjectionError, nehari_t_from_qdg, project_to_nehari
 
 
@@ -50,8 +51,9 @@ class SolverConfig:
 class SolverResult:
     """Converged state plus the full iterate history needed for diagnostics.
 
-    status 'max_iters' also covers a line-search stall below the requested
-    tolerance; 'converged' guarantees the last residual met it.
+    status is 'converged' (the last residual met the tolerance), 'max_iters'
+    (the iteration budget ran out), 'stalled' (a line search accepted no
+    trial step) or 'projection_failed' (the start has no Nehari scaling).
     """
 
     u_final: Field
@@ -67,14 +69,13 @@ class SolverResult:
     threshold: float
 
 
-def _center_of_mass(u: Field) -> np.ndarray:
+def _center_of_mass(g: Grid, u: np.ndarray) -> np.ndarray:
     """Bump center on the torus: mass-weighted minimal-image offset from the peak."""
-    g = u.grid
-    w = u.values**2
+    w = u**2
     total = float(np.sum(w))
     if total == 0.0:
         return np.zeros(g.N)
-    peak = np.unravel_index(int(np.argmax(np.abs(u.values))), g.shape)
+    peak = np.unravel_index(int(np.argmax(np.abs(u))), g.shape)
     xs = g.axis_coords()
     com = np.zeros(g.N)
     for axis in range(g.N):
@@ -84,14 +85,24 @@ def _center_of_mass(u: Field) -> np.ndarray:
     return min_image(g, com)
 
 
-def _recenter_shift(u: Field) -> np.ndarray:
+def _recenter_shift(g: Grid, u: np.ndarray) -> np.ndarray:
     """Integer lattice vector moving the peak of |u| into the origin cell."""
-    g = u.grid
-    peak = np.unravel_index(int(np.argmax(np.abs(u.values))), g.shape)
+    peak = np.unravel_index(int(np.argmax(np.abs(u))), g.shape)
     xs = g.axis_coords()
-    return np.array([round(xs[i]) for i in peak], dtype=float)
+    return np.array([round(xs[i]) for i in peak], dtype=int)
 
 
+def _fresh(ctx: EnergyContext, u: np.ndarray):
+    """Cached terms at u from four transforms: Bu = (A + V - m)u,
+    phi = I_alpha * |u|^p, Q(u) and the energy."""
+    bu = b_values(ctx, u)
+    phi, d = nonlocal_terms(ctx, u)
+    q = ctx.grid.cell_volume * float(np.sum(bu * u))
+    return bu, phi, q, energy_from_qdg(ctx, q, d, gamma_values(ctx, u))
+
+
+# overflow shows as a non-finite Q, D or G, which fails the projection or the trial
+@np.errstate(over="ignore", invalid="ignore")
 def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> SolverResult:
     """Minimize the energy over the manifold from one initial field.
 
@@ -99,8 +110,16 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     on the energy after re-projection, periodic recentering by exact lattice
     shifts (unconditional when the problem is translation invariant, energy
     guarded otherwise).
+
+    The loop runs on arrays and caches Bu and phi per iterate, so the
+    gradient needs no transform and a trial only the Riesz pair:
+    Q(u - tau*d) = Q(u) - 2 tau <Bu, d> + tau^2 <Bd, d> exactly. Each
+    recentering checkpoint rebuilds the cache, so the recurrences cannot drift.
     """
     cfg = cfg or SolverConfig()
+    g = ctx.grid
+    cv = g.cell_volume
+    p, qe = ctx.params.p, ctx.params.q
     energies: list[float] = []
     t_stars: list[float] = []
     residuals: list[float] = []
@@ -112,17 +131,16 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     def result(u, status, iterations, threshold):
         return SolverResult(u, np.asarray(energies), np.asarray(t_stars),
                             np.asarray(residuals), np.asarray(qnorms),
-                            np.asarray(coms) if coms else np.zeros((0, ctx.grid.N)),
+                            np.asarray(coms) if coms else np.zeros((0, g.N)),
                             shifts_applied, shift_iters, status, iterations, threshold)
 
     try:
-        t_star, u = project_to_nehari(ctx, init)
+        t_star, start = project_to_nehari(ctx, init)
     except NehariProjectionError:
         return result(init, "projection_failed", 0, 0.0)
-    q, d, g = qdg(ctx, u)
-    e = energy_from_qdg(ctx, q, d, g)
+    u = start.values
+    bu, phi, q, e = _fresh(ctx, u)
 
-    res_norm = (lambda gr: dual_grad_norm(ctx, gr)) if cfg.dual_residual else l2_norm
     tau = cfg.step_init
     # once energy decrements fall below round-off the line search is blind;
     # keep the step at a stability-scale floor so progress continues
@@ -135,43 +153,48 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     status = "max_iters"
     it = 0
     for it in range(cfg.max_iters + 1):
-        grad = grad_energy(ctx, u)
-        res = res_norm(grad)
+        grad = grad_values(ctx, u, bu, phi)
+        direction, b_dir = direction_and_b(ctx, grad, cfg.preconditioned)
+        slope = cv * float(np.sum(grad * direction))
+        if cfg.dual_residual:
+            res = dual_grad_norm(ctx, Field(g, grad))
+        else:
+            res = float(np.sqrt(cv * np.sum(grad * grad)))
         if it == 0:
             threshold = max(cfg.grad_tol * res, cfg.grad_tol_abs)
         energies.append(e)
         t_stars.append(t_star)
         residuals.append(res)
         qnorms.append(np.sqrt(max(q, 0.0)))
-        coms.append(_center_of_mass(u))
+        coms.append(_center_of_mass(g, u))
         if res <= threshold:
             status = "converged"
             break
         if it == cfg.max_iters:
             break
 
-        direction = precondition(ctx, grad) if cfg.preconditioned else grad
-        slope = l2_inner(grad, direction)
-        accepted = False
-        genuine = False
+        bu_dir = cv * float(np.sum(bu * direction))
+        bdir_dir = cv * float(np.sum(b_dir * direction))
         for bt in range(cfg.max_backtracks):
-            cand = Field(ctx.grid, u.values - tau * direction.values)
+            cand = u - tau * direction
+            qc = q - 2.0 * tau * bu_dir + tau * tau * bdir_dir
+            phi_c, dc = nonlocal_terms(ctx, cand)
+            gc = gamma_values(ctx, cand)
             try:
-                qc, dc, gc = qdg(ctx, cand)
-                t_star = nehari_t_from_qdg(qc, dc, gc, ctx.params.p, ctx.params.q)
+                t_c = nehari_t_from_qdg(qc, dc, gc, p, qe)
             except NehariProjectionError:
                 tau *= cfg.shrink
                 continue
-            e_new = energy_from_qdg(ctx, qc, dc, gc, t_star)
+            e_new = energy_from_qdg(ctx, qc, dc, gc, t_c)
             genuine = e_new <= e - cfg.sufficient_decrease * tau * slope
             if genuine or e_new <= e + 1e-14 * (1.0 + abs(e)):
-                accepted = True
                 break
             tau *= cfg.shrink
-        if not accepted:
-            break  # stalled below representable decrease; reported as max_iters
-        u = Field(ctx.grid, t_star * cand.values)
-        q, e = t_star**2 * qc, e_new
+        else:  # no trial accepted
+            status = "stalled"
+            break
+        u, bu, phi = t_c * cand, t_c * (bu - tau * b_dir), t_c**p * phi_c
+        q, e, t_star = t_c**2 * qc, e_new, t_c
         if genuine and bt == 0:
             tau = min(tau * 1.25, cfg.step_max)
         elif not genuine:
@@ -180,22 +203,18 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
             tau = max(tau * cfg.shrink, tau_floor)
 
         if cfg.recenter_every > 0 and (it + 1) % cfg.recenter_every == 0:
-            z = _recenter_shift(u)
+            z = _recenter_shift(g, u)
             if np.any(z):
-                moved = shift(u, -z)
-                if not ctx.has_vl:
-                    u = moved
-                    applied = True
-                else:
-                    e_moved = energy_value(ctx, moved)
-                    applied = e_moved <= e
-                    if applied:
-                        u, e = moved, e_moved
-                        q = q_boundary(ctx, u)
-                if applied:
-                    shifts_applied.append(z.astype(int))
+                here = Field(g, u)
+                moved = shift(here, -z)
+                # A, the Riesz term, V_p and Gamma are lattice invariant: only the
+                # localized potential can make the shift raise the energy
+                if vl_integral(ctx, moved) <= vl_integral(ctx, here):
+                    u = moved.values
+                    shifts_applied.append(z)
                     shift_iters.append(it + 1)
-    return result(u, status, it, threshold)
+            bu, phi, q, e = _fresh(ctx, u)
+    return result(Field(g, u), status, it, threshold)
 
 
 def random_initial(ctx: EnergyContext, rng: np.random.Generator,

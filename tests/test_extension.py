@@ -133,7 +133,9 @@ def test_dtn_squares_to_schrodinger(grid, wall, rng):
     m = 1.0
     u = random_smooth_field(grid, rng)
     twice = dtn_apply(dtn_apply(u, wall, m), wall, m)
-    target = Field(grid, np.fft.ifft((grid.freq2() + m * m) * np.fft.fft(u.values)).real)
+    # full-grid symbol built here, independent of the production half grid
+    symbol = grid.axis_freqs() ** 2 + m * m
+    target = Field(grid, np.fft.ifft(symbol * np.fft.fft(u.values)).real)
     rel = l2_norm(Field(grid, twice.values - target.values)) / l2_norm(target)
     assert rel <= 1e-4
 
@@ -172,6 +174,23 @@ def test_q_form_reduces_to_dirichlet_energy_when_v_equals_m(grid, wall, rng):
     grad, mass = volume_integrals(v)
     assert q == pytest.approx(grad + m**2 * mass)
     assert q >= 0
+
+
+@pytest.mark.parametrize("N,n", [(1, 16), (2, 8)])
+def test_volume_integrals_on_single_modes(N, n):
+    # a single mode e^{i xi.y} extends to e^{-x s} times itself, s^2 = |xi|^2 + m^2,
+    # so on every row |grad v|^2 integrates to (s^2 + |xi|^2) times v^2; the
+    # last-axis Nyquist mode (1 copy in the half spectrum) and an interior
+    # mode (2 copies) check both half-spectrum weights
+    g = Grid(N, 2.0, n)
+    m = 1.0
+    w = build_wall(g, m, nx=32)
+    x = np.meshgrid(*([g.axis_coords()] * N), indexing="ij")
+    for k in (n // 2, 1):
+        xi = np.pi * k / g.L
+        u = Field(g, np.cos(xi * x[-1]))
+        grad, mass = volume_integrals(harmonic_extend(u, w, m))
+        assert grad == pytest.approx((2 * xi**2 + m * m) * mass, rel=1e-12)
 
 
 def test_trace_inequalities_on_gaussian(grid, wall):

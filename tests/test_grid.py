@@ -59,12 +59,14 @@ def test_forward_cosine_mode_pair():
     c = 1.7
     f = c * np.cos(np.pi * g.axis_coords() / g.L)
     F = dft(f)
+    # half spectrum: wavenumbers 0..n/2, the mirror k = -1 of k = 1 is not stored
+    assert F.shape == (g.n // 2 + 1,)
     # node 0 sits at x = -L, so mode k carries the phase (-1)^k
     assert F[1] == pytest.approx(-c * g.n / 2, abs=1e-12)
-    assert F[-1] == pytest.approx(-c * g.n / 2, abs=1e-12)
-    others = np.delete(F, [1, 31])
+    others = np.delete(F, [1])
     assert np.max(np.abs(others)) < 1e-12
     # the multiplier grid is ordered like the coefficients
+    assert g.freq2().shape == F.shape
     lap = apply_multiplier(g.freq2(), f)
     assert np.max(np.abs(lap - (np.pi / g.L) ** 2 * f)) < 1e-12
 
@@ -73,17 +75,30 @@ def test_forward_cosine_mode_pair():
 def test_round_trip(N, n, rng):
     g = Grid(N, 2.0, n)
     f = rng.standard_normal(g.shape)
-    back = idft_real(dft(f))
+    back = idft_real(dft(f), g.shape)
     assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
+    # a stack of fields transforms row by row in one call
+    rows = np.stack([f, 2.0 * f, -f])
+    coeffs = dft(rows, N)
+    assert coeffs.shape == (3,) + g.freq2().shape
+    assert np.max(np.abs(coeffs[1] - 2.0 * dft(f))) <= 1e-12 * np.max(np.abs(coeffs))
+    assert np.max(np.abs(idft_real(coeffs, g.shape) - rows)) <= 1e-12 * np.max(np.abs(rows))
 
 
 def test_forward_hermitian_for_real_fields(rng):
     g = Grid(2, 2.0, 16)
-    F = dft(rng.standard_normal(g.shape))
-    flipped = F
-    for axis in range(g.N):
-        flipped = np.roll(np.flip(flipped, axis=axis), 1, axis=axis)
-    assert np.max(np.abs(F - np.conj(flipped))) <= 1e-12 * np.max(np.abs(F))
+    f = rng.standard_normal(g.shape)
+    F = dft(f)
+    # the half spectrum is the k1 <= n/2 part of the direct double sum
+    k = np.arange(g.n)
+    E = np.exp(-2j * np.pi * np.outer(k, k) / g.n)
+    full = E @ f @ E.T
+    assert F.shape == (g.n, g.n // 2 + 1)
+    assert np.max(np.abs(F - full[:, : g.n // 2 + 1])) <= 1e-12 * np.max(np.abs(full))
+    # the planes k1 = 0 and k1 = n/2 are their own mirrors: Hermitian in k0
+    for plane in (F[:, 0], F[:, -1]):
+        mirrored = np.roll(plane[::-1], 1)
+        assert np.max(np.abs(plane - np.conj(mirrored))) <= 1e-12 * np.max(np.abs(F))
 
 
 def test_r2_is_the_minimal_image_distance():
@@ -121,8 +136,12 @@ def test_inner_product_symmetry_and_grid_guard(rng):
 def test_parseval(rng):
     g = Grid(1, 8.0, 128)
     f = Field(g, rng.standard_normal(128))
-    spectral = g.cell_volume / g.size * np.sum(np.abs(dft(f.values)) ** 2)
+    # coefficients off k = 0 and k = n/2 stand for themselves and their mirror
+    w = np.full(g.n // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    spectral = g.cell_volume / g.size * np.sum(w * np.abs(dft(f.values)) ** 2)
     assert spectral == pytest.approx(l2_norm2(f), rel=1e-12)
+    assert np.array_equal(g.half_weights(), w)
 
 
 def test_shift_identity_period_and_isometry(rng):
@@ -196,3 +215,14 @@ def test_gaussian_field_is_smooth_on_torus():
     f = gaussian_field(g, [7.5], 1.0)
     jumps = np.abs(np.diff(np.concatenate([f.values, f.values[:1]])))
     assert np.max(jumps) < 0.2  # wrap seam is as smooth as the interior
+
+
+def test_only_grid_calls_numpy_fft():
+    from pathlib import Path
+
+    import choquard_gs
+
+    package = Path(choquard_gs.__file__).resolve().parent
+    callers = sorted(str(p.relative_to(package)) for p in package.rglob("*.py")
+                     if "np.fft" in p.read_text() or "numpy.fft" in p.read_text())
+    assert callers == ["grid.py"]

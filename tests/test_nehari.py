@@ -67,6 +67,13 @@ def test_scalar_solver_rejects_degenerate():
         nehari_t_from_qdg(0.0, 1.0, 0.0, 2.0, 3.0)
 
 
+def test_scalar_solver_rejects_non_finite_triple():
+    # an overflowed evaluation must not come back as an infinite scaling
+    for triple in [(np.inf, 1.0, 0.0), (1.0, np.inf, 0.5), (1.0, 1.0, np.inf), (np.nan, 1.0, 0.0)]:
+        with pytest.raises(NehariProjectionError, match="non-finite"):
+            nehari_t_from_qdg(*triple, 2.0, 3.0)
+
+
 def test_scalar_solver_against_bisection_oracle(rng):
     # frozen oracle: plain bisection on the fiber stationarity scalar
     p, qe = 2.0, 3.0

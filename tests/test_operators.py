@@ -111,7 +111,16 @@ def test_kernel_multiplier_real_and_even():
     g = Grid(1, 8.0, 64)
     k = build_riesz(g, 0.5)
     assert k.conv_multiplier.dtype == np.float64
-    assert np.allclose(k.conv_multiplier, np.roll(k.conv_multiplier[::-1], 1), atol=1e-12)
+    assert k.conv_multiplier.shape == (g.n // 2 + 1,)
+    # an even kernel has a real cosine transform on the half spectrum
+    j = np.arange(g.n)
+    cosine = g.h * np.cos(2 * np.pi * np.outer(np.arange(g.n // 2 + 1), j) / g.n) @ k.kernel_samples
+    assert np.allclose(k.conv_multiplier, cosine, rtol=0, atol=1e-12 * np.max(np.abs(cosine)))
+    # along a full leading axis evenness is the mirror symmetry k0 -> -k0
+    g2 = Grid(2, 2.0, 16)
+    m2 = build_riesz(g2, 1.0).conv_multiplier
+    assert m2.dtype == np.float64
+    assert np.allclose(m2, np.roll(m2[::-1], 1, axis=0), rtol=0, atol=1e-12 * np.max(m2))
 
 
 def test_far_part_bounded_by_one():

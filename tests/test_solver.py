@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from choquard_gs.energy import build_context, energy_value, qdg
+from choquard_gs.energy import build_context, energy_value, grad_energy, qdg
 from choquard_gs.grid import Field, gaussian_field, l2_norm2, shift
 from choquard_gs.solver import (
     SolveFailure,
@@ -62,6 +62,22 @@ def test_recentering_moves_peak_to_origin(converged):
     assert x_peak <= 0.5 + g.h
     assert len(converged.shifts_applied) >= 1
     assert all(z.shape == (1,) for z in converged.shifts_applied)
+
+
+@pytest.mark.parametrize("amplitude, moves", [(-0.5, True), (0.5, False)])
+def test_recentering_guarded_by_localized_potential(amplitude, moves):
+    # a well at the origin pulls the off-center bump home at the first
+    # checkpoint; a barrier there would raise the energy, so the shift is refused
+    from choquard_gs.problem import Descriptor, PotentialSpec
+
+    vl = Descriptor("inverse-power", {"amplitude": amplitude, "width": 1.0, "power": 2.0})
+    pot = PotentialSpec(Descriptor("constant", {"value": 1.0}), vl,
+                        "negative" if amplitude < 0 else "positive", Descriptor("zero"))
+    ctx = build_context(make_params(), pot)
+    r = solve(ctx, gaussian_field(ctx.grid, [6.0], 2.0),
+              SolverConfig(max_iters=1, recenter_every=1))
+    assert [z.tolist() for z in r.shifts_applied] == ([[6]] if moves else [])
+    assert r.energy_trace[-1] == pytest.approx(energy_value(ctx, r.u_final), rel=1e-12)
 
 
 def test_restart_from_shifted_converged_state(ctx_solver, converged):
@@ -245,8 +261,117 @@ def test_solve_in_higher_dimensions(N, alpha, qe, L, n):
     assert abs(q - d + g) <= 1e-10 * q
 
 
+def test_dual_residual_without_preconditioning(ctx_solver):
+    from choquard_gs.energy import dual_grad_norm
+    from choquard_gs.nehari import project_to_nehari
+
+    init = gaussian_field(ctx_solver.grid, [0.0], 2.0)
+    r = solve(ctx_solver, init, SolverConfig(dual_residual=True, preconditioned=False,
+                                             max_iters=3))
+    start = project_to_nehari(ctx_solver, init)[1]
+    expect = dual_grad_norm(ctx_solver, grad_energy(ctx_solver, start))
+    assert r.residual_trace[0] == pytest.approx(expect, rel=1e-12)
+
+
 def test_dual_residual_stopping(ctx_solver):
     r = solve(ctx_solver, gaussian_field(ctx_solver.grid, [0.0], 2.0),
               SolverConfig(dual_residual=True))
     assert r.status == "converged"
     assert r.residual_trace[-1] <= r.threshold
+
+
+def _config_context(name):
+    from pathlib import Path
+
+    from choquard_gs.problem import load_problem_config
+
+    params, pot = load_problem_config(Path(__file__).resolve().parents[1] / "configs" / name)
+    return build_context(params, pot)
+
+
+def test_transforms_per_iteration(monkeypatch):
+    # the loop caches Bu and I_alpha * |u|^p: a direction costs one forward and
+    # two inverse transforms, a trial the Riesz pair, a recentering a fresh four
+    from choquard_gs.problem import Descriptor, PotentialSpec
+
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    pot = PotentialSpec(Descriptor("constant", {"value": 1.0}), Descriptor("zero"), "zero",
+                        Descriptor("zero"))
+    ctx = build_context(make_params(N=2, alpha=1.0, L=4.0, n=32), pot)
+    calls.clear()
+    r = solve(ctx, gaussian_field(ctx.grid, [0.0, 0.0], 1.0), SolverConfig())
+    assert r.status == "converged"
+    assert r.iterations >= 10
+    assert set(calls) == {"rfftn", "irfftn"}
+    assert sum(calls.values()) <= 6 * r.iterations
+
+
+def test_cached_terms_do_not_drift():
+    # 310 iterations with a checkpoint every 25: the last 10 iterates come
+    # from the recurrences for Q and Bu alone
+    ctx = _config_context("gamma_sweep.ini")
+    assert ctx.has_gamma
+    r = solve(ctx, gaussian_field(ctx.grid, [0.0], 2.0),
+              SolverConfig(grad_tol=1e-30, max_iters=310, recenter_every=25))
+    assert r.iterations == 310
+    fresh = energy_value(ctx, r.u_final)
+    assert r.energy_trace[-1] == pytest.approx(fresh, rel=1e-12)
+    q, _, _ = qdg(ctx, r.u_final)
+    assert r.qnorm_trace[-1] ** 2 == pytest.approx(q, rel=1e-12)
+
+
+@pytest.mark.parametrize("max_iters", [5, 20])
+def test_cached_terms_exact_between_checkpoints(max_iters):
+    # mid-descent, before the first recentering checkpoint rebuilds the cache,
+    # the recorded energy, norm and residual come from the cached terms alone;
+    # verify.ini has a non-constant V and a non-zero Gamma, so every term counts
+    from choquard_gs.nehari import project_to_nehari
+
+    ctx = _config_context("verify.ini")
+    init = gaussian_field(ctx.grid, [0.0], 2.0)
+    r = solve(ctx, init, SolverConfig(max_iters=max_iters, recenter_every=25))
+    assert r.iterations == max_iters
+    start = project_to_nehari(ctx, init)[1]
+    assert r.residual_trace[0] == pytest.approx(np.sqrt(l2_norm2(grad_energy(ctx, start))),
+                                                rel=1e-12)
+    assert r.energy_trace[-1] == pytest.approx(energy_value(ctx, r.u_final), rel=1e-12)
+    q, _, _ = qdg(ctx, r.u_final)
+    assert r.qnorm_trace[-1] ** 2 == pytest.approx(q, rel=1e-12)
+    fresh_residual = np.sqrt(l2_norm2(grad_energy(ctx, r.u_final)))
+    assert r.residual_trace[-1] == pytest.approx(fresh_residual, rel=1e-9)
+
+
+def test_overflowing_trial_backtracks():
+    ctx = _config_context("default.ini")
+    init = gaussian_field(ctx.grid, 0, 2)
+    r = solve(ctx, init, SolverConfig(step_init=1e300, step_max=1e300))
+    # every trial overflows, so the line search accepts none
+    assert r.status == "stalled"
+    assert np.all(np.isfinite(r.u_final.values))
+    assert np.all(np.isfinite(r.energy_trace))
+
+
+def test_overflowing_start_fails_projection():
+    ctx = _config_context("default.ini")
+    init = gaussian_field(ctx.grid, 0, 2)
+    r = solve(ctx, Field(ctx.grid, 1e200 * init.values))
+    assert r.status == "projection_failed"
+    assert r.iterations == 0
+
+
+def test_line_search_without_accepted_trial_is_stalled():
+    ctx = _config_context("default.ini")
+    r = solve(ctx, gaussian_field(ctx.grid, 0, 2),
+              SolverConfig(step_init=50.0, step_max=50.0, max_backtracks=1))
+    assert r.status == "stalled"
+    assert r.iterations == 0
+    assert len(r.energy_trace) == 1

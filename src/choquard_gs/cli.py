@@ -47,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="problem config file")
     parser.add_argument("--out", default="choquard_out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel workers (env CHOQUARD_GS_THREADS overrides)")
+    parser.add_argument("--workers", type=int, default=1, choices=(1,),
+                        help="starts run one at a time; only 1 is accepted")
     parser.add_argument("--tol-scale", type=float, default=1.0,
                         help="loosen verification tolerances by this factor")
     parser.add_argument("--multistarts", type=int, default=4)
@@ -71,7 +71,6 @@ def main(argv=None) -> int:
         problem_path=args.config,
         out_dir=args.out,
         seed=args.seed,
-        workers=args.workers,
         tolerance_scale=args.tol_scale,
         multistarts=args.multistarts,
         max_iters=args.max_iters,

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import (Field, Grid, apply_multiplier, dft, idft_real, l2_inner, l2_norm,
+from .grid import (Field, Grid, apply_multiplier, dft, idft_real, l2_norm,
                    random_smooth_field, shift)
 from .operators import RieszKernel, SqrtOp, build_riesz, build_sqrt_op
 from .problem import PotentialSpec, ProblemParams, sample_potentials, validate
@@ -165,11 +165,6 @@ def grad_energy(ctx: EnergyContext, u: Field) -> Field:
     """L^2 gradient field of the energy at u."""
     phi = nonlocal_terms(ctx, u.values)[0]
     return Field(ctx.grid, grad_values(ctx, u.values, b_values(ctx, u.values), phi))
-
-
-def dual_grad_norm(ctx: EnergyContext, g: Field) -> float:
-    """Dual-style residual norm: inner product of gradient with its preconditioning."""
-    return float(np.sqrt(max(l2_inner(g, precondition(ctx, g)), 0.0)))
 
 
 @dataclass

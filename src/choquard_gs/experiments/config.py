@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +19,6 @@ class ExperimentConfig:
     problem_path: str
     out_dir: str = "choquard_out"
     seed: int = 0
-    workers: int = 1
     tolerance_scale: float = 1.0
     multistarts: int = 4
     max_iters: int = 2000
@@ -36,14 +34,6 @@ class ExperimentConfig:
             raise ConfigError("sweep list of amplitudes is empty")
         if not self.box_list:
             raise ConfigError("sweep list of box sizes is empty")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        env = os.environ.get("CHOQUARD_GS_THREADS")
-        if env:
-            try:
-                self.workers = max(1, int(env))
-            except ValueError as exc:
-                raise ConfigError(f"CHOQUARD_GS_THREADS={env!r} is not an integer") from exc
 
 
 def blob_hash(data: bytes) -> str:

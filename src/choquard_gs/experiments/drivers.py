@@ -48,7 +48,7 @@ from ..problem import (
     resolved_config_text,
     validate,
 )
-from ..solver import SolverConfig, SolveFailure, multistart, solve
+from ..solver import SolverConfig, SolveFailure, best_converged, multistart, solve
 from .config import ExperimentConfig, Report
 
 
@@ -74,7 +74,7 @@ def _build(params: ProblemParams, pot: PotentialSpec) -> EnergyContext:
 def _report_for(ecfg: ExperimentConfig, title: str, params, pot) -> Report:
     rep = Report(title)
     text = resolved_config_text(params, pot)
-    rep.embed_inputs(text, {"kind": ecfg.kind, "seed": ecfg.seed, "workers": ecfg.workers})
+    rep.embed_inputs(text, {"kind": ecfg.kind, "seed": ecfg.seed})
     return rep
 
 
@@ -88,7 +88,7 @@ def run_solve(ecfg: ExperimentConfig) -> int:
     rep = _report_for(ecfg, "Ground-state solve", params, pot)
     cfg = _solver_config(ecfg)
     try:
-        best, runs = multistart(ctx, ecfg.multistarts, cfg, workers=ecfg.workers)
+        best, runs = multistart(ctx, ecfg.multistarts, cfg)
     except SolveFailure as exc:
         rep.add_check("at least one start converged", False, str(exc))
         rep.write(ecfg.out_dir)
@@ -424,7 +424,7 @@ def run_gamma_sweep(ecfg: ExperimentConfig) -> int:
     init = None
     for e, ctx in zip(eps, contexts):
         if init is None:
-            best, _ = multistart(ctx, ecfg.multistarts, cfg, workers=ecfg.workers)
+            best, _ = multistart(ctx, ecfg.multistarts, cfg)
         else:
             best = solve(ctx, init, cfg)
             if best.status != "converged":
@@ -478,16 +478,7 @@ def _vl_spec(pot: PotentialSpec, amplitude: float) -> PotentialSpec:
 
 
 def _solve_best(ctx: EnergyContext, inits: list[Field], cfg: SolverConfig):
-    best = None
-    for u in inits:
-        r = solve(ctx, u, cfg)
-        if r.status != "converged":
-            continue
-        if best is None or r.energy_trace[-1] < best.energy_trace[-1]:
-            best = r
-    if best is None:
-        raise SolveFailure("no candidate initialization converged")
-    return best
+    return best_converged([solve(ctx, u, cfg) for u in inits])
 
 
 def _overlap_near_origin(u: Field, radius: float) -> float:
@@ -504,7 +495,7 @@ def run_vl_sign(ecfg: ExperimentConfig) -> int:
     cfg = _solver_config(ecfg)
 
     ctx0 = _build(params, _vl_spec(pot, 0.0))
-    best0, _ = multistart(ctx0, ecfg.multistarts, cfg, workers=ecfg.workers)
+    best0, _ = multistart(ctx0, ecfg.multistarts, cfg)
     c_per_base = best0.energy_trace[-1]
     u_per = best0.u_final
 

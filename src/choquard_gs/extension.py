@@ -183,18 +183,22 @@ def h1_norm2_volume(v: ExtendedField) -> float:
     return grad + mass
 
 
+def _q_form(v: ExtendedField, V_field: Field, m: float, grad: float, mass: float) -> float:
+    """Q(v) from its slab integrals (volume_integrals) plus the boundary (V - m) term."""
+    g = v.wall.grid
+    if V_field.grid != g:
+        raise ValueError("potential grid does not match extension grid")
+    u0 = v.values[0]
+    boundary = float(g.cell_volume * np.sum((V_field.values - m) * u0 * u0))
+    return grad + m * m * mass + boundary
+
+
 def q_form_volume(v: ExtendedField, V_field: Field, m: float) -> float:
     """Quadratic form: volume Dirichlet + mass terms plus boundary (V - m) term.
 
     Trapezoid in the wall direction, spectral in the boundary variables.
     """
-    g = v.wall.grid
-    if V_field.grid != g:
-        raise ValueError("potential grid does not match extension grid")
-    grad, mass = volume_integrals(v)
-    u0 = v.values[0]
-    boundary = float(g.cell_volume * np.sum((V_field.values - m) * u0 * u0))
-    return grad + m * m * mass + boundary
+    return _q_form(v, V_field, m, *volume_integrals(v))
 
 
 @dataclass
@@ -256,8 +260,9 @@ def check_norm_equivalence(v: ExtendedField, V_field: Field, m: float,
     v_min = float(np.min(V_field.values))
     v_max = float(np.max(V_field.values))
     c_low, c_high = norm_equivalence_constants(m, v_min, v_max)
-    q = q_form_volume(v, V_field, m)
-    h1 = h1_norm2_volume(v)
+    grad, mass = volume_integrals(v)
+    q = _q_form(v, V_field, m, grad, mass)
+    h1 = grad + mass
     lower_ok = q >= c_low * h1 * (1.0 - tol)
     upper_ok = q <= c_high * h1 * (1.0 + tol)
     return bool(lower_ok and upper_ok), q, c_low * h1, c_high * h1

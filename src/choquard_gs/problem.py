@@ -79,28 +79,33 @@ GAMMA_TAGS = ("zero", "constant", "cosine")
 SIGN_MODES = ("zero", "negative", "positive")
 
 
-def _sample_periodic(desc: Descriptor, grid: Grid) -> np.ndarray:
-    """Sample a 1-periodic closed form on one unit cell and tile it.
+def _tile_unit_cell(grid: Grid, cell_of) -> np.ndarray:
+    """Sample cell_of(coords) on one unit cell and tile it over the box.
 
-    Tiling makes box periodicity and unit-lattice equivariance bitwise exact.
+    coords holds one broadcastable coordinate array per axis. Tiling makes box
+    periodicity and unit-lattice equivariance bitwise exact.
     """
     cpu = grid.cells_per_unit()
     x1 = grid.axis_coords()[:cpu]
     coords = [x1] if grid.N == 1 else np.meshgrid(*([x1] * grid.N), indexing="ij", sparse=True)
+    return np.tile(cell_of(coords), (grid.n // cpu,) * grid.N)
+
+
+def _sample_periodic(desc: Descriptor, grid: Grid) -> np.ndarray:
+    """Sample a 1-periodic closed form on the grid."""
     if desc.tag == "zero":
-        cell = np.zeros((cpu,) * grid.N)
-    elif desc.tag == "constant":
-        cell = np.full((cpu,) * grid.N, desc.get("value"))
-    elif desc.tag == "cosine":
+        return np.zeros(grid.shape)
+    if desc.tag == "constant":
+        return np.full(grid.shape, desc.get("value"))
+    if desc.tag == "cosine":
         offset = desc.get("offset", 0.0)
         amp = desc.get("amplitude")
-        cell = np.zeros((cpu,) * grid.N)
-        for c in coords:
-            cell = cell + np.cos(2.0 * np.pi * c)
-        cell = offset + (amp / grid.N) * cell
-    else:
-        raise ConfigError(f"unknown periodic potential tag '{desc.tag}'")
-    return np.tile(cell, (grid.n // cpu,) * grid.N)
+
+        def cell(coords):
+            return offset + (amp / grid.N) * sum(np.cos(2.0 * np.pi * c) for c in coords)
+
+        return _tile_unit_cell(grid, cell)
+    raise ConfigError(f"unknown periodic potential tag '{desc.tag}'")
 
 
 def _sample_localized(desc: Descriptor, grid: Grid) -> np.ndarray:
@@ -130,13 +135,15 @@ def sample_potentials(params: ProblemParams, pot: PotentialSpec, grid: Grid | No
         vl = Field(grid, _sample_localized(pot.Vl, grid))
     if pot.Gamma.tag == "cosine":
         # non-negative periodic profile: amplitude * prod_i (1 + cos 2 pi x_i)/2
-        cpu = grid.cells_per_unit()
-        x1 = grid.axis_coords()[:cpu]
-        coords = [x1] if grid.N == 1 else np.meshgrid(*([x1] * grid.N), indexing="ij", sparse=True)
-        cell = np.ones((cpu,) * grid.N)
-        for c in coords:
-            cell = cell * (1.0 + np.cos(2.0 * np.pi * c)) / 2.0
-        gam = Field(grid, pot.Gamma.get("amplitude") * np.tile(cell, (grid.n // cpu,) * grid.N))
+        amp = pot.Gamma.get("amplitude")
+
+        def cell(coords):
+            prod = 1.0
+            for c in coords:
+                prod = prod * (1.0 + np.cos(2.0 * np.pi * c)) / 2.0
+            return amp * prod
+
+        gam = Field(grid, _tile_unit_cell(grid, cell))
     else:
         gam = Field(grid, _sample_periodic(pot.Gamma, grid))
     return vp, vl, gam

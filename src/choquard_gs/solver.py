@@ -10,7 +10,6 @@ from .energy import (
     EnergyContext,
     b_values,
     direction_and_b,
-    dual_grad_norm,
     energy_from_qdg,
     gamma_values,
     grad_values,
@@ -37,7 +36,6 @@ class SolverConfig:
     step_max: float = 4.0
     recenter_every: int = 25
     preconditioned: bool = True
-    dual_residual: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -156,10 +154,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         grad = grad_values(ctx, u, bu, phi)
         direction, b_dir = direction_and_b(ctx, grad, cfg.preconditioned)
         slope = cv * float(np.sum(grad * direction))
-        if cfg.dual_residual:
-            res = dual_grad_norm(ctx, Field(g, grad))
-        else:
-            res = float(np.sqrt(cv * np.sum(grad * grad)))
+        res = float(np.sqrt(cv * np.sum(grad * grad)))
         if it == 0:
             threshold = max(cfg.grad_tol * res, cfg.grad_tol_abs)
         energies.append(e)
@@ -230,29 +225,23 @@ def random_initial(ctx: EnergyContext, rng: np.random.Generator,
     return u
 
 
-def multistart(ctx: EnergyContext, k: int, cfg: SolverConfig | None = None,
-               workers: int = 1) -> tuple[SolverResult, list[SolverResult]]:
-    """k independent seeded runs; best converged final energy wins."""
+def best_converged(results: list[SolverResult]) -> SolverResult:
+    """The converged run with the lowest final energy; the first one on a tie."""
+    converged = [r for r in results if r.status == "converged"]
+    if not converged:
+        raise SolveFailure(f"none of {len(results)} starts converged")
+    return min(converged, key=lambda r: r.energy_trace[-1])
+
+
+def multistart(ctx: EnergyContext, k: int,
+               cfg: SolverConfig | None = None) -> tuple[SolverResult, list[SolverResult]]:
+    """k independent seeded runs, one after another; best converged final energy wins."""
     if k < 1:
         raise ValueError("need at least one start")
     cfg = cfg or SolverConfig()
-    inits = [random_initial(ctx, np.random.default_rng([cfg.seed, i])) for i in range(k)]
-
-    def run(i):
-        return solve(ctx, inits[i], cfg)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(k)))
-    else:
-        results = [run(i) for i in range(k)]
-    converged = [r for r in results if r.status == "converged"]
-    if not converged:
-        raise SolveFailure(f"none of {k} starts converged")
-    best = min(converged, key=lambda r: r.energy_trace[-1])
-    return best, results
+    results = [solve(ctx, random_initial(ctx, np.random.default_rng([cfg.seed, i])), cfg)
+               for i in range(k)]
+    return best_converged(results), results
 
 
 @dataclass

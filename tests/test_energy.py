@@ -6,7 +6,6 @@ from choquard_gs.energy import (
     build_context,
     d_value,
     directional_derivative_fd,
-    dual_grad_norm,
     energy,
     energy_from_qdg,
     energy_per,
@@ -161,12 +160,6 @@ def test_grad_pairing_identity(ctx_gamma, rng):
     q, d, g = qdg(ctx_gamma, u)
     pairing = l2_inner(grad_energy(ctx_gamma, u), u)
     assert pairing == pytest.approx(q - d + g, rel=1e-10, abs=1e-10)
-
-
-def test_dual_grad_norm_positive(ctx_const, rng):
-    u = random_smooth_field(ctx_const.grid, rng)
-    g = grad_energy(ctx_const, u)
-    assert dual_grad_norm(ctx_const, g) > 0
 
 
 def test_d_bound_regression(ctx_const, rng):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,17 +100,24 @@ def test_experiment_config_validation(config_path):
         ExperimentConfig(kind="solve", problem_path=str(config_path), eps_list=[])
 
 
-def test_workers_env_override(config_path, monkeypatch):
-    monkeypatch.setenv("CHOQUARD_GS_THREADS", "3")
-    ecfg = ExperimentConfig(kind="solve", problem_path=str(config_path))
-    assert ecfg.workers == 3
-    monkeypatch.setenv("CHOQUARD_GS_THREADS", "banana")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(kind="solve", problem_path=str(config_path))
-
-
 def test_cli_requires_valid_kind(config_path):
     assert main(["warp-drive", "--config", str(config_path)]) == 2
+
+
+def test_cli_rejects_more_than_one_worker(config_path, tmp_path):
+    # starts run one at a time; --workers stays only as the value 1
+    assert main(["solve", "--config", str(config_path), "--out", str(tmp_path),
+                 "--multistarts", "1", "--workers", "2"]) == 2
+
+
+def test_readme_synopsis_matches_parser():
+    from choquard_gs.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    synopsis = re.search(r"```\n(choquard-gs .*?)```", readme, re.S).group(1)
+    documented = set(re.findall(r"--[a-z][a-z-]*", synopsis))
+    defined = set(re.findall(r"--[a-z][a-z-]*", build_parser().format_usage()))
+    assert documented == defined
 
 
 def test_cli_missing_config_is_config_error(tmp_path):

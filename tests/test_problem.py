@@ -114,6 +114,26 @@ def test_periodic_sampling_is_exactly_tiled():
     assert np.array_equal(shift(vp, [1.0]).values, vp.values)
 
 
+def test_gamma_cosine_profile_2d():
+    # amplitude * prod_i (1 + cos 2 pi x_i)/2: the amplitude on the unit lattice,
+    # zero wherever a coordinate is a half-integer, half of it a quarter off
+    params = make_params(N=2, alpha=1.0, L=4.0, n=32)
+    grid = params.make_grid()
+    pot = PotentialSpec(Descriptor("constant", {"value": 1.0}), Descriptor("zero"), "zero",
+                        Descriptor("cosine", {"amplitude": 0.7}))
+    gam = sample_potentials(params, pot, grid)[2].values
+    x = grid.axis_coords()
+    lattice = np.flatnonzero(x == np.round(x))
+    half = np.flatnonzero(x - np.floor(x) == 0.5)
+    quarter = np.flatnonzero(x - np.floor(x) == 0.25)
+    assert len(lattice) == len(half) == 8
+    assert np.allclose(gam[np.ix_(lattice, lattice)], 0.7, rtol=1e-14, atol=0.0)
+    assert np.allclose(gam[half, :], 0.0, rtol=0.0, atol=1e-14)
+    assert np.allclose(gam[:, half], 0.0, rtol=0.0, atol=1e-14)
+    assert np.allclose(gam[np.ix_(quarter, lattice)], 0.35, rtol=1e-14, atol=0.0)
+    assert np.allclose(gam[np.ix_(lattice, quarter)], 0.35, rtol=1e-14, atol=0.0)
+
+
 def test_unknown_tag_raises():
     pot = PotentialSpec(Descriptor("sawtooth", {"value": 1.0}),
                         Descriptor("zero"), "zero", Descriptor("zero"))

@@ -151,6 +151,20 @@ def test_multistart_failure_path(ctx_solver):
         multistart(ctx_solver, 0)
 
 
+def test_solve_best_skips_failed_starts(ctx_solver):
+    from choquard_gs.experiments.drivers import _solve_best
+
+    g = ctx_solver.grid
+    inits = [Field(g, np.zeros(g.shape)), gaussian_field(g, [0.0], 2.0)]
+    assert solve(ctx_solver, inits[0]).status == "projection_failed"
+    best = _solve_best(ctx_solver, inits, SolverConfig())
+    assert best.status == "converged"
+    direct = solve(ctx_solver, inits[1], SolverConfig())
+    assert np.array_equal(best.energy_trace, direct.energy_trace)
+    with pytest.raises(SolveFailure):
+        _solve_best(ctx_solver, inits, SolverConfig(max_iters=1))
+
+
 def test_trace_file(ctx_solver, tmp_path):
     """The solve driver writes trace.ndjson from the winning run's own records."""
     import json
@@ -259,25 +273,6 @@ def test_solve_in_higher_dimensions(N, alpha, qe, L, n):
     assert r.energy_trace[-1] > 0
     q, d, g = qdg(ctx, r.u_final)
     assert abs(q - d + g) <= 1e-10 * q
-
-
-def test_dual_residual_without_preconditioning(ctx_solver):
-    from choquard_gs.energy import dual_grad_norm
-    from choquard_gs.nehari import project_to_nehari
-
-    init = gaussian_field(ctx_solver.grid, [0.0], 2.0)
-    r = solve(ctx_solver, init, SolverConfig(dual_residual=True, preconditioned=False,
-                                             max_iters=3))
-    start = project_to_nehari(ctx_solver, init)[1]
-    expect = dual_grad_norm(ctx_solver, grad_energy(ctx_solver, start))
-    assert r.residual_trace[0] == pytest.approx(expect, rel=1e-12)
-
-
-def test_dual_residual_stopping(ctx_solver):
-    r = solve(ctx_solver, gaussian_field(ctx_solver.grid, [0.0], 2.0),
-              SolverConfig(dual_residual=True))
-    assert r.status == "converged"
-    assert r.residual_trace[-1] <= r.threshold
 
 
 def _config_context(name):

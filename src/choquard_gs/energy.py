@@ -75,8 +75,8 @@ def b_values(ctx: EnergyContext, vals: np.ndarray) -> np.ndarray:
 
 def direction_and_b(ctx: EnergyContext, grad: np.ndarray,
                     preconditioned: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Descent direction d (the preconditioned gradient, or the gradient) and Bd,
-    from one forward and at most two inverse transforms."""
+    """The preconditioned gradient Pg (or the gradient itself) and B applied to
+    it, from one forward and at most two inverse transforms."""
     spec = dft(grad)
     if preconditioned:
         spec = ctx._precond * spec

@@ -1,4 +1,5 @@
-"""Projected gradient descent over the Nehari manifold with lattice recentering."""
+"""Preconditioned nonlinear conjugate gradient over the Nehari manifold with
+lattice recentering."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .energy import (
     vl_integral,
 )
 from .grid import Field, Grid, gaussian_field, min_image, shift
-from .nehari import NehariProjectionError, nehari_t_from_qdg, project_to_nehari
+from .nehari import NehariProjectionError, nehari_t_from_qdg
 
 
 class SolveFailure(RuntimeError):
@@ -57,6 +58,8 @@ class SolverResult:
     u_final: Field
     energy_trace: np.ndarray
     t_star_trace: np.ndarray         # Nehari scaling that produced each iterate
+    step_trace: np.ndarray           # accepted step tau that produced each iterate (0 at the start)
+    trials_trace: np.ndarray         # line-search trials evaluated for each iterate (0 at the start)
     residual_trace: np.ndarray
     qnorm_trace: np.ndarray
     com_trace: np.ndarray
@@ -67,20 +70,28 @@ class SolverResult:
     threshold: float
 
 
-def _center_of_mass(g: Grid, u: np.ndarray) -> np.ndarray:
-    """Bump center on the torus: mass-weighted minimal-image offset from the peak."""
-    w = u**2
-    total = float(np.sum(w))
-    if total == 0.0:
-        return np.zeros(g.N)
-    peak = np.unravel_index(int(np.argmax(np.abs(u))), g.shape)
-    xs = g.axis_coords()
-    com = np.zeros(g.N)
-    for axis in range(g.N):
-        d = min_image(g, xs - xs[peak[axis]])
-        marg = np.sum(w, axis=tuple(a for a in range(g.N) if a != axis))
-        com[axis] = xs[peak[axis]] + float(np.sum(d * marg) / total)
-    return min_image(g, com)
+def _center_of_mass_on(g: Grid):
+    """Bump center on the torus: mass-weighted minimal-image offset from the peak.
+
+    Returns the function of u. The coordinates and the wrapped offsets are
+    built once; the offsets from peak index k along an axis are the slice
+    wrapped[n-1-k : 2n-1-k].
+    """
+    n, xs = g.n, g.axis_coords()
+    wrapped = min_image(g, g.h * np.arange(1 - n, n))
+    others = [tuple(a for a in range(g.N) if a != axis) for axis in range(g.N)]
+
+    def center(u: np.ndarray) -> np.ndarray:
+        w = u * u
+        margs = [w.sum(axis=ax) if ax else w for ax in others]
+        total = float(margs[0].sum())
+        if total == 0.0:
+            return np.zeros(g.N)
+        peak = np.unravel_index(int(np.abs(u).argmax()), g.shape)
+        return min_image(g, np.array([xs[k] + float(wrapped[n - 1 - k:2 * n - 1 - k] @ m) / total
+                                      for k, m in zip(peak, margs)]))
+
+    return center
 
 
 def _recenter_shift(g: Grid, u: np.ndarray) -> np.ndarray:
@@ -90,13 +101,39 @@ def _recenter_shift(g: Grid, u: np.ndarray) -> np.ndarray:
     return np.array([round(xs[i]) for i in peak], dtype=int)
 
 
-def _fresh(ctx: EnergyContext, u: np.ndarray):
-    """Cached terms at u from four transforms: Bu = (A + V - m)u,
-    phi = I_alpha * |u|^p, Q(u) and the energy."""
+def _onto_manifold(ctx: EnergyContext, u: np.ndarray):
+    """Fresh cached terms at u from four transforms, then the Nehari scaling t:
+    returns t, t*u, B(t*u), phi = I_alpha * |t*u|^p, Q(t*u) and the energy.
+
+    Raises NehariProjectionError when no scaling reaches the manifold.
+    """
     bu = b_values(ctx, u)
     phi, d = nonlocal_terms(ctx, u)
     q = ctx.grid.cell_volume * float(np.sum(bu * u))
-    return bu, phi, q, energy_from_qdg(ctx, q, d, gamma_values(ctx, u))
+    gam = gamma_values(ctx, u)
+    t = nehari_t_from_qdg(q, d, gam, ctx.params.p, ctx.params.q)
+    return (t, t * u, t * bu, t ** ctx.params.p * phi, t * t * q,
+            energy_from_qdg(ctx, q, d, gam, t))
+
+
+def _conjugate(cv: float, grad: np.ndarray, pg: np.ndarray, b_pg: np.ndarray, g_pg: float,
+               prev):
+    """Polak-Ribiere+ direction d = Pg + beta*d_prev, Bd and the slope <g, d>.
+
+    prev is (d, Bd, t, Pg, <g, Pg>) of the last accepted step, whose Nehari
+    scaling t carries d_prev = t*d and B d_prev = t*Bd to the new iterate.
+    Returns the plain Pg, B(Pg), <g, Pg> when prev is None, beta is 0 or d
+    would not be a descent direction.
+    """
+    if prev is None:
+        return pg, b_pg, g_pg
+    d_old, bd_old, t_old, pg_old, g_pg_old = prev
+    beta = max(0.0, (g_pg - cv * float(np.sum(grad * pg_old))) / g_pg_old)
+    scale = beta * t_old
+    slope = g_pg + scale * cv * float(np.sum(grad * d_old))
+    if beta > 0.0 and slope > 0.0:
+        return pg + scale * d_old, b_pg + scale * bd_old, slope
+    return pg, b_pg, g_pg
 
 
 # overflow shows as a non-finite Q, D or G, which fails the projection or the trial
@@ -104,22 +141,33 @@ def _fresh(ctx: EnergyContext, u: np.ndarray):
 def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> SolverResult:
     """Minimize the energy over the manifold from one initial field.
 
-    Step: gradient (optionally symbol-preconditioned), backtracking measured
-    on the energy after re-projection, periodic recentering by exact lattice
-    shifts (unconditional when the problem is translation invariant, energy
-    guarded otherwise).
+    Step: preconditioned Polak-Ribiere+ conjugate gradient (the direction is
+    d = Pg + beta*d_prev with beta = max(0, <g, Pg - Pg_prev>/<g_prev, Pg_prev>),
+    P the symbol preconditioner or the identity), backtracking measured on the
+    energy after re-projection, which acts as the retraction; periodic
+    recentering by exact lattice shifts (unconditional when the problem is
+    translation invariant, energy guarded otherwise). beta is 0, so the step
+    is the plain preconditioned gradient, at the start, when d is not a
+    descent direction, after an acceptance decided by round-off and after a
+    recentering shift.
 
     The loop runs on arrays and caches Bu and phi per iterate, so the
     gradient needs no transform and a trial only the Riesz pair:
-    Q(u - tau*d) = Q(u) - 2 tau <Bu, d> + tau^2 <Bd, d> exactly. Each
-    recentering checkpoint rebuilds the cache, so the recurrences cannot drift.
+    Q(u - tau*d) = Q(u) - 2 tau <Bu, d> + tau^2 <Bd, d> exactly. The accepted
+    Nehari scaling t carries d_prev and Bd_prev (B is linear), so Bd costs no
+    transform beyond B(Pg). Each recentering checkpoint rebuilds the cache
+    and re-projects onto the manifold, so the recurrences cannot drift and a
+    shift that lowers the V_l integral leaves no off-manifold iterate.
     """
     cfg = cfg or SolverConfig()
     g = ctx.grid
     cv = g.cell_volume
     p, qe = ctx.params.p, ctx.params.q
+    center = _center_of_mass_on(g)
     energies: list[float] = []
     t_stars: list[float] = []
+    steps: list[float] = []
+    trials: list[int] = []
     residuals: list[float] = []
     qnorms: list[float] = []
     coms: list[np.ndarray] = []
@@ -127,17 +175,16 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     shift_iters: list[int] = []
 
     def result(u, status, iterations, threshold):
-        return SolverResult(u, np.asarray(energies), np.asarray(t_stars),
-                            np.asarray(residuals), np.asarray(qnorms),
+        return SolverResult(u, np.asarray(energies), np.asarray(t_stars), np.asarray(steps),
+                            np.asarray(trials, dtype=int), np.asarray(residuals),
+                            np.asarray(qnorms),
                             np.asarray(coms) if coms else np.zeros((0, g.N)),
                             shifts_applied, shift_iters, status, iterations, threshold)
 
     try:
-        t_star, start = project_to_nehari(ctx, init)
+        t_star, u, bu, phi, q, e = _onto_manifold(ctx, init.values)
     except NehariProjectionError:
         return result(init, "projection_failed", 0, 0.0)
-    u = start.values
-    bu, phi, q, e = _fresh(ctx, u)
 
     tau = cfg.step_init
     # once energy decrements fall below round-off the line search is blind;
@@ -147,27 +194,33 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     else:
         lin_scale = float(np.max(ctx.sqrt_op.multiplier) + max(np.max(ctx.v_minus_m), 0.0))
         tau_floor = 0.5 / max(lin_scale, 1e-10)
+    step, n_trials = 0.0, 0
+    d_prev = None    # what _conjugate needs of the last step; None resets beta
     threshold = 0.0
     status = "max_iters"
     it = 0
     for it in range(cfg.max_iters + 1):
         grad = grad_values(ctx, u, bu, phi)
-        direction, b_dir = direction_and_b(ctx, grad, cfg.preconditioned)
-        slope = cv * float(np.sum(grad * direction))
+        pg, b_pg = direction_and_b(ctx, grad, cfg.preconditioned)
+        g_pg = cv * float(np.sum(grad * pg))
         res = float(np.sqrt(cv * np.sum(grad * grad)))
         if it == 0:
             threshold = max(cfg.grad_tol * res, cfg.grad_tol_abs)
         energies.append(e)
         t_stars.append(t_star)
+        steps.append(step)
+        trials.append(n_trials)
         residuals.append(res)
         qnorms.append(np.sqrt(max(q, 0.0)))
-        coms.append(_center_of_mass(g, u))
+        coms.append(center(u))
         if res <= threshold:
             status = "converged"
             break
         if it == cfg.max_iters:
             break
 
+        direction, b_dir, slope = _conjugate(cv, grad, pg, b_pg, g_pg, d_prev)
+        d_prev = None    # frees the old arrays for the line search
         bu_dir = cv * float(np.sum(bu * direction))
         bdir_dir = cv * float(np.sum(b_dir * direction))
         for bt in range(cfg.max_backtracks):
@@ -189,7 +242,9 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
             status = "stalled"
             break
         u, bu, phi = t_c * cand, t_c * (bu - tau * b_dir), t_c**p * phi_c
-        q, e, t_star = t_c**2 * qc, e_new, t_c
+        q, e, t_star, step, n_trials = t_c**2 * qc, e_new, t_c, tau, bt + 1
+        # a round-off acceptance says nothing about the direction: restart from Pg
+        d_prev = (direction, b_dir, t_c, pg, g_pg) if genuine else None
         if genuine and bt == 0:
             tau = min(tau * 1.25, cfg.step_max)
         elif not genuine:
@@ -208,7 +263,10 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
                     u = moved.values
                     shifts_applied.append(z)
                     shift_iters.append(it + 1)
-            bu, phi, q, e = _fresh(ctx, u)
+                    d_prev = None
+            # a shift that lowers the V_l integral lowers Q: re-project
+            t, u, bu, phi, q, e = _onto_manifold(ctx, u)
+            t_star *= t
     return result(Field(g, u), status, it, threshold)
 
 

@@ -93,14 +93,14 @@ def nonlocal_terms(ctx: EnergyContext, vals: np.ndarray) -> tuple[np.ndarray, fl
     """phi = I_alpha * |u|^p and D(u) = <phi, |u|^p> on raw grid values."""
     up = np.abs(vals) ** ctx.params.p
     phi = apply_multiplier(ctx.kernel.conv_multiplier, up)
-    return phi, float(ctx.grid.cell_volume * np.sum(phi * up))
+    return phi, ctx.grid.cell_volume * float(np.vdot(phi, up))
 
 
 def gamma_values(ctx: EnergyContext, vals: np.ndarray) -> float:
     """G(u), the local-factor integral, on raw grid values."""
     if not ctx.has_gamma:
         return 0.0
-    return float(ctx.grid.cell_volume * np.sum(ctx.Gamma.values * np.abs(vals) ** ctx.params.q))
+    return ctx.grid.cell_volume * float(np.vdot(ctx.Gamma.values, np.abs(vals) ** ctx.params.q))
 
 
 def grad_values(ctx: EnergyContext, vals: np.ndarray, bu: np.ndarray,
@@ -115,7 +115,7 @@ def grad_values(ctx: EnergyContext, vals: np.ndarray, bu: np.ndarray,
 
 def q_boundary(ctx: EnergyContext, u: Field) -> float:
     """Quadratic form in the boundary representation; the squared problem norm."""
-    return float(ctx.grid.cell_volume * np.sum(b_values(ctx, u.values) * u.values))
+    return ctx.grid.cell_volume * float(np.vdot(b_values(ctx, u.values), u.values))
 
 
 def d_value(ctx: EnergyContext, u: Field) -> float:
@@ -153,7 +153,7 @@ def fiber_residual_from_qdg(ctx: EnergyContext, q: float, d: float, g: float,
 def vl_integral(ctx: EnergyContext, u: Field) -> float:
     if not ctx.has_vl:
         return 0.0
-    return float(ctx.grid.cell_volume * np.sum(ctx.Vl.values * u.values**2))
+    return ctx.grid.cell_volume * float(np.vdot(ctx.Vl.values * u.values, u.values))
 
 
 def energy_per(ctx: EnergyContext, u: Field) -> float:

@@ -189,7 +189,7 @@ def _q_form(v: ExtendedField, V_field: Field, m: float, grad: float, mass: float
     if V_field.grid != g:
         raise ValueError("potential grid does not match extension grid")
     u0 = v.values[0]
-    boundary = float(g.cell_volume * np.sum((V_field.values - m) * u0 * u0))
+    boundary = g.cell_volume * float(np.vdot((V_field.values - m) * u0, u0))
     return grad + m * m * mass + boundary
 
 
@@ -233,7 +233,7 @@ def check_trace_inequalities(v: ExtendedField, m: float, p: float) -> Inequality
     dx2 = float(w @ _row_integrals(g, v.dvalues**2))
     grad, mass = volume_integrals(v)
     rhs_p = p * vol_2p2 ** ((p - 1.0) / (2.0 * (p - 1.0))) * np.sqrt(dx2)
-    lhs_2 = float(g.cell_volume * np.sum(u0 * u0))
+    lhs_2 = g.cell_volume * float(np.vdot(u0, u0))
     rhs_2 = m * grad + mass / m
     return InequalityReport(lhs_p, float(rhs_p), lhs_2, float(rhs_2))
 

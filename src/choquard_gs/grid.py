@@ -3,10 +3,14 @@ quadrature and exact lattice shifts.
 
 Transform convention, used by every spectral operator in the package: the
 unnormalised real-to-complex DFT over the trailing N axes (``np.fft.rfftn``,
-inverse ``irfftn``; further leading axes stack rows), node 0 at x = -L. Fields
-are real, so only the half spectrum is kept, on the grid of ``Grid.freq2``: FFT
-index order on the leading axes, wavenumbers 0..n/2 on the last; sums over the
-full spectrum weight it by ``Grid.half_weights``. No other module calls ``np.fft``.
+inverse ``irfftn``, or ``rfft``/``irfft`` when N = 1; further leading axes
+stack rows), node 0 at x = -L. Fields are real, so only the half spectrum is
+kept, on the grid of ``Grid.freq2``: FFT index order on the leading axes,
+wavenumbers 0..n/2 on the last; sums over the full spectrum weight it by
+``Grid.half_weights``. No other module calls ``np.fft``.
+
+Every inner product of grid values is ``float(np.vdot(a, b))``: one BLAS call,
+with no grid-sized temporary.
 """
 
 from __future__ import annotations
@@ -135,11 +139,15 @@ def _check_same_grid(f: Field, g: Field) -> None:
 def dft(values: np.ndarray, N: int | None = None) -> np.ndarray:
     """Unnormalised real-to-complex DFT over the trailing N axes (default all)."""
     N = np.ndim(values) if N is None else N
+    if N == 1:  # same result; rfftn's argument handling costs as much as the transform
+        return np.fft.rfft(values)
     return np.fft.rfftn(values, axes=tuple(range(-N, 0)))
 
 
 def idft_real(coeffs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Inverse of dft back to real values whose trailing axes have the given shape."""
+    if len(shape) == 1:
+        return np.fft.irfft(coeffs, shape[0])
     return np.fft.irfftn(coeffs, s=shape, axes=tuple(range(-len(shape), 0)))
 
 
@@ -153,11 +161,11 @@ def apply_multiplier(multiplier: np.ndarray, values: np.ndarray) -> np.ndarray:
 def l2_inner(f: Field, g: Field) -> float:
     """Box inner product, Riemann sum with weight h^N."""
     _check_same_grid(f, g)
-    return float(f.grid.cell_volume * np.sum(f.values * g.values))
+    return f.grid.cell_volume * float(np.vdot(f.values, g.values))
 
 
 def l2_norm2(f: Field) -> float:
-    return float(f.grid.cell_volume * np.sum(f.values * f.values))
+    return f.grid.cell_volume * float(np.vdot(f.values, f.values))
 
 
 def l2_norm(f: Field) -> float:
@@ -209,7 +217,14 @@ def save_field(f: Field, path, metadata: dict | None = None) -> None:
     float64 values, row-major.
     """
     path = str(path)
-    header = _FIELD_HEADER.pack(FIELD_MAGIC, f.grid.N, f.grid.n, f.grid.L)
+    try:
+        header = _FIELD_HEADER.pack(FIELD_MAGIC, f.grid.N, f.grid.n, f.grid.L)
+        exact = _FIELD_HEADER.unpack(header)[3] == f.grid.L
+    except OverflowError:
+        exact = False
+    if not exact:
+        raise ValueError(f"box half-period L={f.grid.L!r} has no exact f32 value for the "
+                         "field header; the file would load onto a different grid")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())

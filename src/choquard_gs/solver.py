@@ -3,6 +3,7 @@ lattice recentering."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,7 @@ class SolverResult:
     t_star_trace: np.ndarray         # Nehari scaling that produced each iterate
     step_trace: np.ndarray           # accepted step tau that produced each iterate (0 at the start)
     trials_trace: np.ndarray         # line-search trials evaluated for each iterate (0 at the start)
+    time_trace: np.ndarray           # perf_counter seconds from the start of solve to each iterate
     residual_trace: np.ndarray
     qnorm_trace: np.ndarray
     com_trace: np.ndarray
@@ -109,7 +111,7 @@ def _onto_manifold(ctx: EnergyContext, u: np.ndarray):
     """
     bu = b_values(ctx, u)
     phi, d = nonlocal_terms(ctx, u)
-    q = ctx.grid.cell_volume * float(np.sum(bu * u))
+    q = ctx.grid.cell_volume * float(np.vdot(bu, u))
     gam = gamma_values(ctx, u)
     t = nehari_t_from_qdg(q, d, gam, ctx.params.p, ctx.params.q)
     return (t, t * u, t * bu, t ** ctx.params.p * phi, t * t * q,
@@ -128,9 +130,9 @@ def _conjugate(cv: float, grad: np.ndarray, pg: np.ndarray, b_pg: np.ndarray, g_
     if prev is None:
         return pg, b_pg, g_pg
     d_old, bd_old, t_old, pg_old, g_pg_old = prev
-    beta = max(0.0, (g_pg - cv * float(np.sum(grad * pg_old))) / g_pg_old)
+    beta = max(0.0, (g_pg - cv * float(np.vdot(grad, pg_old))) / g_pg_old)
     scale = beta * t_old
-    slope = g_pg + scale * cv * float(np.sum(grad * d_old))
+    slope = g_pg + scale * cv * float(np.vdot(grad, d_old))
     if beta > 0.0 and slope > 0.0:
         return pg + scale * d_old, b_pg + scale * bd_old, slope
     return pg, b_pg, g_pg
@@ -159,6 +161,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     and re-projects onto the manifold, so the recurrences cannot drift and a
     shift that lowers the V_l integral leaves no off-manifold iterate.
     """
+    t_start = time.perf_counter()
     cfg = cfg or SolverConfig()
     g = ctx.grid
     cv = g.cell_volume
@@ -168,6 +171,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     t_stars: list[float] = []
     steps: list[float] = []
     trials: list[int] = []
+    times: list[float] = []
     residuals: list[float] = []
     qnorms: list[float] = []
     coms: list[np.ndarray] = []
@@ -176,8 +180,8 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
 
     def result(u, status, iterations, threshold):
         return SolverResult(u, np.asarray(energies), np.asarray(t_stars), np.asarray(steps),
-                            np.asarray(trials, dtype=int), np.asarray(residuals),
-                            np.asarray(qnorms),
+                            np.asarray(trials, dtype=int), np.asarray(times),
+                            np.asarray(residuals), np.asarray(qnorms),
                             np.asarray(coms) if coms else np.zeros((0, g.N)),
                             shifts_applied, shift_iters, status, iterations, threshold)
 
@@ -202,14 +206,15 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     for it in range(cfg.max_iters + 1):
         grad = grad_values(ctx, u, bu, phi)
         pg, b_pg = direction_and_b(ctx, grad, cfg.preconditioned)
-        g_pg = cv * float(np.sum(grad * pg))
-        res = float(np.sqrt(cv * np.sum(grad * grad)))
+        g_pg = cv * float(np.vdot(grad, pg))
+        res = float(np.sqrt(cv * np.vdot(grad, grad)))
         if it == 0:
             threshold = max(cfg.grad_tol * res, cfg.grad_tol_abs)
         energies.append(e)
         t_stars.append(t_star)
         steps.append(step)
         trials.append(n_trials)
+        times.append(time.perf_counter() - t_start)
         residuals.append(res)
         qnorms.append(np.sqrt(max(q, 0.0)))
         coms.append(center(u))
@@ -221,8 +226,8 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
 
         direction, b_dir, slope = _conjugate(cv, grad, pg, b_pg, g_pg, d_prev)
         d_prev = None    # frees the old arrays for the line search
-        bu_dir = cv * float(np.sum(bu * direction))
-        bdir_dir = cv * float(np.sum(b_dir * direction))
+        bu_dir = cv * float(np.vdot(bu, direction))
+        bdir_dir = cv * float(np.vdot(b_dir, direction))
         for bt in range(cfg.max_backtracks):
             cand = u - tau * direction
             qc = q - 2.0 * tau * bu_dir + tau * tau * bdir_dir

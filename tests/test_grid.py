@@ -85,6 +85,17 @@ def test_round_trip(N, n, rng):
     assert np.max(np.abs(idft_real(coeffs, g.shape) - rows)) <= 1e-12 * np.max(np.abs(rows))
 
 
+@pytest.mark.parametrize("N, stack", [(1, ()), (1, (5,)), (2, ()), (2, (3,)), (3, ())])
+def test_transforms_equal_rfftn(N, stack, rng):
+    # N = 1 takes rfft/irfft directly; every N must give rfftn/irfftn bit for bit
+    n = {1: 256, 2: 32, 3: 16}[N]
+    x = rng.standard_normal(stack + (n,) * N)
+    axes = tuple(range(-N, 0))
+    spec = dft(x, N)
+    assert np.array_equal(spec, np.fft.rfftn(x, axes=axes))
+    assert np.array_equal(idft_real(spec, (n,) * N), np.fft.irfftn(spec, s=(n,) * N, axes=axes))
+
+
 def test_forward_hermitian_for_real_fields(rng):
     g = Grid(2, 2.0, 16)
     f = rng.standard_normal(g.shape)
@@ -194,6 +205,17 @@ def test_field_file_round_trip(tmp_path, rng):
     assert len(raw) == 16 + 8 * g.size
     sidecar = (tmp_path / "field.cgsf.meta.json").read_text()
     assert '"note": "test"' in sidecar
+
+
+@pytest.mark.parametrize("L", [3.3, 3.5e38])
+def test_save_rejects_length_without_exact_f32(tmp_path, L):
+    # the header stores L as f32: 3.3 would load onto Grid(1, 3.2999999523..., 64),
+    # 3.5e38 does not fit at all
+    g = Grid(1, L, 64)
+    path = tmp_path / "field.cgsf"
+    with pytest.raises(ValueError, match="L="):
+        save_field(Field(g, np.zeros(g.shape)), path)
+    assert not path.exists()
 
 
 def test_load_rejects_wrong_magic(tmp_path):

@@ -200,8 +200,8 @@ def test_trace_file(ctx_solver, tmp_path):
     lines = (out / "trace.ndjson").read_text().strip().splitlines()
     recs = [json.loads(line) for line in lines]
     assert len(recs) >= 2
-    assert all(set(rec) == {"iter", "energy", "residual", "t_star", "step", "trials", "shift"}
-               for rec in recs)
+    assert all(set(rec) == {"iter", "energy", "residual", "t_star", "step", "trials", "t_s",
+                            "shift"} for rec in recs)
     # the same start solved directly: configs/default.ini is the ctx_solver problem
     r = solve(ctx_solver, random_initial(ctx_solver, np.random.default_rng([0, 0])),
               SolverConfig(seed=0))
@@ -214,6 +214,10 @@ def test_trace_file(ctx_solver, tmp_path):
     # the start takes no step; every later iterate comes from an accepted trial
     assert recs[0]["step"] == 0.0 and recs[0]["trials"] == 0
     assert all(rec["step"] > 0.0 and rec["trials"] >= 1 for rec in recs[1:])
+    # wall time since the solve started, one reading per iterate
+    times = [rec["t_s"] for rec in recs]
+    assert times[0] >= 0.0 and all(b >= a for a, b in zip(times, times[1:]))
+    assert len(r.time_trace) == len(r.energy_trace)
     shifts = {it: z.tolist() for it, z in zip(r.shift_iters, r.shifts_applied)}
     assert [rec["shift"] for rec in recs] == [shifts.get(i) for i in range(len(recs))]
 
@@ -229,11 +233,13 @@ def test_escape_diagnostic_synthetic_traces(ctx_solver):
     u = gaussian_field(g, [0.0], 1.0)
     static = np.zeros((200, 1))
     r = SolverResult(u, np.zeros(200), np.ones(200), np.zeros(200), np.zeros(200, dtype=int),
-                     np.zeros(200), np.zeros(200), static, [], [], "converged", 199, 0.0)
+                     np.zeros(200), np.zeros(200), np.zeros(200), static, [], [], "converged",
+                     199, 0.0)
     assert not escape_diagnostic(r).escaping
     outward = np.linspace(0.0, 6.0, 200).reshape(-1, 1)
     r2 = SolverResult(u, np.zeros(200), np.ones(200), np.zeros(200), np.zeros(200, dtype=int),
-                      np.zeros(200), np.zeros(200), outward, [], [], "max_iters", 199, 0.0)
+                      np.zeros(200), np.zeros(200), np.zeros(200), outward, [], [], "max_iters",
+                      199, 0.0)
     assert escape_diagnostic(r2).escaping
     assert escape_diagnostic(r2).longest_outward_run > 50
 
@@ -334,6 +340,28 @@ def test_transforms_per_iteration(monkeypatch):
     assert r.status == "converged"
     assert r.iterations >= 10
     assert set(calls) == {"rfftn", "irfftn"}
+    assert sum(calls.values()) <= 6 * r.iterations
+
+
+def test_transforms_per_iteration_1d(monkeypatch):
+    # in 1-D the grid calls rfft/irfft directly, within the same budget
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    ctx = _config_context("gamma_sweep.ini")
+    assert ctx.has_gamma
+    calls.clear()
+    r = solve(ctx, gaussian_field(ctx.grid, [0.0], 2.0), SolverConfig())
+    assert r.status == "converged"
+    assert r.iterations >= 10
+    assert set(calls) == {"rfft", "irfft"}
     assert sum(calls.values()) <= 6 * r.iterations
 
 

@@ -10,6 +10,7 @@ run inside the optimization loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,7 @@ class WallGrid:
     def nx(self) -> int:
         return len(self.x)
 
+    @cached_property
     def weights(self) -> np.ndarray:
         """Trapezoid weights on the (non-uniform) wall nodes."""
         w = np.zeros(self.nx)
@@ -107,16 +109,30 @@ def build_wall(grid: Grid, m: float = 1.0, nx: int = 384, x_max: float | None = 
 class ExtendedField:
     """Extension values on wall x boundary nodes; row 0 is the boundary trace.
 
-    dvalues holds the wall-direction derivative rows of the represented
-    function (exact per boundary mode), used by the energy integrals.
+    spec holds the rows' half spectrum, u-hat times exp(-x s), with s the
+    decay rate sqrt(|xi|^2 + m^2) on the freq2 grid.
     """
 
     wall: WallGrid
     values: np.ndarray
-    dvalues: np.ndarray
+    spec: np.ndarray
+    s: np.ndarray
 
     def trace(self) -> Field:
         return Field(self.wall.grid, self.values[0].copy())
+
+    @property
+    def dvalues(self) -> np.ndarray:
+        """Wall-direction derivative rows (exact per boundary mode)."""
+        return idft_real(-self.s * self.spec, self.wall.grid.shape)
+
+    @cached_property
+    def slab(self) -> np.ndarray:
+        """Slab spectrum: per mode, the trapezoid integral over x of its share
+        of v^2, so that its plain sum is the integral of v^2 (Parseval)."""
+        g = self.wall.grid
+        power = np.tensordot(self.wall.weights, self.spec.real**2 + self.spec.imag**2, axes=1)
+        return (g.cell_volume / g.size) * g.half_weights() * power
 
 
 def harmonic_extend(u: Field, wall: WallGrid, m: float) -> ExtendedField:
@@ -130,9 +146,7 @@ def harmonic_extend(u: Field, wall: WallGrid, m: float) -> ExtendedField:
     g = u.grid
     s = np.sqrt(g.freq2() + m * m)
     spec = dft(u.values) * np.exp(-np.multiply.outer(wall.x, s))
-    values = idft_real(spec, g.shape)
-    spec *= -s
-    return ExtendedField(wall, values, idft_real(spec, g.shape))
+    return ExtendedField(wall, idft_real(spec, g.shape), spec, s)
 
 
 def _diff_weights(nodes: np.ndarray) -> np.ndarray:
@@ -168,14 +182,12 @@ def _row_integrals(g: Grid, rows: np.ndarray) -> np.ndarray:
 
 
 def volume_integrals(v: ExtendedField) -> tuple[float, float]:
-    """(integral of |grad v|^2, integral of v^2) over the half-space slab."""
-    g = v.wall.grid
-    w = v.wall.weights()
-    C = dft(v.values, g.N)
-    # integral of |grad_y v|^2 on every row at once, Parseval on the half spectrum
-    grad_y = _row_integrals(g, g.half_weights() * g.freq2() * (C.real**2 + C.imag**2)) / g.size
-    return (float(w @ (_row_integrals(g, v.dvalues**2) + grad_y)),
-            float(w @ _row_integrals(g, v.values**2)))
+    """(integral of |grad v|^2, integral of v^2) over the half-space slab.
+
+    Per mode |d_x v|^2 + |grad_y v|^2 is (s^2 + |xi|^2) times |v|^2.
+    """
+    grad = float(np.vdot(v.slab, v.s**2 + v.wall.grid.freq2()))
+    return grad, float(np.sum(v.slab))
 
 
 def h1_norm2_volume(v: ExtendedField) -> float:
@@ -225,12 +237,11 @@ class InequalityReport:
 def check_trace_inequalities(v: ExtendedField, m: float, p: float) -> InequalityReport:
     """Evaluate the L^p trace bound and its L^2 consequence on an extension."""
     g = v.wall.grid
-    w = v.wall.weights()
     u0 = v.values[0]
     lhs_p = float(g.cell_volume * np.sum(np.abs(u0) ** p))
     # L^{2(p-1)} norm of v over the volume, raised to 2(p-1)
-    vol_2p2 = float(w @ _row_integrals(g, np.abs(v.values) ** (2.0 * (p - 1.0))))
-    dx2 = float(w @ _row_integrals(g, v.dvalues**2))
+    vol_2p2 = float(v.wall.weights @ _row_integrals(g, np.abs(v.values) ** (2.0 * (p - 1.0))))
+    dx2 = float(np.vdot(v.slab, v.s**2))
     grad, mass = volume_integrals(v)
     rhs_p = p * vol_2p2 ** ((p - 1.0) / (2.0 * (p - 1.0))) * np.sqrt(dx2)
     lhs_2 = g.cell_volume * float(np.vdot(u0, u0))
@@ -272,7 +283,7 @@ def pde_residual(v: ExtendedField, m: float) -> float:
     """Interior residual of the extension equation: finite differences in x,
     spectral in y; decays at second order under wall refinement."""
     g = v.wall.grid
-    w = v.wall.weights()
+    w = v.wall.weights
     dx = np.diff(v.wall.x).reshape((-1,) + (1,) * g.N)
     hm, hp, vals = dx[:-1], dx[1:], v.values
     d2 = 2.0 * (hm * vals[2:] - (hm + hp) * vals[1:-1] + hp * vals[:-2]) / (

@@ -79,7 +79,7 @@ def _center_of_mass_on(g: Grid):
     built once; the offsets from peak index k along an axis are the slice
     wrapped[n-1-k : 2n-1-k].
     """
-    n, xs = g.n, g.axis_coords()
+    n, L, xs = g.n, g.L, g.axis_coords().tolist()
     wrapped = min_image(g, g.h * np.arange(1 - n, n))
     others = [tuple(a for a in range(g.N) if a != axis) for axis in range(g.N)]
 
@@ -89,9 +89,10 @@ def _center_of_mass_on(g: Grid):
         total = float(margs[0].sum())
         if total == 0.0:
             return np.zeros(g.N)
-        peak = np.unravel_index(int(np.abs(u).argmax()), g.shape)
-        return min_image(g, np.array([xs[k] + float(wrapped[n - 1 - k:2 * n - 1 - k] @ m) / total
-                                      for k, m in zip(peak, margs)]))
+        peak = np.unravel_index(int(w.argmax()), g.shape)
+        # min_image on each scalar component
+        return np.array([(xs[k] + float(wrapped[n - 1 - k:2 * n - 1 - k] @ m) / total + L)
+                         % (2.0 * L) - L for k, m in zip(peak, margs)])
 
     return center
 

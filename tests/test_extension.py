@@ -241,3 +241,79 @@ def test_norm_equivalence_sandwich(grid, wall, rng):
 def test_h1_norm_positive(grid, wall, rng):
     u = random_smooth_field(grid, rng)
     assert h1_norm2_volume(harmonic_extend(u, wall, 1.0)) > 0
+
+
+def _slab_oracle(u, wall_x, m, p):
+    """Slab integrals and trace-inequality terms from real-space rows built
+    with the full complex FFT, trapezoid weights from np.diff: a sum over
+    nodes for every integral, no half spectrum and no Parseval."""
+    g = u.grid
+    axes = tuple(range(1, g.N + 1))
+    xi = np.meshgrid(*([2 * np.pi * np.fft.fftfreq(g.n, d=g.h)] * g.N), indexing="ij")
+    s = np.sqrt(sum(k * k for k in xi) + m * m)
+    decayed = np.fft.fftn(u.values) * np.exp(-wall_x.reshape((-1,) + (1,) * g.N) * s)
+
+    def rows(symbol):
+        return np.fft.ifftn(symbol * decayed, axes=axes).real
+
+    v, dx = rows(1.0), rows(-s)
+    dx_w = np.diff(wall_x)
+    w = np.concatenate([[dx_w[0]], dx_w[:-1] + dx_w[1:], [dx_w[-1]]]) / 2.0
+
+    def slab(f):
+        return float(w @ (g.cell_volume * f.sum(axis=axes)))
+
+    mass = slab(v * v)
+    dx2 = slab(dx * dx)
+    # |grad_y v|^2 integrates to v times -Laplacian_y v (by parts on the torus),
+    # which keeps the Nyquist modes whose sampled derivative vanishes
+    grad = dx2 + slab(v * rows(sum(k * k for k in xi)))
+    u0 = u.values
+    trace_p_rhs = p * np.sqrt(slab(np.abs(v) ** (2 * (p - 1))) * dx2)
+    trace = (g.cell_volume * np.sum(np.abs(u0) ** p), trace_p_rhs,
+             g.cell_volume * np.sum(u0 * u0), m * grad + mass / m)
+    return grad, mass, trace, dx
+
+
+@pytest.mark.parametrize("N,n,L", [(1, 64, 8.0), (2, 16, 4.0)])
+@pytest.mark.parametrize("variant", ["default", "refined", "extended"])
+def test_slab_integrals_match_real_space_oracle(N, n, L, variant, rng):
+    g = Grid(N, L, n)
+    m, p = 0.8, 3.0
+    wall = build_wall(g, m)
+    wall = {"default": wall, "refined": wall.refined(2), "extended": wall.extended(2.0)}[variant]
+    for _ in range(3):
+        u = random_smooth_field(g, rng)
+        v = harmonic_extend(u, wall, m)
+        grad, mass, trace, dx = _slab_oracle(u, wall.x, m, p)
+        assert volume_integrals(v) == pytest.approx((grad, mass), rel=1e-12)
+        rep = check_trace_inequalities(v, m, p)
+        got = (rep.trace_p_lhs, rep.trace_p_rhs, rep.trace_2_lhs, rep.trace_2_rhs)
+        assert got == pytest.approx(trace, rel=1e-12)
+        assert np.max(np.abs(v.dvalues - dx)) <= 1e-12 * np.max(np.abs(dx))
+
+
+@pytest.mark.parametrize("N,names", [(1, ("rfft", "irfft")), (2, ("rfftn", "irfftn"))])
+def test_transforms_per_extended_field(monkeypatch, rng, N, names):
+    # the slab integrals come from the rows' spectrum: extending a field and
+    # running every check on it costs one forward and one inverse transform
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    g = Grid(N, 4.0, 16)
+    wall = build_wall(g, 1.0)
+    u = random_smooth_field(g, rng)
+    V = Field(g, np.full(g.shape, 1.25))
+    calls.clear()
+    v = harmonic_extend(u, wall, 1.0)
+    check_trace_inequalities(v, 1.0, 2.0)
+    check_norm_equivalence(v, V, 1.0)
+    q_form_volume(v, V, 1.0)
+    assert calls == dict.fromkeys(names, 1)

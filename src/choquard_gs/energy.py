@@ -12,8 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import (Field, Grid, apply_multiplier, dft, idft_real, l2_norm,
-                   random_smooth_field, shift)
+from .grid import Field, Grid, apply_multiplier, l2_norm, random_smooth_field, shift
 from .operators import RieszKernel, SqrtOp, build_riesz, build_sqrt_op
 from .problem import PotentialSpec, ProblemParams, sample_potentials, validate
 
@@ -37,6 +36,7 @@ class EnergyContext:
         self.v_min = float(np.min(self.Vp.values + self.Vl.values))
         self._d_bound: float | None = None
         self._precond = 1.0 / (self.sqrt_op.multiplier + self.v_min)
+        self._pg_shift = self.v_minus_m - self.v_min
 
     def periodic_variant(self) -> EnergyContext:
         """Same problem with the localized potential stripped."""
@@ -64,24 +64,16 @@ def build_context(params: ProblemParams, pot: PotentialSpec,
     return EnergyContext(params, grid, sqrt_op, kernel, vp, vl, gam)
 
 
-def _b_from_spectrum(ctx: EnergyContext, spec: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    return idft_real(ctx.sqrt_op.multiplier * spec, vals.shape) + ctx.v_minus_m * vals
-
-
 def b_values(ctx: EnergyContext, vals: np.ndarray) -> np.ndarray:
     """(A + V - m) u on raw grid values, A the square-root operator; Q(u) = <Bu, u>."""
-    return _b_from_spectrum(ctx, dft(vals), vals)
+    return apply_multiplier(ctx.sqrt_op.multiplier, vals) + ctx.v_minus_m * vals
 
 
-def direction_and_b(ctx: EnergyContext, grad: np.ndarray,
-                    preconditioned: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The preconditioned gradient Pg (or the gradient itself) and B applied to
-    it, from one forward and at most two inverse transforms."""
-    spec = dft(grad)
-    if preconditioned:
-        spec = ctx._precond * spec
-        grad = idft_real(spec, grad.shape)
-    return grad, _b_from_spectrum(ctx, spec, grad)
+def direction_and_b(ctx: EnergyContext, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The preconditioned gradient Pg and B(Pg), from one forward and one inverse
+    transform: (A + v_min)P = I, so B(Pg) = g + (V - m - v_min) Pg exactly."""
+    pg = apply_multiplier(ctx._precond, grad)
+    return pg, grad + ctx._pg_shift * pg
 
 
 def precondition(ctx: EnergyContext, g: Field) -> Field:

@@ -37,7 +37,6 @@ class SolverConfig:
     step_init: float = 1.0
     step_max: float = 4.0
     recenter_every: int = 25
-    preconditioned: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -61,6 +60,8 @@ class SolverResult:
     t_star_trace: np.ndarray         # Nehari scaling that produced each iterate
     step_trace: np.ndarray           # accepted step tau that produced each iterate (0 at the start)
     trials_trace: np.ndarray         # line-search trials evaluated for each iterate (0 at the start)
+    beta_trace: np.ndarray           # CG beta of the direction that produced each iterate (0 at the start)
+    accept_trace: list[str | None]   # 'armijo' or 'derivative' acceptance of each iterate (None at the start)
     time_trace: np.ndarray           # perf_counter seconds from the start of solve to each iterate
     residual_trace: np.ndarray
     qnorm_trace: np.ndarray
@@ -121,22 +122,22 @@ def _onto_manifold(ctx: EnergyContext, u: np.ndarray):
 
 def _conjugate(cv: float, grad: np.ndarray, pg: np.ndarray, b_pg: np.ndarray, g_pg: float,
                prev):
-    """Polak-Ribiere+ direction d = Pg + beta*d_prev, Bd and the slope <g, d>.
+    """Polak-Ribiere+ direction d = Pg + beta*d_prev, Bd, the slope <g, d> and beta.
 
     prev is (d, Bd, t, Pg, <g, Pg>) of the last accepted step, whose Nehari
     scaling t carries d_prev = t*d and B d_prev = t*Bd to the new iterate.
-    Returns the plain Pg, B(Pg), <g, Pg> when prev is None, beta is 0 or d
-    would not be a descent direction.
+    Returns the plain Pg, B(Pg), <g, Pg> and beta 0 when prev is None, beta is
+    0 or d would not be a descent direction.
     """
     if prev is None:
-        return pg, b_pg, g_pg
+        return pg, b_pg, g_pg, 0.0
     d_old, bd_old, t_old, pg_old, g_pg_old = prev
     beta = max(0.0, (g_pg - cv * float(np.vdot(grad, pg_old))) / g_pg_old)
     scale = beta * t_old
     slope = g_pg + scale * cv * float(np.vdot(grad, d_old))
     if beta > 0.0 and slope > 0.0:
-        return pg + scale * d_old, b_pg + scale * bd_old, slope
-    return pg, b_pg, g_pg
+        return pg + scale * d_old, b_pg + scale * bd_old, slope, beta
+    return pg, b_pg, g_pg, 0.0
 
 
 # overflow shows as a non-finite Q, D or G, which fails the projection or the trial
@@ -146,32 +147,40 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
 
     Step: preconditioned Polak-Ribiere+ conjugate gradient (the direction is
     d = Pg + beta*d_prev with beta = max(0, <g, Pg - Pg_prev>/<g_prev, Pg_prev>),
-    P the symbol preconditioner or the identity), backtracking measured on the
-    energy after re-projection, which acts as the retraction; periodic
-    recentering by exact lattice shifts (unconditional when the problem is
-    translation invariant, energy guarded otherwise). beta is 0, so the step
-    is the plain preconditioned gradient, at the start, when d is not a
-    descent direction, after an acceptance decided by round-off and after a
-    recentering shift.
+    P the symbol preconditioner), a line search on phi(tau) = E(t*(u - tau*d))
+    with the Nehari scaling t as the retraction, and periodic recentering by
+    exact lattice shifts (unconditional when the problem is translation
+    invariant, energy guarded otherwise). beta is 0, so the step is the plain
+    preconditioned gradient, at the start, when d is not a descent direction
+    and after a recentering shift. A trial is accepted on Armijo or, with the
+    energy within round-off, on the approximate-Wolfe bound
+    phi'(tau) <= -(1 - 2*delta)*phi'(0) (Hager & Zhang 2005). The energy is
+    stationary along the fiber on the manifold, so phi'(tau) = -t<grad E, d>
+    at the trial, whose gradient is the next one once accepted. The next first
+    trial is the secant root of phi' through phi'(0) and phi'(tau).
 
-    The loop runs on arrays and caches Bu and phi per iterate, so the
-    gradient needs no transform and a trial only the Riesz pair:
-    Q(u - tau*d) = Q(u) - 2 tau <Bu, d> + tau^2 <Bd, d> exactly. The accepted
-    Nehari scaling t carries d_prev and Bd_prev (B is linear), so Bd costs no
-    transform beyond B(Pg). Each recentering checkpoint rebuilds the cache
-    and re-projects onto the manifold, so the recurrences cannot drift and a
-    shift that lowers the V_l integral leaves no off-manifold iterate.
+    The loop runs on arrays and caches Bu and phi per iterate, so a gradient
+    needs no transform, a direction one forward and one inverse and a trial
+    only the Riesz pair: Q(u - tau*d) = Q(u) - 2 tau <Bu, d> + tau^2 <Bd, d>
+    exactly. The accepted Nehari scaling t carries d_prev and Bd_prev (B is
+    linear), so Bd costs no transform beyond B(Pg). Each recentering
+    checkpoint rebuilds the cache and re-projects onto the manifold, so the
+    recurrences cannot drift and a shift that lowers the V_l integral leaves
+    no off-manifold iterate.
     """
     t_start = time.perf_counter()
     cfg = cfg or SolverConfig()
     g = ctx.grid
     cv = g.cell_volume
     p, qe = ctx.params.p, ctx.params.q
+    delta = cfg.sufficient_decrease
     center = _center_of_mass_on(g)
     energies: list[float] = []
     t_stars: list[float] = []
     steps: list[float] = []
     trials: list[int] = []
+    betas: list[float] = []
+    accepts: list[str | None] = []
     times: list[float] = []
     residuals: list[float] = []
     qnorms: list[float] = []
@@ -181,8 +190,8 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
 
     def result(u, status, iterations, threshold):
         return SolverResult(u, np.asarray(energies), np.asarray(t_stars), np.asarray(steps),
-                            np.asarray(trials, dtype=int), np.asarray(times),
-                            np.asarray(residuals), np.asarray(qnorms),
+                            np.asarray(trials, dtype=int), np.asarray(betas), accepts,
+                            np.asarray(times), np.asarray(residuals), np.asarray(qnorms),
                             np.asarray(coms) if coms else np.zeros((0, g.N)),
                             shifts_applied, shift_iters, status, iterations, threshold)
 
@@ -191,23 +200,14 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     except NehariProjectionError:
         return result(init, "projection_failed", 0, 0.0)
 
+    grad = grad_values(ctx, u, bu, phi)
     tau = cfg.step_init
-    # once energy decrements fall below round-off the line search is blind;
-    # keep the step at a stability-scale floor so progress continues
-    if cfg.preconditioned:
-        tau_floor = 0.25 * cfg.step_init
-    else:
-        lin_scale = float(np.max(ctx.sqrt_op.multiplier) + max(np.max(ctx.v_minus_m), 0.0))
-        tau_floor = 0.5 / max(lin_scale, 1e-10)
-    step, n_trials = 0.0, 0
+    step, n_trials, beta, accept = 0.0, 0, 0.0, None
     d_prev = None    # what _conjugate needs of the last step; None resets beta
     threshold = 0.0
     status = "max_iters"
     it = 0
     for it in range(cfg.max_iters + 1):
-        grad = grad_values(ctx, u, bu, phi)
-        pg, b_pg = direction_and_b(ctx, grad, cfg.preconditioned)
-        g_pg = cv * float(np.vdot(grad, pg))
         res = float(np.sqrt(cv * np.vdot(grad, grad)))
         if it == 0:
             threshold = max(cfg.grad_tol * res, cfg.grad_tol_abs)
@@ -215,6 +215,8 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         t_stars.append(t_star)
         steps.append(step)
         trials.append(n_trials)
+        betas.append(beta)
+        accepts.append(accept)
         times.append(time.perf_counter() - t_start)
         residuals.append(res)
         qnorms.append(np.sqrt(max(q, 0.0)))
@@ -225,7 +227,9 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         if it == cfg.max_iters:
             break
 
-        direction, b_dir, slope = _conjugate(cv, grad, pg, b_pg, g_pg, d_prev)
+        pg, b_pg = direction_and_b(ctx, grad)
+        g_pg = cv * float(np.vdot(grad, pg))
+        direction, b_dir, slope, beta = _conjugate(cv, grad, pg, b_pg, g_pg, d_prev)
         d_prev = None    # frees the old arrays for the line search
         bu_dir = cv * float(np.vdot(bu, direction))
         bdir_dir = cv * float(np.vdot(b_dir, direction))
@@ -240,23 +244,26 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
                 tau *= cfg.shrink
                 continue
             e_new = energy_from_qdg(ctx, qc, dc, gc, t_c)
-            genuine = e_new <= e - cfg.sufficient_decrease * tau * slope
-            if genuine or e_new <= e + 1e-14 * (1.0 + abs(e)):
-                break
+            armijo = e_new <= e - delta * tau * slope
+            if armijo or e_new <= e + 1e-14 * (1.0 + abs(e)):
+                u_c, bu_c, phi_c = t_c * cand, t_c * (bu - tau * b_dir), t_c**p * phi_c
+                grad_c = grad_values(ctx, u_c, bu_c, phi_c)
+                dphi = -t_c * cv * float(np.vdot(grad_c, direction))
+                if armijo or dphi <= (1.0 - 2.0 * delta) * slope:
+                    accept = "armijo" if armijo else "derivative"
+                    break
             tau *= cfg.shrink
         else:  # no trial accepted
             status = "stalled"
             break
-        u, bu, phi = t_c * cand, t_c * (bu - tau * b_dir), t_c**p * phi_c
+        u, bu, phi, grad = u_c, bu_c, phi_c, grad_c
         q, e, t_star, step, n_trials = t_c**2 * qc, e_new, t_c, tau, bt + 1
-        # a round-off acceptance says nothing about the direction: restart from Pg
-        d_prev = (direction, b_dir, t_c, pg, g_pg) if genuine else None
-        if genuine and bt == 0:
-            tau = min(tau * 1.25, cfg.step_max)
-        elif not genuine:
-            # decrease below round-off: damp toward the stable step so the
-            # iterate neither random-walks nor starves
-            tau = max(tau * cfg.shrink, tau_floor)
+        d_prev = (direction, b_dir, t_c, pg, g_pg)
+        # next first trial: the secant root of phi' through (0, -slope) and (tau,
+        # dphi), rounded to a power of 2^(1/8) so that round-off cannot move it
+        curv = slope + dphi
+        secant = tau * slope / curv if curv > 0.0 else np.inf
+        tau = min(float(np.exp2(np.round(8.0 * np.log2(secant)) / 8.0)), cfg.step_max)
 
         if cfg.recenter_every > 0 and (it + 1) % cfg.recenter_every == 0:
             z = _recenter_shift(g, u)
@@ -273,6 +280,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
             # a shift that lowers the V_l integral lowers Q: re-project
             t, u, bu, phi, q, e = _onto_manifold(ctx, u)
             t_star *= t
+            grad = grad_values(ctx, u, bu, phi)
     return result(Field(g, u), status, it, threshold)
 
 

@@ -50,9 +50,9 @@ from .operators import (
     apply_sqrt_minus_m,
     build_riesz,
     build_sqrt_op,
+    epstein_zeta,
     phi_u,
     riesz_convolve,
-    singular_cell_average,
 )
 from .problem import (
     ConfigError,

@@ -50,8 +50,7 @@ class EnergyContext:
                              self.Vp, self.Vl, gam)
 
 
-def build_context(params: ProblemParams, pot: PotentialSpec,
-                  cell_quadrature_order: int = 16) -> EnergyContext:
+def build_context(params: ProblemParams, pot: PotentialSpec) -> EnergyContext:
     """Validate the problem and assemble operators, kernel and sampled potentials."""
     report = validate(params, pot)
     if not report.all_passed:
@@ -60,7 +59,7 @@ def build_context(params: ProblemParams, pot: PotentialSpec,
     grid = params.make_grid()
     vp, vl, gam = sample_potentials(params, pot, grid)
     sqrt_op = build_sqrt_op(grid, params.m)
-    kernel = build_riesz(grid, params.alpha, cell_quadrature_order, p=params.p)
+    kernel = build_riesz(grid, params.alpha, p=params.p)
     return EnergyContext(params, grid, sqrt_op, kernel, vp, vl, gam)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from ..grid import (
     shift,
 )
 from ..nehari import check_J_conditions, fiber_scan, fiber_scan_csv, project_to_nehari
-from ..operators import apply_sqrt, build_riesz, phi_u, riesz_convolve, singular_cell_average
+from ..operators import apply_sqrt, build_riesz, epstein_zeta, phi_u, riesz_convolve
 from ..problem import (
     ConfigError,
     Descriptor,
@@ -127,106 +128,88 @@ def run_solve(ecfg: ExperimentConfig) -> int:
 # verification suites
 
 
-def _dyadic_cell_oracle(N: int, h: float, alpha: float) -> float:
-    """Independent average of |x|^(alpha-N) over the origin cell.
+def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(a, x) for x >= 2 by Legendre's continued fraction (modified Lentz)."""
+    b = x + 1.0 - a
+    c = np.full_like(x, np.inf)
+    d = 1.0 / b
+    h = d
+    for i in range(1, 60):
+        an = -i * (i - a)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h = h * d * c
+    return np.exp(a * np.log(x) - x) * h
 
-    Dyadic shells toward the singularity with tensor Gauss-Legendre on each;
-    shares no code path with the production closed form / face quadrature.
+
+def _epstein_oracle(N: int, s: float) -> float:
+    """Z_N(s) by Epstein's incomplete-gamma formula with split point lam.
+
+    Sums over the lattice shells directly; its value does not depend on lam,
+    so lam != 1 also checks the analytic terms of the split.
     """
-    b = h / 2.0
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-
-    def gl(f, lo, hi):
-        x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        return 0.5 * (hi - lo) * np.sum(weights * f(x))
-
-    levels = max(240, int(60.0 / alpha))
-    if N == 1:
-        total = sum(gl(lambda x: x ** (alpha - 1.0), b * 2.0 ** -(k + 1), b * 2.0**-k)
-                    for k in range(levels))
-        return 2.0 * total / h
-    if N == 2:
-        def strip(x_lo, x_hi, y_lo, y_hi):
-            def outer(xv):
-                return np.array([gl(lambda yv: (x * x + yv * yv) ** ((alpha - 2.0) / 2.0),
-                                    y_lo, y_hi) for x in xv])
-            return gl(outer, x_lo, x_hi)
-
-        total = 0.0
-        for k in range(levels):
-            hi, lo = b * 2.0**-k, b * 2.0 ** -(k + 1)
-            total += strip(lo, hi, 0.0, hi) + strip(0.0, lo, lo, hi)
-        return 4.0 * total / h**2
-    def block(x_lo, x_hi, y_lo, y_hi, z_lo, z_hi):
-        def outer(xv):
-            def mid(x):
-                def inner(yv):
-                    return np.array([gl(lambda zv: (x * x + y * y + zv * zv) ** ((alpha - 3.0) / 2.0),
-                                        z_lo, z_hi) for y in yv])
-                return gl(inner, y_lo, y_hi)
-            return np.array([mid(x) for x in xv])
-        return gl(outer, x_lo, x_hi)
-
-    total = 0.0
-    for k in range(min(levels, 80)):
-        hi, lo = b * 2.0**-k, b * 2.0 ** -(k + 1)
-        total += block(lo, hi, 0.0, hi, 0.0, hi)
-        total += block(0.0, lo, lo, hi, 0.0, hi)
-        total += block(0.0, lo, 0.0, lo, lo, hi)
-    return 6.0 * total / h**3
+    lam = 1.5
+    k = np.arange(-7, 8) ** 2
+    r2 = sum(np.meshgrid(*[k] * N, indexing="ij")).ravel()
+    r2, mult = np.unique(r2[r2 > 0], return_counts=True)
+    x = np.pi * r2
+    a, b = s / 2.0, (N - s) / 2.0
+    shells = mult @ (x**-a * _upper_gamma(a, lam * x) + x**-b * _upper_gamma(b, x / lam))
+    return math.pi**a / math.gamma(a) * (shells - 2.0 * lam**-b / (N - s) - 2.0 * lam**a / s)
 
 
-def _brute_convolve_1d(L: float, n: int, alpha: float, f: np.ndarray) -> np.ndarray:
-    """O(n^2) circular convolution with an independently built kernel row."""
-    h = 2.0 * L / n
-    off = ((np.arange(n) + n // 2) % n) - n // 2
-    row = np.empty(n)
-    row[1:] = np.abs(off[1:] * h) ** (alpha - 1.0)
-    row[0] = _dyadic_cell_oracle(1, h, alpha)
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = h * np.sum(row * f[(i - np.arange(n)) % n])
-    return out
+def _gaussian_riesz(N: int, alpha: float, r2: np.ndarray) -> np.ndarray:
+    """Riesz potential of exp(-|y|^2) over R^N at squared radius r2 <= 4:
+    pi^(N/2) Gamma(alpha/2)/Gamma(N/2) M((N-alpha)/2, N/2, -r2), with Kummer's
+    transformation M(a, b, -z) = e^-z M(b - a, b, z) to sum a positive series."""
+    a, b = (N - alpha) / 2.0, N / 2.0
+    term = np.ones_like(r2)
+    total = term.copy()
+    for j in range(60):
+        term = term * (b - a + j) / (b + j) * r2 / (j + 1)
+        total += term
+    return math.pi**b * math.gamma(alpha / 2.0) / math.gamma(b) * np.exp(-r2) * total
 
 
-def _suite_kernel_oracles(ctx: EnergyContext, rep: Report, scale: float,
-                          rng: np.random.Generator) -> None:
+def _suite_kernel_oracles(ctx: EnergyContext, rep: Report, scale: float) -> None:
     rep.section("Riesz kernel oracles")
     g = ctx.grid
-    alpha = ctx.params.alpha
-    closed = singular_cell_average(g.N, g.h, alpha)
-    oracle = _dyadic_cell_oracle(g.N, g.h, alpha)
-    rel = abs(closed - oracle) / abs(oracle)
-    rep.add_check("singular cell average matches independent quadrature",
-                  rel <= 1e-9 * scale, f"rel diff {rel:.3e}")
-    production = float(ctx.kernel.kernel_samples[(0,) * g.N])
-    rel_prod = abs(production - oracle) / abs(oracle)
-    rep.add_check("production kernel uses the corrected cell",
-                  rel_prod <= 1e-9 * scale, f"rel diff {rel_prod:.3e}")
+    N, alpha = g.N, ctx.params.alpha
+    z0, z2 = _epstein_oracle(N, N - alpha), _epstein_oracle(N, N - alpha - 2.0)
+    err_z = max(abs(epstein_zeta(N, N - alpha) - z0) / max(1.0, abs(z0)),
+                abs(epstein_zeta(N, N - alpha - 2.0) - z2) / max(1.0, abs(z2)))
+    rep.add_check("Epstein zeta matches the incomplete-gamma lattice sum",
+                  err_z <= 1e-12 * scale, f"rel diff {err_z:.3e}")
+    # weights h^(alpha-N) (-Z(N-alpha) + Z(N-alpha-2)) at the origin and
+    # h^(alpha-N) (1 - Z(N-alpha-2)/(2N)) at its 2N neighbours
+    unit = g.h ** (alpha - N)
+    samples = ctx.kernel.kernel_samples
+    got = [samples[(0,) * N]] + [samples[(0,) * i + (side,) + (0,) * (N - 1 - i)]
+                                 for i in range(N) for side in (1, -1)]
+    want = np.array([-z0 + z2] + [1.0 - z2 / (2 * N)] * (2 * N)) * unit
+    err_w = float(np.max(np.abs(np.array(got) - want)) / np.max(np.abs(want)))
+    rep.add_check("production kernel carries the zeta-corrected weights",
+                  err_w <= 1e-12 * scale, f"rel diff {err_w:.3e}")
     rep.add_check("far kernel part bounded by one",
                   ctx.kernel.far_part_bound <= 1.0 + 1e-12, f"sup {ctx.kernel.far_part_bound:.6f}")
 
-    # spectral-vs-direct comparison on a one-dimensional grid; the direct sum
-    # uses an independently built kernel row, and the spectral side inherits
-    # whatever singular-cell treatment the production kernel carries
-    n_small = min(g.n, 64)
-    L_small = max(1.0, round(g.L * n_small / g.n)) if g.n != n_small else g.L
-    small = Grid(1, float(L_small), n_small)
-    alpha_small = alpha if alpha < 1.0 else 0.5
-    uses_correction = abs(production - closed) <= 1e-9 * abs(closed)
-    kern = build_riesz(small, alpha_small, p=ctx.params.p,
-                       singular_correction=uses_correction)
-    f = rng.standard_normal(n_small)
-    spectral = riesz_convolve(kern, Field(small, f)).values
-    brute = _brute_convolve_1d(small.L, n_small, alpha_small, f)
-    err = float(np.max(np.abs(spectral - brute)))
-    rep.add_check("spectral convolution matches independent direct sum",
-                  err <= 1e-10 * scale * max(1.0, np.max(np.abs(brute))),
-                  f"max abs err {err:.3e}")
-    spike = np.zeros(n_small)
-    spike[3] = 1.0 / small.h
+    # a Gaussian four cells wide, far from the box edge: the lattice sum is
+    # accurate to O(h^(4+alpha)), against O(h^alpha) with a plain origin weight
+    small = Grid(N, 6.0, 48)
+    kern = build_riesz(small, alpha, p=ctx.params.p)
+    line = (slice(None),) + (small.n // 2,) * (N - 1)
+    spectral = riesz_convolve(kern, Field(small, np.exp(-small.r2()))).values[line]
+    x = small.axis_coords()
+    near = np.abs(x) <= 1.5
+    exact = _gaussian_riesz(N, alpha, x[near] ** 2)
+    err = float(np.max(np.abs(spectral[near] - exact)) / np.max(exact))
+    rep.add_check("spectral convolution matches the Riesz potential of a Gaussian",
+                  err <= 2e-4 * scale, f"max rel err {err:.3e}")
+    spike = np.zeros(small.shape)
+    spike[(3,) + (0,) * (N - 1)] = 1.0 / small.cell_volume
     row = riesz_convolve(kern, Field(small, spike)).values
-    row_expect = np.roll(kern.kernel_samples, 3)
+    row_expect = np.roll(kern.kernel_samples, 3, axis=0)
     err_row = float(np.max(np.abs(row - row_expect)))
     rep.add_check("unit spike reproduces the kernel row",
                   err_row <= 1e-10 * scale * np.max(np.abs(row_expect)),
@@ -349,7 +332,7 @@ def _suite_j_conditions(ctx: EnergyContext, rep: Report, scale: float,
 
 def _run_all_suites(ctx: EnergyContext, rep: Report, scale: float, seed: int) -> None:
     rng = np.random.default_rng(seed)
-    _suite_kernel_oracles(ctx, rep, scale, rng)
+    _suite_kernel_oracles(ctx, rep, scale)
     _suite_operator(ctx, rep, scale, rng)
     _suite_trace(ctx, rep, scale, rng)
     _suite_phi(ctx, rep, scale, rng)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,30 +41,26 @@ def apply_sqrt_minus_m(op: SqrtOp, u: Field) -> Field:
 
 _SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
+# trapezoid nodes and weights for the theta integral over t in [1, inf), on
+# t = 1 + exp(x - e^-x): the integrand decays double-exponentially at both ends
+_X = 0.25 * np.arange(-16, 17)
+_T = 1.0 + np.exp(_X - np.exp(-_X))
+_DT = 0.25 * (_T - 1.0) * (1.0 + np.exp(-_X))
+_THETA = 1.0 + 2.0 * np.exp(-np.pi * np.arange(1, 6)[:, None] ** 2 * _T).sum(axis=0)
 
-def singular_cell_average(N: int, h: float, alpha: float, order: int = 16) -> float:
-    """Average of |x|^(alpha - N) over the grid cell [-h/2, h/2]^N.
 
-    Closed form in one dimension; in two and three dimensions the radial
-    integral is done exactly and the remaining smooth face integral by
-    fixed-order Gauss-Legendre quadrature.
+def epstein_zeta(N: int, s: float) -> float:
+    """Z_N(s), the sum of |k|^-s over nonzero k in Z^N, analytically continued.
+
+    Riemann's theta split: Z_N(s) = pi^(s/2)/Gamma(s/2) * [integral over t >= 1 of
+    (theta(t)^N - 1)(t^(s/2-1) + t^((N-s)/2-1)) - 2/s - 2/(N-s)]; Z_N(0) = -1 is
+    its limit.
     """
-    if not 0 < alpha < N:
-        raise ValueError(f"alpha must lie in (0, {N}), got {alpha}")
-    half = h / 2.0
-    if N == 1:
-        return half ** (alpha - 1.0) / alpha
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    if N == 2:
-        face = float(np.sum(weights * (1.0 + nodes**2) ** ((alpha - 2.0) / 2.0)))
-        integral = (4.0 / alpha) * half**alpha * face
-        return integral / h**2
-    u = nodes[:, None]
-    v = nodes[None, :]
-    w2 = weights[:, None] * weights[None, :]
-    face = float(np.sum(w2 * (1.0 + u * u + v * v) ** ((alpha - 3.0) / 2.0)))
-    integral = (6.0 / alpha) * half**alpha * face
-    return integral / h**3
+    if s == 0:
+        return -1.0
+    w = (_THETA**N - 1.0) * _DT
+    integral = float(w @ (_T ** (s / 2.0 - 1.0) + _T ** ((N - s) / 2.0 - 1.0)))
+    return math.pi ** (s / 2.0) / math.gamma(s / 2.0) * (integral - 2.0 / s - 2.0 / (N - s))
 
 
 def riesz_integrability_window(N: int, p: float, alpha: float) -> tuple[float, float]:
@@ -77,27 +74,31 @@ def riesz_integrability_window(N: int, p: float, alpha: float) -> tuple[float, f
     return lo, hi
 
 
-def sample_riesz_kernel(grid: Grid, alpha: float, quadrature_order: int = 16,
-                        singular_correction: bool = True) -> np.ndarray:
-    """Kernel |d|^(alpha - N) at minimal-image displacements, indexed by offset.
+def sample_riesz_kernel(grid: Grid, alpha: float) -> np.ndarray:
+    """Quadrature weights of |d|^(alpha - N) at minimal-image offsets, indexed by offset.
 
-    The cell containing the origin gets the exact cell average of the kernel;
-    with singular_correction=False that cell is dropped (set to zero), which
-    reproduces the bias of naive sampling.
+    Away from the origin and its 2N neighbours the weight is the kernel value.
+    Those 2N + 1 weights carry the zeta corrections of the generalized
+    Euler-Maclaurin expansion (Navot 1961), which make the lattice sum of the
+    kernel against a smooth function accurate to O(h^(4+alpha)).
     """
-    return _riesz_samples(grid, grid.offset_r2(), alpha, quadrature_order, singular_correction)
+    return _riesz_samples(grid, grid.offset_r2(), alpha)
 
 
-def _riesz_samples(grid: Grid, d2: np.ndarray, alpha: float, quadrature_order: int,
-                   singular_correction: bool) -> np.ndarray:
+def _riesz_samples(grid: Grid, d2: np.ndarray, alpha: float) -> np.ndarray:
     """sample_riesz_kernel on the squared offset lengths d2 (left unchanged)."""
-    origin = (0,) * grid.N
+    N = grid.N
+    if not 0 < alpha < N:
+        raise ValueError(f"Riesz order must lie in (0, N)=(0, {N}), got {alpha}")
+    scale = grid.h ** (alpha - N)
     with np.errstate(divide="ignore"):
-        S = d2 ** ((alpha - grid.N) / 2.0)  # infinite at the origin, overwritten below
-    if singular_correction:
-        S[origin] = singular_cell_average(grid.N, grid.h, alpha, quadrature_order)
-    else:
-        S[origin] = 0.0
+        S = d2 ** ((alpha - N) / 2.0)  # infinite at the origin, overwritten below
+    # Laplacian stencil weight of the h^(2+alpha) term
+    c = -epstein_zeta(N, N - alpha - 2.0) / (2 * N) * scale
+    for axis in range(N):
+        for side in (1, -1):
+            S[(0,) * axis + (side,) + (0,) * (N - axis - 1)] += c
+    S[(0,) * N] = -epstein_zeta(N, N - alpha) * scale - 2 * N * c
     return S
 
 
@@ -120,12 +121,9 @@ class RieszKernel:
     far_part_bound: float
 
 
-def build_riesz(grid: Grid, alpha: float, cell_quadrature_order: int = 16,
-                p: float = 2.0, singular_correction: bool = True) -> RieszKernel:
-    if not 0 < alpha < grid.N:
-        raise ValueError(f"Riesz order must lie in (0, N)=(0, {grid.N}), got {alpha}")
+def build_riesz(grid: Grid, alpha: float, p: float = 2.0) -> RieszKernel:
     d2 = grid.offset_r2()
-    S = _riesz_samples(grid, d2, alpha, cell_quadrature_order, singular_correction)
+    S = _riesz_samples(grid, d2, alpha)
     multiplier = grid.cell_volume * dft(S)
     imag_max = float(np.max(np.abs(multiplier.imag)))
     scale = float(np.max(np.abs(multiplier.real)))
@@ -136,7 +134,7 @@ def build_riesz(grid: Grid, alpha: float, cell_quadrature_order: int = 16,
     sphere = _SPHERE_MEASURE[grid.N]
     near = (sphere / ((alpha - grid.N) * t + grid.N)) ** (1.0 / t)
     outside = d2 >= 1.0
-    far = float(np.max(S[outside])) if np.any(outside) else 0.0
+    far = float(np.min(d2[outside])) ** ((alpha - grid.N) / 2.0) if np.any(outside) else 0.0
     return RieszKernel(grid, alpha, multiplier.real, S, t, float(near), far)
 
 

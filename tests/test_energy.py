@@ -247,3 +247,15 @@ def test_nonlocal_derivative_pairing_continuous(ctx_const, rng):
         errs.append(abs(d_prime_pairing(u_eps, w) - base))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 1e-3 * max(abs(base), 1.0)
+
+
+def test_build_context_generates_no_quadrature_nodes(monkeypatch):
+    # node generation, and the lazy numpy.polynomial import on its first call,
+    # would cost a sizeable share of a set-up
+    def refuse(*args, **kwargs):
+        raise AssertionError("leggauss called while building a context")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    for N, alpha, q, L, n in ((1, 0.5, 3.0, 16.0, 64), (2, 1.0, 3.0, 4.0, 16),
+                              (3, 1.5, 2.5, 2.0, 8)):
+        build_context(make_params(N=N, alpha=alpha, q=q, L=L, n=n), const_potential())

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,7 @@ from choquard_gs.cli import main
 from choquard_gs.energy import EnergyContext, build_context
 from choquard_gs.experiments.config import ExperimentConfig, Report, blob_hash
 from choquard_gs.experiments.drivers import _embed, _run_all_suites
-from choquard_gs.grid import Field, gaussian_field, load_field
-from choquard_gs.operators import build_riesz
+from choquard_gs.grid import Field, dft, gaussian_field, load_field
 from choquard_gs.problem import ConfigError
 from conftest import make_params, const_potential
 
@@ -162,14 +162,18 @@ def test_cli_verify_smoke_resolution(tmp_path):
 def test_verify_fails_with_corrupted_kernel(config_path, tmp_path):
     params, pot = make_params(), const_potential()
     ctx = build_context(params, pot)
-    corrupted = build_riesz(ctx.grid, params.alpha, p=params.p, singular_correction=False)
+    # the plain-sampling bias: the origin weight dropped
+    samples = ctx.kernel.kernel_samples.copy()
+    samples[(0,) * ctx.grid.N] = 0.0
+    corrupted = replace(ctx.kernel, kernel_samples=samples,
+                        conv_multiplier=ctx.grid.cell_volume * dft(samples).real)
     bad_ctx = EnergyContext(params, ctx.grid, ctx.sqrt_op, corrupted,
                             ctx.Vp, ctx.Vl, ctx.Gamma)
     rep = Report("corrupted kernel")
     _run_all_suites(bad_ctx, rep, 1.0, seed=0)
     assert not rep.all_passed
     failed = [name for name, ok, _ in rep.checks if not ok]
-    assert any("cell" in name or "direct sum" in name for name in failed)
+    assert "production kernel carries the zeta-corrected weights" in failed
 
 
 def test_cli_fiber_scan(config_path, tmp_path):
@@ -240,6 +244,15 @@ def test_cli_box_sweep_small(tmp_path):
     assert code == 0
     metrics = (out / "metrics.csv").read_text()
     assert metrics.startswith("L,c,tail_mass")
+
+
+def test_cli_box_sweep_default_config_passes(tmp_path):
+    # the README example: at n=256 the spacing shift stays below the box gap
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "bs"
+    assert main(["box-sweep", "--config", str(root / "configs" / "default.ini"),
+                 "--out", str(out)]) == 0
+    assert "all checks passed" in (out / "report.md").read_text()
 
 
 def test_gamma_sweep_reruns_bit_identically(config_path, tmp_path):

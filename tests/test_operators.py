@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import gamma as gamma_fn
 
 from choquard_gs.grid import Field, Grid, l2_inner, l2_norm2, random_smooth_field, shift
 from choquard_gs.operators import (
@@ -8,11 +9,11 @@ from choquard_gs.operators import (
     apply_sqrt_minus_m,
     build_riesz,
     build_sqrt_op,
+    epstein_zeta,
     phi_u,
     riesz_convolve,
     riesz_integrability_window,
     sample_riesz_kernel,
-    singular_cell_average,
 )
 
 
@@ -56,51 +57,88 @@ def test_sqrt_multiplier_floor():
     assert np.all(op.multiplier >= 2.0)
 
 
-# --- singular cell oracles --------------------------------------------------
+# --- zeta-corrected singular weights ---------------------------------------
+
+ZETA_HALF = -1.4603545088095868  # zeta(1/2)
+ZETA_MINUS_3_HALVES = -0.02548520188983304  # zeta(-3/2)
+
+
+def _signed_offsets(g: Grid) -> np.ndarray:
+    return ((np.arange(g.n) + g.n // 2) % g.n - g.n // 2) * g.h
+
+
+def test_epstein_zeta_known_values():
+    assert epstein_zeta(1, 0.5) == pytest.approx(2.0 * ZETA_HALF, rel=1e-14)
+    assert epstein_zeta(1, -1.5) == pytest.approx(2.0 * ZETA_MINUS_3_HALVES, rel=1e-13)
+    # 4 zeta(1/2) beta(1/2), beta the Dirichlet beta function
+    assert epstein_zeta(2, 1.0) == pytest.approx(-3.9002649200019563, rel=1e-14)
+    assert epstein_zeta(3, 4.0) == pytest.approx(16.53231595976, rel=1e-11)
+    # Z_N(0) = -1 is the limit of the theta-split formula
+    assert epstein_zeta(3, 0.0) == -1.0
+    assert epstein_zeta(3, 1e-9) == pytest.approx(-1.0, rel=1e-8)
+
 
 def test_singular_cell_1d_closed_form_reference():
-    # integral of |x|^{-1/2} over [-1/4, 1/4] divided by h = 1/2 equals 4*(h/2)^{1/2}/h
-    assert singular_cell_average(1, 0.5, 0.5) == pytest.approx(4.0, rel=1e-14)
+    # in units of h^(-1/2): origin -Z_1(1/2) + Z_1(-3/2), neighbours 1 - Z_1(-3/2)/2,
+    # with Z_1 = 2 zeta; farther offsets keep the kernel value
+    g = Grid(1, 4.0, 16)
+    S = sample_riesz_kernel(g, 0.5)
+    unit = g.h**-0.5
+    assert S[0] == pytest.approx((-2.0 * ZETA_HALF + 2.0 * ZETA_MINUS_3_HALVES) * unit, rel=1e-13)
+    assert S[1] == S[-1] == pytest.approx((1.0 - ZETA_MINUS_3_HALVES) * unit, rel=1e-13)
+    assert S[2] == pytest.approx((2.0 * g.h) ** -0.5, rel=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("h", [0.125, 0.5])
 def test_singular_cell_1d_vs_quadrature(alpha, h):
-    # independent oracle: Gauss-Jacobi weighted quadrature of the bare power
-    oracle = 2.0 * integrate.quad(lambda x: 1.0, 0.0, h / 2.0,
-                                  weight="alg", wvar=(alpha - 1.0, 0.0))[0] / h
-    assert singular_cell_average(1, h, alpha) == pytest.approx(oracle, rel=1e-12)
+    # the weighted lattice sum of an off-centre Gaussian against |x|^(alpha-1)
+    # matches Gauss-Jacobi weighted quadrature to O(h^(4+alpha))
+    def phi(x):
+        return np.exp(-((x - 0.3) ** 2))
+
+    g = Grid(1, 8.0, int(round(16.0 / h)))
+    lattice = g.h * sample_riesz_kernel(g, alpha) @ phi(_signed_offsets(g))
+    oracle = integrate.quad(lambda x: phi(x) + phi(-x), 0.0, 12.0, weight="alg",
+                            wvar=(alpha - 1.0, 0.0), epsabs=1e-14, epsrel=1e-14)[0]
+    assert lattice == pytest.approx(oracle, rel=0.05 * h ** (4.0 + alpha))
 
 
 @pytest.mark.parametrize("alpha", [0.6, 1.3])
 def test_singular_cell_2d_vs_nested_quad(alpha):
-    h = 0.4
+    def phi(x, y):
+        return np.exp(-((x - 0.3) ** 2) - y * y)
 
-    def inner(x):
-        return integrate.quad(lambda y: (x * x + y * y) ** ((alpha - 2.0) / 2.0),
-                              0.0, h / 2.0, limit=200)[0]
+    g = Grid(2, 6.0, 30)
+    x, y = np.meshgrid(_signed_offsets(g), _signed_offsets(g), indexing="ij")
+    lattice = g.h**2 * np.sum(sample_riesz_kernel(g, alpha) * phi(x, y))
 
-    oracle = 4.0 * integrate.quad(inner, 0.0, h / 2.0, limit=200)[0] / h**2
-    assert singular_cell_average(2, h, alpha) == pytest.approx(oracle, rel=1e-8)
+    def ring(r):
+        return integrate.quad(lambda t: phi(r * np.cos(t), r * np.sin(t)), 0.0, 2.0 * np.pi,
+                              epsabs=1e-14)[0]
+
+    oracle = integrate.quad(ring, 0.0, 12.0, weight="alg", wvar=(alpha - 1.0, 0.0),
+                            epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    assert lattice == pytest.approx(oracle, rel=0.05 * g.h ** (4.0 + alpha))
 
 
 def test_singular_cell_3d_consistency():
-    # quadrature-order refinement agrees to machine precision (smooth face integrand)
-    h = 0.3
-    a16 = singular_cell_average(3, h, 1.4, order=16)
-    a48 = singular_cell_average(3, h, 1.4, order=48)
-    assert a16 == pytest.approx(a48, rel=1e-12)
-    # midpoint Riemann cross-check, coarse but independent
-    n = 400
-    t = (np.arange(n) + 0.5) * (h / 2.0) / n
-    X, Y, Z = np.meshgrid(t, t, t, indexing="ij")
-    riemann = 8.0 * np.sum((X**2 + Y**2 + Z**2) ** ((1.4 - 3.0) / 2.0)) * (h / 2.0 / n) ** 3
-    assert a48 == pytest.approx(riemann / h**3, rel=2e-3)
+    # the Gaussian moment pi^(3/2) Gamma(alpha/2) / Gamma(3/2) converges at
+    # about 2^(4+alpha) per halving of h
+    alpha = 1.4
+    exact = np.pi**1.5 * gamma_fn(alpha / 2.0) / gamma_fn(1.5)
+    errs = []
+    for n in (16, 32):
+        g = Grid(3, 4.0, n)
+        moment = g.h**3 * np.sum(sample_riesz_kernel(g, alpha) * np.exp(-g.offset_r2()))
+        errs.append(abs(moment - exact) / exact)
+    assert errs[1] <= 1e-4
+    assert errs[0] / errs[1] == pytest.approx(2.0 ** (4.0 + alpha), rel=0.1)
 
 
 def test_singular_cell_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        singular_cell_average(1, 0.1, 1.5)
+        sample_riesz_kernel(Grid(1, 4.0, 32), 1.5)
     with pytest.raises(ValueError):
         build_riesz(Grid(1, 4.0, 32), 1.2)
 
@@ -233,11 +271,16 @@ def test_convolve_positive_on_positive_input(rng):
 
 
 def test_uncorrected_kernel_biased_low():
+    # dropping the origin weight loses the Gaussian moment's singular part
     g = Grid(1, 8.0, 64)
     good = sample_riesz_kernel(g, 0.5)
-    bad = sample_riesz_kernel(g, 0.5, singular_correction=False)
-    assert bad[0] == 0.0
+    bad = good.copy()
+    bad[0] = 0.0
     assert good[0] > np.max(bad)
+    phi = np.exp(-g.offset_r2())
+    exact = gamma_fn(0.25)
+    assert g.h * good @ phi == pytest.approx(exact, rel=1e-4)
+    assert g.h * bad @ phi < 0.7 * exact
 
 
 # --- auxiliary potential ----------------------------------------------------

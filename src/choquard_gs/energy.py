@@ -30,13 +30,19 @@ class EnergyContext:
     Gamma: Field
 
     def __post_init__(self):
-        self.v_minus_m = self.Vp.values + self.Vl.values - self.params.m
+        v = self.Vp.values + self.Vl.values
+        self.v_minus_m = v - self.params.m
         self.has_vl = bool(np.any(self.Vl.values))
         self.has_gamma = bool(np.any(self.Gamma.values))
-        self.v_min = float(np.min(self.Vp.values + self.Vl.values))
+        self.v_min = float(np.min(v))
+        if not self.v_min > 0:
+            # A - m vanishes at xi = 0, so B's constant-coefficient part is
+            # invertible only for a positive potential floor
+            raise ValueError(f"min V must be positive to precondition, got {self.v_min}")
         self._d_bound: float | None = None
-        self._precond = 1.0 / (self.sqrt_op.multiplier + self.v_min)
-        self._pg_shift = self.v_minus_m - self.v_min
+        # P inverts B's constant-coefficient part A - m + min V exactly
+        self._precond = 1.0 / (self.sqrt_op.multiplier - self.params.m + self.v_min)
+        self._pg_shift = v - self.v_min
 
     def periodic_variant(self) -> EnergyContext:
         """Same problem with the localized potential stripped."""
@@ -70,13 +76,15 @@ def b_values(ctx: EnergyContext, vals: np.ndarray) -> np.ndarray:
 
 def direction_and_b(ctx: EnergyContext, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The preconditioned gradient Pg and B(Pg), from one forward and one inverse
-    transform: (A + v_min)P = I, so B(Pg) = g + (V - m - v_min) Pg exactly."""
+    transform: P inverts A - m + v_min, B's constant-coefficient part, so
+    B(Pg) = g + (V - v_min) Pg exactly, which is g itself for constant V."""
     pg = apply_multiplier(ctx._precond, grad)
     return pg, grad + ctx._pg_shift * pg
 
 
 def precondition(ctx: EnergyContext, g: Field) -> Field:
-    """Spectral division by the symbol plus the potential floor; tames stiffness."""
+    """Spectral division by A - m plus the potential floor: the Riesz map of
+    B's constant-coefficient part, exact for constant V."""
     return Field(ctx.grid, apply_multiplier(ctx._precond, g.values))
 
 

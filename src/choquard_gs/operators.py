@@ -122,6 +122,11 @@ class RieszKernel:
 
 
 def build_riesz(grid: Grid, alpha: float, p: float = 2.0) -> RieszKernel:
+    floor = (grid.N - 1) * p - grid.N
+    if not alpha > floor:
+        # the exponent window of the near kernel part is empty
+        raise ValueError(f"Riesz order must exceed (N-1)p - N = {floor} for N={grid.N}, "
+                         f"p={p}, got {alpha}")
     d2 = grid.offset_r2()
     S = _riesz_samples(grid, d2, alpha)
     multiplier = grid.cell_volume * dft(S)

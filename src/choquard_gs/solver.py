@@ -1,5 +1,11 @@
-"""Preconditioned nonlinear conjugate gradient over the Nehari manifold with
-lattice recentering."""
+"""Nonlinear conjugate gradient over the Nehari manifold, preconditioned by the
+problem's own norm, with lattice recentering.
+
+The preconditioner P = (sqrt(-Laplacian + m^2) - m + inf V)^-1 inverts the
+constant-coefficient part of B, whose quadratic form Q(u) = <Bu, u> is the
+squared norm of the space the energy is minimized in: Pg is the gradient in
+that inner product when V is constant (a Sobolev gradient).
+"""
 
 from __future__ import annotations
 
@@ -147,13 +153,15 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
 
     Step: preconditioned Polak-Ribiere+ conjugate gradient (the direction is
     d = Pg + beta*d_prev with beta = max(0, <g, Pg - Pg_prev>/<g_prev, Pg_prev>),
-    P the symbol preconditioner), a line search on phi(tau) = E(t*(u - tau*d))
-    with the Nehari scaling t as the retraction, and periodic recentering by
-    exact lattice shifts (unconditional when the problem is translation
-    invariant, energy guarded otherwise). beta is 0, so the step is the plain
-    preconditioned gradient, at the start, when d is not a descent direction
-    and after a recentering shift. A trial is accepted on Armijo or, with the
-    energy within round-off, on the approximate-Wolfe bound
+    P = (A - m + inf V)^-1 with A = sqrt(-Laplacian + m^2)), a line search on
+    phi(tau) = E(t*(u - tau*d)) with the Nehari scaling t as the retraction,
+    and periodic recentering by exact lattice shifts (unconditional when the
+    problem is translation invariant, energy guarded otherwise). Without V_l
+    the last iterate is recentered once more at exit, so where a start ends
+    does not depend on whether it reached a checkpoint. beta is 0, so the step
+    is the plain preconditioned gradient, at the start, when d is not a descent
+    direction and after a recentering shift. A trial is accepted on Armijo or,
+    with the energy within round-off, on the approximate-Wolfe bound
     phi'(tau) <= -(1 - 2*delta)*phi'(0) (Hager & Zhang 2005). The energy is
     stationary along the fiber on the manifold, so phi'(tau) = -t<grad E, d>
     at the trial, whose gradient is the next one once accepted. The next first
@@ -162,11 +170,11 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     The loop runs on arrays and caches Bu and phi per iterate, so a gradient
     needs no transform, a direction one forward and one inverse and a trial
     only the Riesz pair: Q(u - tau*d) = Q(u) - 2 tau <Bu, d> + tau^2 <Bd, d>
-    exactly. The accepted Nehari scaling t carries d_prev and Bd_prev (B is
-    linear), so Bd costs no transform beyond B(Pg). Each recentering
-    checkpoint rebuilds the cache and re-projects onto the manifold, so the
-    recurrences cannot drift and a shift that lowers the V_l integral leaves
-    no off-manifold iterate.
+    exactly. B(Pg) = g + (V - inf V) Pg costs no transform beyond Pg, and the
+    accepted Nehari scaling t carries d_prev and Bd_prev (B is linear), so Bd
+    costs none either. Each recentering checkpoint rebuilds the cache and
+    re-projects onto the manifold, so the recurrences cannot drift and a shift
+    that lowers the V_l integral leaves no off-manifold iterate.
     """
     t_start = time.perf_counter()
     cfg = cfg or SolverConfig()
@@ -281,6 +289,15 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
             t, u, bu, phi, q, e = _onto_manifold(ctx, u)
             t_star *= t
             grad = grad_values(ctx, u, bu, phi)
+    if cfg.recenter_every > 0 and not ctx.has_vl:
+        # a start that stops between checkpoints ends recentered too; without
+        # V_l the shift leaves the energy and the residual unchanged
+        z = _recenter_shift(g, u)
+        if np.any(z):
+            u = shift(Field(g, u), -z).values
+            shifts_applied.append(z)
+            shift_iters.append(it)
+            coms[-1] = center(u)
     return result(Field(g, u), status, it, threshold)
 
 

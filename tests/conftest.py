@@ -1,14 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from choquard_gs import PotentialSpec, ProblemParams, build_context
-from choquard_gs.problem import Descriptor
+from choquard_gs.problem import Descriptor, load_problem_config
 
 
 def make_params(**overrides) -> ProblemParams:
     base = dict(N=1, m=1.0, p=2.0, q=3.0, alpha=0.5, L=16.0, n=128)
     base.update(overrides)
     return ProblemParams(**base)
+
+
+def config_context(name: str):
+    """The context of a shipped config under configs/."""
+    params, pot = load_problem_config(Path(__file__).resolve().parents[1] / "configs" / name)
+    return build_context(params, pot)
 
 
 def const_potential(value: float = 1.0) -> PotentialSpec:

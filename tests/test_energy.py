@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from choquard_gs.energy import (
+    EnergyContext,
+    b_values,
     brezis_lieb_check,
     build_context,
     d_value,
+    direction_and_b,
     directional_derivative_fd,
     energy,
     energy_from_qdg,
@@ -18,7 +21,7 @@ from choquard_gs.energy import (
     qdg,
 )
 from choquard_gs.grid import Field, gaussian_field, l2_inner, l2_norm2, random_smooth_field, shift
-from conftest import const_potential, gamma_potential, make_params
+from conftest import config_context, const_potential, gamma_potential, make_params
 
 
 def zero_field(ctx):
@@ -259,3 +262,30 @@ def test_build_context_generates_no_quadrature_nodes(monkeypatch):
     for N, alpha, q, L, n in ((1, 0.5, 3.0, 16.0, 64), (2, 1.0, 3.0, 4.0, 16),
                               (3, 1.5, 2.5, 2.0, 8)):
         build_context(make_params(N=N, alpha=alpha, q=q, L=L, n=n), const_potential())
+
+
+def test_preconditioner_inverts_b_for_constant_potential(ctx_const, rng):
+    # P inverts A - m + min V, which is all of B when V is constant
+    g = random_smooth_field(ctx_const.grid, rng).values
+    pg, b_pg = direction_and_b(ctx_const, g)
+    assert np.array_equal(b_pg, g)
+    assert np.allclose(b_values(ctx_const, pg), g, rtol=0, atol=1e-13 * np.max(np.abs(g)))
+
+
+def test_direction_and_b_matches_b_values_with_varying_potential(rng):
+    # verify.ini has a cosine V_p: B(Pg) = g + (V - min V) Pg against a fresh B
+    ctx = config_context("verify.ini")
+    assert np.ptp(ctx.Vp.values) > 0
+    g = random_smooth_field(ctx.grid, rng).values
+    pg, b_pg = direction_and_b(ctx, g)
+    fresh = b_values(ctx, pg)
+    assert np.max(np.abs(b_pg - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+
+@pytest.mark.parametrize("v_floor", [0.0, -0.5])
+def test_context_rejects_nonpositive_potential_floor(ctx_const, v_floor):
+    # the preconditioner's symbol A - m + min V vanishes at xi = 0 when min V = 0
+    c = ctx_const
+    vp = Field(c.grid, np.full(c.grid.shape, v_floor))
+    with pytest.raises(ValueError, match="min V must be positive"):
+        EnergyContext(c.params, c.grid, c.sqrt_op, c.kernel, vp, c.Vl, c.Gamma)

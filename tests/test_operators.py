@@ -143,6 +143,14 @@ def test_singular_cell_rejects_bad_alpha():
         build_riesz(Grid(1, 4.0, 32), 1.2)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_build_riesz_rejects_alpha_at_or_below_exponent_window(alpha):
+    # N=3, p=2: the near kernel part lies in some L^t only for alpha > (N-1)p - N = 1;
+    # at the edge the window is a point, below it the window is empty
+    with pytest.raises(ValueError, match=r"\(N-1\)p - N = 1"):
+        build_riesz(Grid(3, 6.0, 24), alpha)
+
+
 # --- kernel construction ----------------------------------------------------
 
 def test_kernel_multiplier_real_and_even():

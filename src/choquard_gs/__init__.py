@@ -47,7 +47,6 @@ from .operators import (
     RieszKernel,
     SqrtOp,
     apply_sqrt,
-    apply_sqrt_minus_m,
     build_riesz,
     build_sqrt_op,
     epstein_zeta,
@@ -65,11 +64,9 @@ from .problem import (
     validate,
 )
 from .solver import (
-    EscapeReport,
     SolveFailure,
     SolverConfig,
     SolverResult,
-    escape_diagnostic,
     multistart,
     solve,
 )

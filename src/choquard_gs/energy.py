@@ -69,9 +69,10 @@ def build_context(params: ProblemParams, pot: PotentialSpec) -> EnergyContext:
     return EnergyContext(params, grid, sqrt_op, kernel, vp, vl, gam)
 
 
-def b_values(ctx: EnergyContext, vals: np.ndarray) -> np.ndarray:
-    """(A + V - m) u on raw grid values, A the square-root operator; Q(u) = <Bu, u>."""
-    return apply_multiplier(ctx.sqrt_op.multiplier, vals) + ctx.v_minus_m * vals
+def b_values(ctx: EnergyContext, vals: np.ndarray, spec: np.ndarray | None = None) -> np.ndarray:
+    """(A + V - m) u on raw grid values, A the square-root operator; Q(u) = <Bu, u>.
+    spec, the dft of u when the caller has it, saves a transform."""
+    return apply_multiplier(ctx.sqrt_op.multiplier, vals, spec) + ctx.v_minus_m * vals
 
 
 def direction_and_b(ctx: EnergyContext, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ import numpy as np
 
 from ..energy import (
     EnergyContext,
+    b_values,
     brezis_lieb_check,
     build_context,
     energy,
@@ -108,7 +109,7 @@ def run_solve(ecfg: ExperimentConfig) -> int:
     (out / "energy.json").write_text(er.to_json() + "\n", encoding="utf-8")
     save_field(best.u_final, out / "u_final.cgsf",
                {"experiment": "solve", "seed": ecfg.seed, "energy": er.e_val})
-    # shift_iters holds the index of the first iterate after each recentering
+    # shift_iters holds the index of the first iterate after each translation move
     shifts = dict(zip(best.shift_iters, best.shifts_applied))
     with open(out / "trace.ndjson", "w", encoding="utf-8") as fh:
         for it, (e, res, t, tau, trials, beta, accept, t_s) in enumerate(zip(
@@ -119,7 +120,7 @@ def run_solve(ecfg: ExperimentConfig) -> int:
             fh.write(json.dumps({"iter": it, "energy": float(e), "residual": float(res),
                                  "t_star": float(t), "step": float(tau), "trials": int(trials),
                                  "beta": float(beta), "accept": accept, "t_s": float(t_s),
-                                 "shift": None if z is None else [int(c) for c in z]}) + "\n")
+                                 "shift": None if z is None else [float(c) for c in z]}) + "\n")
     rep.write(ecfg.out_dir)
     return 0 if rep.all_passed else 1
 
@@ -380,15 +381,27 @@ def run_fiber_scan(ecfg: ExperimentConfig) -> int:
 
 
 def _aligned_distance(ctx: EnergyContext, u: Field, ref: Field) -> float:
-    """Problem-norm distance after optimal sign and lattice-shift alignment."""
-    best = np.inf
-    for offsets in np.ndindex(*(7,) * ctx.grid.N):
-        z = np.array(offsets, dtype=float) - 3.0
-        cand = shift(u, z)
-        for sign in (1.0, -1.0):
-            diff = Field(ctx.grid, sign * cand.values - ref.values)
-            best = min(best, q_boundary(ctx, diff))
-    return float(np.sqrt(max(best, 0.0)))
+    """Problem-norm distance after optimal sign and lattice-shift alignment.
+
+    B is symmetric and its A part commutes with the rolls R, so
+    Q(s R u - ref) = Q_A(u) + <(V - m) R u, R u> - 2 s <R u, B ref> + Q(ref):
+    the sign and the roll are picked from these inner products, and only the
+    chosen difference is evaluated exactly.
+    """
+    g = ctx.grid
+    cv, cpu, axes = g.cell_volume, g.cells_per_unit(), tuple(range(g.N))
+    vm = ctx.v_minus_m
+    b_ref = b_values(ctx, ref.values)
+    q_a = q_boundary(ctx, u) - cv * float(np.vdot(vm * u.values, u.values))
+    best, pick = np.inf, None
+    for offsets in np.ndindex(*(7,) * g.N):
+        moved = np.roll(u.values, tuple(cpu * (k - 3) for k in offsets), axis=axes)
+        cross = cv * float(np.vdot(moved, b_ref))
+        # Q(ref) is common to every candidate; s = -1 wins only when strictly better
+        split = q_a + cv * float(np.vdot(vm * moved, moved)) - 2.0 * abs(cross)
+        if split < best:
+            best, pick = split, (moved if cross >= 0.0 else -moved)
+    return float(np.sqrt(max(q_boundary(ctx, Field(g, pick - ref.values)), 0.0)))
 
 
 def run_gamma_sweep(ecfg: ExperimentConfig) -> int:

@@ -121,11 +121,6 @@ class ExtendedField:
     def trace(self) -> Field:
         return Field(self.wall.grid, self.values[0].copy())
 
-    @property
-    def dvalues(self) -> np.ndarray:
-        """Wall-direction derivative rows (exact per boundary mode)."""
-        return idft_real(-self.s * self.spec, self.wall.grid.shape)
-
     @cached_property
     def slab(self) -> np.ndarray:
         """Slab spectrum: per mode, the trapezoid integral over x of its share

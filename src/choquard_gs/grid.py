@@ -1,5 +1,5 @@
 """Periodic box discretization: the one transform convention, the torus metric,
-quadrature and exact lattice shifts.
+quadrature, exact lattice shifts and spectral translations.
 
 Transform convention, used by every spectral operator in the package: the
 unnormalised real-to-complex DFT over the trailing N axes (``np.fft.rfftn``,
@@ -151,11 +151,14 @@ def idft_real(coeffs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.fft.irfftn(coeffs, s=shape, axes=tuple(range(-len(shape), 0)))
 
 
-def apply_multiplier(multiplier: np.ndarray, values: np.ndarray) -> np.ndarray:
+def apply_multiplier(multiplier: np.ndarray, values: np.ndarray,
+                     spec: np.ndarray | None = None) -> np.ndarray:
     """Fourier multiplier (symbol on the freq2 grid) applied to real grid values,
-    or to each of a stack of them."""
+    or to each of a stack of them; spec, the values' dft when the caller has it,
+    saves the forward transform."""
     N = multiplier.ndim
-    return idft_real(multiplier * dft(values, N), values.shape[-N:])
+    # no name holds a fresh spectrum, so it is freed before the inverse transform
+    return idft_real(multiplier * (dft(values, N) if spec is None else spec), values.shape[-N:])
 
 
 def l2_inner(f: Field, g: Field) -> float:
@@ -187,6 +190,56 @@ def shift(f: Field, z) -> Field:
     if np.any(np.abs(cells - rounded) > 1e-9):
         raise ValueError(f"shift {z} is not an integer number of cells (h={g.h})")
     return Field(g, np.roll(f.values, tuple(int(c) for c in rounded), axis=tuple(range(g.N))))
+
+
+class Translations:
+    """Translations S_a u = u(. - a h) of grid values by any a, in cells, on the
+    half spectrum of dft, and the lattice roll that brings a bump home.
+
+    S_a multiplies coefficient k by exp(-i theta_k a) with theta_k = 2 pi k / n
+    per axis; the self-mirrored Nyquist entries take cos(pi a), which keeps the
+    spectrum that of a real field and is exact for integer a. The derivative
+    per cell multiplies by i theta_k, 0 at Nyquist, which is d/da of S_a at 0.
+    The wavenumber rows are built once, with the instance.
+    """
+
+    def __init__(self, grid: Grid):
+        n = grid.n
+        self._theta = (2.0 * np.pi / n) * np.fft.fftfreq(n, d=1.0 / n)
+        self._dtheta = np.where(np.arange(n) == n // 2, 0.0, self._theta)
+        self._half = n // 2 + 1
+        self._weights = grid.half_weights() / grid.size
+        self._x = grid.axis_coords()
+        self._cpu = grid.cells_per_unit()
+        self.shape = grid.shape
+
+    def shifted(self, spec: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
+        """Values and half spectrum of S_a u from the half spectrum of u."""
+        rows = []
+        for ai in a:
+            row = np.exp(-1j * ai * self._theta)
+            row[self._half - 1] = np.cos(np.pi * ai)
+            rows.append(row)
+        rows[-1] = rows[-1][: self._half]
+        moved = functools.reduce(np.multiply.outer, rows)
+        moved *= spec
+        return idft_real(moved, self.shape), moved
+
+    def slope(self, u_spec: np.ndarray, g_spec: np.ndarray) -> np.ndarray:
+        """sum_x g(x) d_i u(x) on each axis i, d_i per cell, by Parseval over the
+        half spectra of u and g."""
+        cross = g_spec.conj()
+        cross *= u_spec
+        cross = cross.imag * self._weights
+        N = cross.ndim
+        return np.array([-float(cross.sum(axis=tuple(b for b in range(N) if b != i))
+                                @ self._dtheta[: cross.shape[i]]) for i in range(N)])
+
+    def home(self, values: np.ndarray) -> np.ndarray:
+        """The lattice roll, in cells, that moves the peak of |u| into the unit
+        cell at the origin."""
+        peak = np.unravel_index(int(np.argmax(np.abs(values))), self.shape)
+        return np.array([-round(self._x[k]) * self._cpu for k in peak], dtype=float)
 
 
 def min_image(grid: Grid, x: np.ndarray) -> np.ndarray:

@@ -32,13 +32,6 @@ def apply_sqrt(op: SqrtOp, u: Field) -> Field:
     return Field(u.grid, apply_multiplier(op.multiplier, u.values))
 
 
-def apply_sqrt_minus_m(op: SqrtOp, u: Field) -> Field:
-    """(sqrt(-Laplacian + m^2) - m) u; vanishes on constants."""
-    if u.grid != op.grid:
-        raise ValueError("field grid does not match operator grid")
-    return Field(u.grid, apply_multiplier(op.multiplier - op.m, u.values))
-
-
 _SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 # trapezoid nodes and weights for the theta integral over t in [1, inf), on

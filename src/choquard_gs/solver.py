@@ -1,5 +1,5 @@
 """Nonlinear conjugate gradient over the Nehari manifold, preconditioned by the
-problem's own norm, with lattice recentering.
+problem's own norm, with translation as a move of its own.
 
 The preconditioner P = (sqrt(-Laplacian + m^2) - m + inf V)^-1 inverts the
 constant-coefficient part of B, whose quadratic form Q(u) = <Bu, u> is the
@@ -22,9 +22,8 @@ from .energy import (
     gamma_values,
     grad_values,
     nonlocal_terms,
-    vl_integral,
 )
-from .grid import Field, Grid, gaussian_field, min_image, shift
+from .grid import Field, Translations, dft, gaussian_field
 from .nehari import NehariProjectionError, nehari_t_from_qdg
 
 
@@ -71,59 +70,78 @@ class SolverResult:
     time_trace: np.ndarray           # perf_counter seconds from the start of solve to each iterate
     residual_trace: np.ndarray
     qnorm_trace: np.ndarray
-    com_trace: np.ndarray
-    shifts_applied: list[np.ndarray]
-    shift_iters: list[int]
+    shifts_applied: list[np.ndarray]  # displacement, in cells, of each translation move
+    shift_iters: list[int]            # index of the first iterate after each move
     status: str
     iterations: int
     threshold: float
 
 
-def _center_of_mass_on(g: Grid):
-    """Bump center on the torus: mass-weighted minimal-image offset from the peak.
-
-    Returns the function of u. The coordinates and the wrapped offsets are
-    built once; the offsets from peak index k along an axis are the slice
-    wrapped[n-1-k : 2n-1-k].
-    """
-    n, L, xs = g.n, g.L, g.axis_coords().tolist()
-    wrapped = min_image(g, g.h * np.arange(1 - n, n))
-    others = [tuple(a for a in range(g.N) if a != axis) for axis in range(g.N)]
-
-    def center(u: np.ndarray) -> np.ndarray:
-        w = u * u
-        margs = [w.sum(axis=ax) if ax else w for ax in others]
-        total = float(margs[0].sum())
-        if total == 0.0:
-            return np.zeros(g.N)
-        peak = np.unravel_index(int(w.argmax()), g.shape)
-        # min_image on each scalar component
-        return np.array([(xs[k] + float(wrapped[n - 1 - k:2 * n - 1 - k] @ m) / total + L)
-                         % (2.0 * L) - L for k, m in zip(peak, margs)])
-
-    return center
-
-
-def _recenter_shift(g: Grid, u: np.ndarray) -> np.ndarray:
-    """Integer lattice vector moving the peak of |u| into the origin cell."""
-    peak = np.unravel_index(int(np.argmax(np.abs(u))), g.shape)
-    xs = g.axis_coords()
-    return np.array([round(xs[i]) for i in peak], dtype=int)
-
-
-def _onto_manifold(ctx: EnergyContext, u: np.ndarray):
-    """Fresh cached terms at u from four transforms, then the Nehari scaling t:
-    returns t, t*u, B(t*u), phi = I_alpha * |t*u|^p, Q(t*u) and the energy.
+def _onto_manifold(ctx: EnergyContext, u: np.ndarray, spec: np.ndarray | None = None):
+    """Fresh cached terms at u from four transforms (three given spec, the dft
+    of u), then the Nehari scaling t: returns t, t*u, B(t*u),
+    phi = I_alpha * |t*u|^p, Q(t*u) and the energy.
 
     Raises NehariProjectionError when no scaling reaches the manifold.
     """
-    bu = b_values(ctx, u)
+    bu = b_values(ctx, u, spec)
     phi, d = nonlocal_terms(ctx, u)
     q = ctx.grid.cell_volume * float(np.vdot(bu, u))
     gam = gamma_values(ctx, u)
     t = nehari_t_from_qdg(q, d, gam, ctx.params.p, ctx.params.q)
     return (t, t * u, t * bu, t ** ctx.params.p * phi, t * t * q,
             energy_from_qdg(ctx, q, d, gam, t))
+
+
+def _translation_move(ctx: EnergyContext, tr: Translations, u: np.ndarray, grad: np.ndarray,
+                      e: float):
+    """The translation move of a checkpoint: the displacement a, in cells, and the
+    state _onto_manifold gives at S_a u, for the trial of least energy below e;
+    None when no trial lowers the energy.
+
+    A, I_alpha, V_p and Gamma commute with lattice translations, so without V_l
+    a = r + lam*s, where the lattice roll r brings the peak of |u| home and
+    s = -grad_a E/|grad_a E| with grad_a E = -<grad E, d_i u>, exact for the
+    projected energy, which is stationary along the fiber. lam is h/8, then the
+    root of the quadratic through E(u), the slope and that trial, capped at L/2.
+    V_l breaks the lattice symmetry: the roll is then a trial of its own, taken
+    whenever it lowers the energy, and the search starts from u. One trial's
+    arrays are alive at a time; an earlier winner is evaluated again.
+    """
+    cv = ctx.grid.cell_volume
+    spec = dft(u)
+
+    def trial(a):
+        try:
+            return _onto_manifold(ctx, *tr.shifted(spec, a))
+        except NehariProjectionError:
+            return None
+
+    r = tr.home(u)
+    if ctx.has_vl:
+        if np.any(r):
+            rolled = trial(r)
+            if rolled is not None and rolled[-1] < e:
+                return r, rolled
+            del rolled
+        r = np.zeros_like(r)
+    grad_a = -cv * tr.slope(spec, dft(grad))
+    norm = float(np.sqrt(grad_a @ grad_a))
+    if not norm > 0.0:
+        return None
+    s = -grad_a / norm
+    lam1 = 0.125
+    first = trial(r + lam1 * s)
+    e1 = np.inf if first is None else first[-1]
+    del first
+    curv = 2.0 * (e1 - e + norm * lam1) / lam1**2
+    lam2 = min(norm / curv if curv > 0.0 else np.inf, 0.25 * ctx.grid.n)
+    second = trial(r + lam2 * s)
+    if second is not None and second[-1] < min(e, e1):
+        return r + lam2 * s, second
+    if e1 < e:
+        return r + lam1 * s, trial(r + lam1 * s)
+    return None
 
 
 def _conjugate(cv: float, grad: np.ndarray, pg: np.ndarray, b_pg: np.ndarray, g_pg: float,
@@ -155,12 +173,14 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     d = Pg + beta*d_prev with beta = max(0, <g, Pg - Pg_prev>/<g_prev, Pg_prev>),
     P = (A - m + inf V)^-1 with A = sqrt(-Laplacian + m^2)), a line search on
     phi(tau) = E(t*(u - tau*d)) with the Nehari scaling t as the retraction,
-    and periodic recentering by exact lattice shifts (unconditional when the
-    problem is translation invariant, energy guarded otherwise). Without V_l
-    the last iterate is recentered once more at exit, so where a start ends
-    does not depend on whether it reached a checkpoint. beta is 0, so the step
-    is the plain preconditioned gradient, at the start, when d is not a descent
-    direction and after a recentering shift. A trial is accepted on Armijo or,
+    and, every recenter_every iterations, a translation move of the bump
+    (_translation_move), which CG alone would crawl along the faint landscape
+    that the grid and V leave in the translations. Without V_l the last
+    iterate is rolled home once more at exit, by whole lattice vectors, so
+    where a start ends does not depend on whether it reached a checkpoint and
+    its recorded energy is still its own. beta is 0, so the step is the plain
+    preconditioned gradient, at the start, when d is not a descent direction
+    and after a translation move. A trial is accepted on Armijo or,
     with the energy within round-off, on the approximate-Wolfe bound
     phi'(tau) <= -(1 - 2*delta)*phi'(0) (Hager & Zhang 2005). The energy is
     stationary along the fiber on the manifold, so phi'(tau) = -t<grad E, d>
@@ -172,9 +192,9 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     only the Riesz pair: Q(u - tau*d) = Q(u) - 2 tau <Bu, d> + tau^2 <Bd, d>
     exactly. B(Pg) = g + (V - inf V) Pg costs no transform beyond Pg, and the
     accepted Nehari scaling t carries d_prev and Bd_prev (B is linear), so Bd
-    costs none either. Each recentering checkpoint rebuilds the cache and
-    re-projects onto the manifold, so the recurrences cannot drift and a shift
-    that lowers the V_l integral leaves no off-manifold iterate.
+    costs none either. An accepted move rebuilds the cache from its trial's
+    fresh evaluation on the manifold, so the recurrences restart from exact
+    terms.
     """
     t_start = time.perf_counter()
     cfg = cfg or SolverConfig()
@@ -182,7 +202,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     cv = g.cell_volume
     p, qe = ctx.params.p, ctx.params.q
     delta = cfg.sufficient_decrease
-    center = _center_of_mass_on(g)
+    tr = Translations(g)
     energies: list[float] = []
     t_stars: list[float] = []
     steps: list[float] = []
@@ -192,7 +212,6 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     times: list[float] = []
     residuals: list[float] = []
     qnorms: list[float] = []
-    coms: list[np.ndarray] = []
     shifts_applied: list[np.ndarray] = []
     shift_iters: list[int] = []
 
@@ -200,7 +219,6 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         return SolverResult(u, np.asarray(energies), np.asarray(t_stars), np.asarray(steps),
                             np.asarray(trials, dtype=int), np.asarray(betas), accepts,
                             np.asarray(times), np.asarray(residuals), np.asarray(qnorms),
-                            np.asarray(coms) if coms else np.zeros((0, g.N)),
                             shifts_applied, shift_iters, status, iterations, threshold)
 
     try:
@@ -228,7 +246,6 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         times.append(time.perf_counter() - t_start)
         residuals.append(res)
         qnorms.append(np.sqrt(max(q, 0.0)))
-        coms.append(center(u))
         if res <= threshold:
             status = "converged"
             break
@@ -238,7 +255,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         pg, b_pg = direction_and_b(ctx, grad)
         g_pg = cv * float(np.vdot(grad, pg))
         direction, b_dir, slope, beta = _conjugate(cv, grad, pg, b_pg, g_pg, d_prev)
-        d_prev = None    # frees the old arrays for the line search
+        d_prev = b_pg = None    # frees the old arrays for the line search
         bu_dir = cv * float(np.vdot(bu, direction))
         bdir_dir = cv * float(np.vdot(b_dir, direction))
         for bt in range(cfg.max_backtracks):
@@ -265,6 +282,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
             status = "stalled"
             break
         u, bu, phi, grad = u_c, bu_c, phi_c, grad_c
+        del cand, u_c, bu_c, phi_c, grad_c    # the iterate's names alone keep its arrays
         q, e, t_star, step, n_trials = t_c**2 * qc, e_new, t_c, tau, bt + 1
         d_prev = (direction, b_dir, t_c, pg, g_pg)
         # next first trial: the secant root of phi' through (0, -slope) and (tau,
@@ -274,30 +292,23 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         tau = min(float(np.exp2(np.round(8.0 * np.log2(secant)) / 8.0)), cfg.step_max)
 
         if cfg.recenter_every > 0 and (it + 1) % cfg.recenter_every == 0:
-            z = _recenter_shift(g, u)
-            if np.any(z):
-                here = Field(g, u)
-                moved = shift(here, -z)
-                # A, the Riesz term, V_p and Gamma are lattice invariant: only the
-                # localized potential can make the shift raise the energy
-                if vl_integral(ctx, moved) <= vl_integral(ctx, here):
-                    u = moved.values
-                    shifts_applied.append(z)
-                    shift_iters.append(it + 1)
-                    d_prev = None
-            # a shift that lowers the V_l integral lowers Q: re-project
-            t, u, bu, phi, q, e = _onto_manifold(ctx, u)
-            t_star *= t
-            grad = grad_values(ctx, u, bu, phi)
+            move = _translation_move(ctx, tr, u, grad, e)
+            if move is not None:
+                a, (t, u, bu, phi, q, e) = move
+                del move    # it would keep these arrays alive past the next step
+                t_star *= t
+                grad = grad_values(ctx, u, bu, phi)
+                d_prev = None
+                shifts_applied.append(a)
+                shift_iters.append(it + 1)
     if cfg.recenter_every > 0 and not ctx.has_vl:
-        # a start that stops between checkpoints ends recentered too; without
-        # V_l the shift leaves the energy and the residual unchanged
-        z = _recenter_shift(g, u)
-        if np.any(z):
-            u = shift(Field(g, u), -z).values
-            shifts_applied.append(z)
+        # a start that stops between checkpoints ends home too; without V_l
+        # the roll leaves the energy and the residual unchanged
+        r = tr.home(u)
+        if np.any(r):
+            u = np.roll(u, r.astype(int), axis=tuple(range(g.N)))
+            shifts_applied.append(r)
             shift_iters.append(it)
-            coms[-1] = center(u)
     return result(Field(g, u), status, it, threshold)
 
 
@@ -331,34 +342,3 @@ def multistart(ctx: EnergyContext, k: int,
     results = [solve(ctx, random_initial(ctx, np.random.default_rng([cfg.seed, i])), cfg)
                for i in range(k)]
     return best_converged(results), results
-
-
-@dataclass
-class EscapeReport:
-    """Translation diagnostics over an iterate history."""
-
-    radius_trace: np.ndarray
-    drift_per_iter: np.ndarray
-    longest_outward_run: int
-    near_origin_mass: float
-    escaping: bool
-
-
-def escape_diagnostic(result: SolverResult, run_threshold: int = 50) -> EscapeReport:
-    """Flag mass escaping by translation: sustained monotone outward drift of
-    the bump center, plus the final mass fraction near the recentered origin."""
-    coms = result.com_trace
-    if coms.size == 0:
-        return EscapeReport(np.zeros(0), np.zeros(0), 0, 1.0, False)
-    radius = np.sqrt(np.sum(coms**2, axis=1))
-    drift = np.diff(radius)
-    longest = 0
-    current = 0
-    for step in drift:
-        current = current + 1 if step > 0 else 0
-        longest = max(longest, current)
-    g = result.u_final.grid
-    w = result.u_final.values ** 2
-    total = float(np.sum(w))
-    near = float(np.sum(w[g.r2() <= (g.L / 4.0) ** 2]) / total) if total > 0 else 1.0
-    return EscapeReport(radius, drift, longest, near, longest > run_threshold)

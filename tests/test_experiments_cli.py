@@ -223,6 +223,38 @@ def test_cli_gamma_sweep_small(config_path, tmp_path):
     assert len(metrics) == 4
 
 
+@pytest.mark.parametrize("N,n,L,amplitude", [(1, 128, 16.0, 0.0), (1, 64, 8.0, -0.4),
+                                              (2, 16, 4.0, 0.3)])
+def test_aligned_distance_matches_exhaustive_search(N, n, L, amplitude, rng):
+    # the loop over every sign and roll with an exact Q each, as the sweep
+    # computed it before the rolls were ranked by inner products; V_l makes
+    # the potential part of Q(roll u) move with the roll
+    from choquard_gs.energy import q_boundary
+    from choquard_gs.experiments.drivers import _aligned_distance
+    from choquard_gs.grid import random_smooth_field, shift
+    from choquard_gs.problem import Descriptor, PotentialSpec
+
+    def exhaustive(ctx, u, ref):
+        best = np.inf
+        for offsets in np.ndindex(*(7,) * ctx.grid.N):
+            cand = shift(u, np.array(offsets, dtype=float) - 3.0)
+            for sign in (1.0, -1.0):
+                best = min(best, q_boundary(ctx, Field(ctx.grid, sign * cand.values - ref.values)))
+        return float(np.sqrt(max(best, 0.0)))
+
+    vl = (Descriptor("inverse-power", {"amplitude": amplitude, "width": 1.0}) if amplitude
+          else Descriptor("zero"))
+    sign = "zero" if not amplitude else ("negative" if amplitude < 0 else "positive")
+    pot = PotentialSpec(Descriptor("constant", {"value": 1.0}), vl, sign, Descriptor("zero"))
+    ctx = build_context(make_params(N=N, n=n, L=L), pot)
+    for _ in range(3):
+        u, ref = random_smooth_field(ctx.grid, rng), random_smooth_field(ctx.grid, rng)
+        assert _aligned_distance(ctx, u, ref) == pytest.approx(exhaustive(ctx, u, ref), rel=1e-12)
+        # a signed lattice translate of ref is at distance 0
+        back = Field(ctx.grid, -shift(ref, np.full(N, -2.0)).values)
+        assert _aligned_distance(ctx, back, ref) <= 1e-7 * np.sqrt(q_boundary(ctx, ref))
+
+
 def test_cli_vl_sign_small(tmp_path):
     path = tmp_path / "vl.ini"
     path.write_text(VL_CONFIG, encoding="utf-8")

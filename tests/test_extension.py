@@ -272,7 +272,7 @@ def _slab_oracle(u, wall_x, m, p):
     trace_p_rhs = p * np.sqrt(slab(np.abs(v) ** (2 * (p - 1))) * dx2)
     trace = (g.cell_volume * np.sum(np.abs(u0) ** p), trace_p_rhs,
              g.cell_volume * np.sum(u0 * u0), m * grad + mass / m)
-    return grad, mass, trace, dx
+    return grad, mass, trace
 
 
 @pytest.mark.parametrize("N,n,L", [(1, 64, 8.0), (2, 16, 4.0)])
@@ -285,12 +285,11 @@ def test_slab_integrals_match_real_space_oracle(N, n, L, variant, rng):
     for _ in range(3):
         u = random_smooth_field(g, rng)
         v = harmonic_extend(u, wall, m)
-        grad, mass, trace, dx = _slab_oracle(u, wall.x, m, p)
+        grad, mass, trace = _slab_oracle(u, wall.x, m, p)
         assert volume_integrals(v) == pytest.approx((grad, mass), rel=1e-12)
         rep = check_trace_inequalities(v, m, p)
         got = (rep.trace_p_lhs, rep.trace_p_rhs, rep.trace_2_lhs, rep.trace_2_rhs)
         assert got == pytest.approx(trace, rel=1e-12)
-        assert np.max(np.abs(v.dvalues - dx)) <= 1e-12 * np.max(np.abs(dx))
 
 
 @pytest.mark.parametrize("N,names", [(1, ("rfft", "irfft")), (2, ("rfftn", "irfftn"))])

@@ -4,6 +4,7 @@ import pytest
 from choquard_gs.grid import (
     Field,
     Grid,
+    Translations,
     apply_multiplier,
     dft,
     gaussian_field,
@@ -11,6 +12,7 @@ from choquard_gs.grid import (
     l2_inner,
     l2_norm2,
     load_field,
+    random_smooth_field,
     save_field,
     shift,
 )
@@ -190,6 +192,55 @@ def test_shift_2d(rng):
     f = Field(g, rng.standard_normal(g.shape))
     moved = shift(f, [1.0, -2.0])
     assert np.array_equal(moved.values, np.roll(f.values, (4, -8), axis=(0, 1)))
+
+
+def _full_symbol(g, a, theta_of):
+    """Per-axis factors theta_of(theta, axis) multiplied over the full complex spectrum."""
+    theta = 2.0 * np.pi * np.fft.fftfreq(g.n)
+    rows = [theta_of(theta, ai) for ai in a]
+    out = rows[0]
+    for row in rows[1:]:
+        out = np.multiply.outer(out, row)
+    return out
+
+
+def _shift_factor(theta, a):
+    row = np.exp(-1j * a * theta)
+    row[len(theta) // 2] = np.cos(np.pi * a)
+    return row
+
+
+@pytest.mark.parametrize("N,n,L", [(1, 64, 8.0), (2, 16, 4.0), (3, 8, 2.0)])
+def test_translations_match_full_spectrum_oracle(N, n, L, rng):
+    # S_a from the full complex spectrum with the documented symbol; whole cells
+    # are an exact roll
+    g = Grid(N, L, n)
+    tr = Translations(g)
+    u = random_smooth_field(g, rng).values
+    for a in (rng.uniform(-3.0, 3.0, size=N), np.array([2.0, -5.0, 1.0][:N])):
+        values, spec = tr.shifted(dft(u), a)
+        full = np.fft.ifftn(np.fft.fftn(u) * _full_symbol(g, a, _shift_factor))
+        assert np.max(np.abs(full.imag)) <= 1e-12
+        assert np.allclose(values, full.real, rtol=0, atol=1e-12)
+        assert np.allclose(spec, dft(values), rtol=0, atol=1e-10)
+    assert np.allclose(values, np.roll(u, (2, -5, 1)[:N], axis=tuple(range(N))), atol=1e-12)
+
+
+@pytest.mark.parametrize("N,n,L", [(1, 64, 8.0), (2, 16, 4.0)])
+def test_translation_slope_and_home(N, n, L, rng):
+    g = Grid(N, L, n)
+    tr = Translations(g)
+    u, w = random_smooth_field(g, rng).values, random_smooth_field(g, rng).values
+    fu = np.fft.fftn(u)
+    for axis in range(N):
+        # the derivative per cell: i theta on this axis, 0 at its Nyquist entry
+        symbol = _full_symbol(g, np.eye(N)[axis], lambda theta, e: np.where(
+            np.arange(len(theta)) == len(theta) // 2, 0.0, 1j * theta) if e else np.ones(len(theta)))
+        du = np.fft.ifftn(symbol * fu).real
+        assert tr.slope(dft(u), dft(w))[axis] == pytest.approx(float(np.sum(w * du)), rel=1e-12)
+    # a bump at x = 2.8 in each coordinate goes home by 3 units of n/(2L) cells
+    bump = gaussian_field(g, np.full(N, 2.8), 0.5).values
+    assert tr.home(bump).tolist() == [-3.0 * n / (2.0 * L)] * N
 
 
 def test_field_file_round_trip(tmp_path, rng):

@@ -6,7 +6,6 @@ from scipy.special import gamma as gamma_fn
 from choquard_gs.grid import Field, Grid, l2_inner, l2_norm2, random_smooth_field, shift
 from choquard_gs.operators import (
     apply_sqrt,
-    apply_sqrt_minus_m,
     build_riesz,
     build_sqrt_op,
     epstein_zeta,
@@ -24,7 +23,6 @@ def test_sqrt_on_constant():
     op = build_sqrt_op(g, m=1.5)
     u = Field(g, np.full(32, 2.0))
     assert np.allclose(apply_sqrt(op, u).values, 3.0, atol=1e-13)
-    assert np.allclose(apply_sqrt_minus_m(op, u).values, 0.0, atol=1e-13)
 
 
 def test_sqrt_on_pure_mode():

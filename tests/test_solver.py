@@ -6,8 +6,6 @@ from choquard_gs.grid import Field, gaussian_field, l2_norm2, shift
 from choquard_gs.solver import (
     SolveFailure,
     SolverConfig,
-    SolverResult,
-    escape_diagnostic,
     multistart,
     random_initial,
     solve,
@@ -60,19 +58,18 @@ def test_final_state_even_about_center(converged):
 
 
 def test_recentering_moves_peak_to_origin(ctx_solver, converged):
-    # the start at x = 1 converges before the first checkpoint; the shift at
-    # exit still brings the peak home and leaves the recorded energy exact
+    # the start at x = 1 converges before the first checkpoint; the roll at
+    # exit, one lattice vector of 8 cells, still brings the peak home and
+    # leaves the recorded energy exact
     r = converged
     assert r.status == "converged"
     assert r.iterations < SolverConfig().recenter_every
     g = r.u_final.grid
     peak = np.argmax(np.abs(r.u_final.values))
-    x_peak = abs(g.axis_coords()[peak])
-    assert x_peak <= 0.5 + g.h
+    assert abs(g.axis_coords()[peak]) <= g.h
     assert r.shift_iters == [r.iterations]
-    assert [z.tolist() for z in r.shifts_applied] == [[1]]
+    assert [z.tolist() for z in r.shifts_applied] == [[-8.0]]
     assert r.energy_trace[-1] == pytest.approx(energy_value(ctx_solver, r.u_final), rel=1e-12)
-    assert np.allclose(r.com_trace[-1], 0.0, atol=g.h)
 
 
 def _vl_context(amplitude, width):
@@ -85,18 +82,29 @@ def _vl_context(amplitude, width):
     return build_context(make_params(), pot)
 
 
-@pytest.mark.parametrize("amplitude, moves", [(-0.5, True), (0.5, False)])
-def test_recentering_guarded_by_localized_potential(amplitude, moves):
+@pytest.mark.parametrize("amplitude, home", [(-0.5, True), (0.5, False)])
+def test_recentering_guarded_by_localized_potential(amplitude, home):
     # a well at the origin pulls the off-center bump home at the first
-    # checkpoint; a barrier there would raise the energy, so the shift is refused
+    # checkpoint, by the lattice roll of 6 units (24 cells); a barrier there
+    # would raise the energy, so the roll is refused and the move goes the
+    # other way, down the barrier's slope; either move lowers the energy
     ctx = _vl_context(amplitude, 1.0)
-    r = solve(ctx, gaussian_field(ctx.grid, [6.0], 2.0),
-              SolverConfig(max_iters=1, recenter_every=1))
-    assert [z.tolist() for z in r.shifts_applied] == ([[6]] if moves else [])
+    g = ctx.grid
+    init = gaussian_field(g, [6.0], 2.0)
+    r = solve(ctx, init, SolverConfig(max_iters=1, recenter_every=1))
+    still = solve(ctx, init, SolverConfig(max_iters=1, recenter_every=0))
+    assert r.shift_iters == [1]
+    (a,) = r.shifts_applied
+    x_peak = g.axis_coords()[np.argmax(np.abs(r.u_final.values))]
+    if home:
+        assert a.tolist() == [-24.0] and x_peak == 0.0
+    else:
+        assert a[0] > 0.0 and x_peak > 6.0
+    assert r.energy_trace[-1] < still.energy_trace[-1]
     assert r.energy_trace[-1] == pytest.approx(energy_value(ctx, r.u_final), rel=1e-12)
-    # the shift into the well lowers Q; the checkpoint re-projects onto the manifold
-    q, d, g = qdg(ctx, r.u_final)
-    assert abs(q - d + g) <= 1e-10 * q
+    # the move's trial is evaluated fresh on the manifold
+    q, d, gam = qdg(ctx, r.u_final)
+    assert abs(q - d + gam) <= 1e-10 * q
 
 
 def test_restart_from_shifted_converged_state(ctx_solver, converged):
@@ -226,44 +234,6 @@ def test_trace_file(ctx_solver, tmp_path):
     assert [rec["shift"] for rec in recs] == [shifts.get(i) for i in range(len(recs))]
 
 
-def test_escape_diagnostic_on_converged_state(converged):
-    rep = escape_diagnostic(converged)
-    assert not rep.escaping
-    assert rep.near_origin_mass > 0.9
-
-
-def test_escape_diagnostic_synthetic_traces(ctx_solver):
-    g = ctx_solver.grid
-    u = gaussian_field(g, [0.0], 1.0)
-    static = np.zeros((200, 1))
-    r = SolverResult(u, np.zeros(200), np.ones(200), np.zeros(200), np.zeros(200, dtype=int),
-                     np.zeros(200), [None] * 200, np.zeros(200), np.zeros(200), np.zeros(200),
-                     static, [], [], "converged", 199, 0.0)
-    assert not escape_diagnostic(r).escaping
-    outward = np.linspace(0.0, 6.0, 200).reshape(-1, 1)
-    r2 = SolverResult(u, np.zeros(200), np.ones(200), np.zeros(200), np.zeros(200, dtype=int),
-                      np.zeros(200), [None] * 200, np.zeros(200), np.zeros(200), np.zeros(200),
-                      outward, [], [], "max_iters", 199, 0.0)
-    assert escape_diagnostic(r2).escaping
-    assert escape_diagnostic(r2).longest_outward_run > 50
-
-
-def test_escaping_flagged_for_positive_bump():
-    # with a repelling localized part, a centered start drifts away or
-    # converges off the bump
-    from choquard_gs.problem import Descriptor, PotentialSpec
-
-    pot = PotentialSpec(Descriptor("constant", {"value": 1.0}),
-                        Descriptor("inverse-power", {"amplitude": 0.3, "width": 2.0}),
-                        "positive", Descriptor("zero"))
-    ctx = build_context(make_params(L=8.0, n=128), pot)
-    init = gaussian_field(ctx.grid, [0.4], 2.0)
-    r = solve(ctx, init, SolverConfig(max_iters=600))
-    rep = escape_diagnostic(r)
-    com_final = float(np.abs(r.com_trace[-1][0]))
-    assert rep.escaping or com_final > ctx.grid.L / 2
-
-
 def test_iterate_energies_dominated_by_coercivity_form(ctx_solver, converged):
     # on-manifold iterates keep energy at least the coercive quadratic floor
     qe = ctx_solver.params.q
@@ -352,13 +322,16 @@ def test_transforms_per_iteration_1d(monkeypatch):
 
 
 def test_cached_terms_do_not_drift():
-    # 310 iterations with a checkpoint every 25: the last 10 iterates come
-    # from the recurrences for Q and Bu alone
+    # 310 iterations with a checkpoint every 25, from a start that is still far
+    # from round-off at the end: only a move rebuilds the cache, and the last
+    # one comes early, so the iterates after it come from the recurrences for
+    # Q and Bu alone
     ctx = config_context("gamma_sweep.ini")
     assert ctx.has_gamma
-    r = solve(ctx, gaussian_field(ctx.grid, [0.0], 2.0),
+    r = solve(ctx, gaussian_field(ctx.grid, [0.0], 1.0),
               SolverConfig(grad_tol=1e-30, max_iters=310, recenter_every=25))
     assert r.iterations == 310
+    assert r.shift_iters and r.shift_iters[-1] <= 100
     fresh = energy_value(ctx, r.u_final)
     assert r.energy_trace[-1] == pytest.approx(fresh, rel=1e-12)
     q, _, _ = qdg(ctx, r.u_final)
@@ -415,11 +388,14 @@ def test_line_search_without_accepted_trial_is_stalled():
 
 def test_recentering_every_iteration_into_well_converges():
     # an off-manifold iterate after the shift into the well used to leave the
-    # next line search without an acceptable trial
+    # next line search without an acceptable trial; the first move is the roll
+    # home and every later one a sub-cell correction
     ctx = _vl_context(-0.5, 1.0)
     r = solve(ctx, gaussian_field(ctx.grid, [6.0], 2.0), SolverConfig(recenter_every=1))
     assert r.status == "converged"
-    assert r.shift_iters == [1]
+    assert r.shift_iters[0] == 1 and r.shifts_applied[0].tolist() == [-24.0]
+    assert all(abs(a[0]) < 1.0 for a in r.shifts_applied[1:])
+    assert np.argmax(np.abs(r.u_final.values)) == ctx.grid.n // 2
 
 
 def test_random_starts_converge_with_localized_well():
@@ -429,32 +405,6 @@ def test_random_starts_converge_with_localized_well():
     assert [r.status for r in runs] == ["converged"] * 3
     levels = [r.energy_trace[-1] for r in runs]
     assert max(levels) - min(levels) <= 1e-10 * min(levels)
-
-
-def test_com_trace_matches_direct_formula():
-    # the per-iterate formula from before the coordinates were built once per solve
-    from choquard_gs.grid import min_image
-
-    def direct(g, u):
-        w = u**2
-        peak = np.unravel_index(int(np.argmax(np.abs(u))), g.shape)
-        xs = g.axis_coords()
-        com = np.zeros(g.N)
-        for axis in range(g.N):
-            d = min_image(g, xs - xs[peak[axis]])
-            marg = np.sum(w, axis=tuple(a for a in range(g.N) if a != axis))
-            com[axis] = xs[peak[axis]] + float(np.sum(d * marg) / np.sum(w))
-        return min_image(g, com)
-
-    for N, alpha, qe, L, n in ((1, 0.5, 3.0, 16.0, 128), (2, 1.0, 3.0, 4.0, 16),
-                               (3, 1.5, 2.5, 2.0, 8)):
-        ctx = build_context(make_params(N=N, alpha=alpha, q=qe, L=L, n=n), const_potential())
-        # a bump across the box edge exercises the wrap of the offsets
-        init = gaussian_field(ctx.grid, np.full(N, L - ctx.grid.h), 0.3 * L)
-        for max_iters in (1, 3, 8):
-            r = solve(ctx, init, SolverConfig(max_iters=max_iters, recenter_every=0))
-            assert np.allclose(r.com_trace[-1], direct(ctx.grid, r.u_final.values),
-                               rtol=0, atol=1e-12)
 
 
 def _level_difference_ratios(N, alpha, L, ns):
@@ -508,7 +458,7 @@ def test_solve_2d_multistart_iterations():
 
 
 def test_restart_steps_are_preconditioned_gradient():
-    # beta is reset at the start and after an accepted shift, so those steps
+    # beta is reset at the start and after a translation move, so those steps
     # are u -> t*(u - tau*P grad) with the recorded tau; other steps are not
     from choquard_gs.grid import apply_multiplier, l2_inner
     from choquard_gs.nehari import project_to_nehari
@@ -522,18 +472,29 @@ def test_restart_steps_are_preconditioned_gradient():
     def close(a, b, rtol=1e-10):
         return np.max(np.abs(a.values - b.values)) <= rtol * np.max(np.abs(b.values))
 
+    def translated(u, a):
+        # u(x - a h) from the full complex spectrum; its real part keeps the
+        # Nyquist mode times cos(pi a)
+        theta = 2.0 * np.pi * np.fft.fftfreq(u.grid.n)
+        return Field(u.grid, np.fft.ifft(np.fft.fft(u.values) * np.exp(-1j * theta * a)).real)
+
     ctx = _vl_context(-0.5, 1.0)
     init = gaussian_field(ctx.grid, [6.0], 2.0)
     start = project_to_nehari(ctx, init)[1]
     one = solve(ctx, init, SolverConfig(max_iters=1, recenter_every=1))
     two = solve(ctx, init, SolverConfig(max_iters=2, recenter_every=1))
-    assert one.shift_iters == two.shift_iters == [1]
+    assert one.shift_iters == [1] and two.shift_iters == [1, 2]
     assert one.beta_trace.tolist() == [0.0, 0.0] and two.beta_trace[2] == 0.0
-    z = one.shifts_applied[0]
+    # the move after step 1 is the lattice roll into the well, 24 cells
+    (a1,) = one.shifts_applied
+    assert a1.tolist() == [-24.0]
     after_start = plain_step(ctx, start, one.step_trace[1])
-    assert close(one.u_final, project_to_nehari(ctx, shift(after_start, -z))[1])
-    # the checkpoint after step 2 finds the peak home and only re-projects
-    assert close(two.u_final, plain_step(ctx, one.u_final, two.step_trace[2]))
+    assert close(one.u_final, project_to_nehari(ctx, shift(after_start, a1 * ctx.grid.h))[1])
+    # the move after step 2 finds the peak home and translates by a part of a cell
+    a2 = two.shifts_applied[1][0]
+    assert 0.0 < abs(a2) < 1.0
+    after_one = plain_step(ctx, one.u_final, two.step_trace[2])
+    assert close(two.u_final, project_to_nehari(ctx, translated(after_one, a2))[1])
 
     # away from resets some step carries the previous direction (beta > 0)
     ctx = config_context("verify.ini")
@@ -576,3 +537,46 @@ def test_restart_steps_are_preconditioned_gradient():
             expect = pg if d_prev is None else pg + r.beta_trace[k] * r.t_star_trace[k - 1] * d_prev
             assert close(d, Field(ctx.grid, expect), rtol=1e-6), k
         d_prev = d.values
+
+
+def test_off_node_starts_converge_at_node_level():
+    # translation is the soft mode: without the move both seed-3 starts crawl
+    # towards the node at step_max and end max_iters 5e-9 and 1e-8 above the
+    # level of the bump centred on a node
+    ctx = build_context(make_params(N=2, alpha=1.0, L=4.0, n=32), const_potential())
+    node = solve(ctx, gaussian_field(ctx.grid, [0.0, 0.0], 1.0), SolverConfig())
+    assert node.status == "converged"
+    _, runs = multistart(ctx, 2, SolverConfig(seed=3, max_iters=3000))
+    assert [r.status for r in runs] == ["converged"] * 2
+    for r in runs:
+        assert r.energy_trace[-1] == pytest.approx(node.energy_trace[-1], rel=1e-11)
+
+
+def test_escape_regime_random_starts_iterations():
+    # vl_sign.ini's repelling V_l: the bump escapes by translation, which took
+    # 20923 iterations over these 16 starts without the translation move
+    ctx = config_context("vl_sign.ini")
+    runs = [solve(ctx, random_initial(ctx, np.random.default_rng([seed, i])),
+                  SolverConfig(seed=seed)) for seed in range(4) for i in range(4)]
+    assert [r.status for r in runs] == ["converged"] * 16
+    assert sum(r.iterations for r in runs) <= 6974
+    levels = [r.energy_trace[-1] for r in runs]
+    assert max(levels) - min(levels) <= 1e-12 * min(levels)
+
+
+def test_translation_gradient_matches_finite_differences():
+    # the move's descent direction: grad_a E = -<grad E, d_i u>, per cell, is the
+    # derivative of the energy along S_a; verify.ini's V and Gamma make it non-zero
+    from choquard_gs.grid import Translations, dft
+
+    ctx = config_context("verify.ini")
+    g = ctx.grid
+    tr = Translations(g)
+    u = gaussian_field(g, np.full(g.N, 0.3), 0.5).values
+    grad_a = -g.cell_volume * tr.slope(dft(u), dft(grad_energy(ctx, Field(g, u)).values))
+    assert np.all(np.abs(grad_a) > 1e-3)
+    eps = 1e-4
+    for axis, e_i in enumerate(np.eye(g.N)):
+        e_plus, e_minus = (energy_value(ctx, Field(g, tr.shifted(dft(u), s * eps * e_i)[0]))
+                           for s in (1.0, -1.0))
+        assert (e_plus - e_minus) / (2.0 * eps) == pytest.approx(grad_a[axis], rel=1e-6)

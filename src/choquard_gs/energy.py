@@ -42,7 +42,9 @@ class EnergyContext:
         self._d_bound: float | None = None
         # P inverts B's constant-coefficient part A - m + min V exactly
         self._precond = 1.0 / (self.sqrt_op.multiplier - self.params.m + self.v_min)
-        self._pg_shift = v - self.v_min
+        pg_shift = v - self.v_min
+        # B(Pg) - g = (V - min V) Pg, identically zero for constant V
+        self._pg_shift = pg_shift if np.any(pg_shift) else None
 
     def periodic_variant(self) -> EnergyContext:
         """Same problem with the localized potential stripped."""
@@ -78,8 +80,11 @@ def b_values(ctx: EnergyContext, vals: np.ndarray, spec: np.ndarray | None = Non
 def direction_and_b(ctx: EnergyContext, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The preconditioned gradient Pg and B(Pg), from one forward and one inverse
     transform: P inverts A - m + v_min, B's constant-coefficient part, so
-    B(Pg) = g + (V - v_min) Pg exactly, which is g itself for constant V."""
+    B(Pg) = g + (V - v_min) Pg exactly, which is g itself (the same array) for
+    constant V."""
     pg = apply_multiplier(ctx._precond, grad)
+    if ctx._pg_shift is None:
+        return pg, grad
     return pg, grad + ctx._pg_shift * pg
 
 
@@ -107,7 +112,8 @@ def grad_values(ctx: EnergyContext, vals: np.ndarray, bu: np.ndarray,
                 phi: np.ndarray) -> np.ndarray:
     """L^2 gradient at raw values u from Bu and phi = I_alpha * |u|^p; no transform."""
     p, qe = ctx.params.p, ctx.params.q
-    out = bu - phi * np.abs(vals) ** (p - 2.0) * vals
+    # |u|^(p-2) is 1 for p = 2, and multiplying by it leaves phi bit for bit
+    out = bu - (phi if p == 2.0 else phi * np.abs(vals) ** (p - 2.0)) * vals
     if ctx.has_gamma:
         out = out + ctx.Gamma.values * np.abs(vals) ** (qe - 2.0) * vals
     return out

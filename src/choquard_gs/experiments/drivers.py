@@ -112,14 +112,14 @@ def run_solve(ecfg: ExperimentConfig) -> int:
     # shift_iters holds the index of the first iterate after each translation move
     shifts = dict(zip(best.shift_iters, best.shifts_applied))
     with open(out / "trace.ndjson", "w", encoding="utf-8") as fh:
-        for it, (e, res, t, tau, trials, beta, accept, t_s) in enumerate(zip(
+        for it, (e, res, t, tau, trials, n_pairs, accept, t_s) in enumerate(zip(
                 best.energy_trace, best.residual_trace, best.t_star_trace, best.step_trace,
-                best.trials_trace, best.beta_trace, best.accept_trace, best.time_trace)):
+                best.trials_trace, best.pairs_trace, best.accept_trace, best.time_trace)):
             rep.add_metric(iter=it, energy=e, residual=res)
             z = shifts.get(it)
             fh.write(json.dumps({"iter": it, "energy": float(e), "residual": float(res),
                                  "t_star": float(t), "step": float(tau), "trials": int(trials),
-                                 "beta": float(beta), "accept": accept, "t_s": float(t_s),
+                                 "pairs": int(n_pairs), "accept": accept, "t_s": float(t_s),
                                  "shift": None if z is None else [float(c) for c in z]}) + "\n")
     rep.write(ecfg.out_dir)
     return 0 if rep.all_passed else 1

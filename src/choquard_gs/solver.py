@@ -1,10 +1,10 @@
-"""Nonlinear conjugate gradient over the Nehari manifold, preconditioned by the
-problem's own norm, with translation as a move of its own.
+"""Limited-memory BFGS over the Nehari manifold, in the problem's own norm, with
+translation as a move of its own.
 
-The preconditioner P = (sqrt(-Laplacian + m^2) - m + inf V)^-1 inverts the
-constant-coefficient part of B, whose quadratic form Q(u) = <Bu, u> is the
-squared norm of the space the energy is minimized in: Pg is the gradient in
-that inner product when V is constant (a Sobolev gradient).
+The initial inverse Hessian is P = (sqrt(-Laplacian + m^2) - m + inf V)^-1, the
+inverse of the constant-coefficient part of B, whose quadratic form
+Q(u) = <Bu, u> is the squared norm of the space the energy is minimized in: Pg
+is the gradient in that inner product when V is constant (a Sobolev gradient).
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .energy import (
 from .grid import Field, Translations, dft, gaussian_field
 from .nehari import NehariProjectionError, nehari_t_from_qdg
 
+MEMORY = 5    # curvature pairs behind an L-BFGS direction
+
 
 class SolveFailure(RuntimeError):
     """No run of a multistart batch converged."""
@@ -40,7 +42,6 @@ class SolverConfig:
     sufficient_decrease: float = 1e-4
     max_backtracks: int = 60
     step_init: float = 1.0
-    step_max: float = 4.0
     recenter_every: int = 25
     seed: int = 0
 
@@ -65,7 +66,7 @@ class SolverResult:
     t_star_trace: np.ndarray         # Nehari scaling that produced each iterate
     step_trace: np.ndarray           # accepted step tau that produced each iterate (0 at the start)
     trials_trace: np.ndarray         # line-search trials evaluated for each iterate (0 at the start)
-    beta_trace: np.ndarray           # CG beta of the direction that produced each iterate (0 at the start)
+    pairs_trace: np.ndarray          # L-BFGS pairs behind each iterate's direction (0: plain Pg)
     accept_trace: list[str | None]   # 'armijo' or 'derivative' acceptance of each iterate (None at the start)
     time_trace: np.ndarray           # perf_counter seconds from the start of solve to each iterate
     residual_trace: np.ndarray
@@ -105,11 +106,14 @@ def _translation_move(ctx: EnergyContext, tr: Translations, u: np.ndarray, grad:
     projected energy, which is stationary along the fiber. lam is h/8, then the
     root of the quadratic through E(u), the slope and that trial, capped at L/2.
     V_l breaks the lattice symmetry: the roll is then a trial of its own, taken
-    whenever it lowers the energy, and the search starts from u. One trial's
-    arrays are alive at a time; an earlier winner is evaluated again.
+    whenever it lowers the energy, and the search starts from u. A trial counts
+    as lower only by more than the line search's round-off margin,
+    1e-14*(1 + |e|). One trial's arrays are alive at a time; an earlier winner
+    is evaluated again.
     """
     cv = ctx.grid.cell_volume
     spec = dft(u)
+    bar = e - 1e-14 * (1.0 + abs(e))
 
     def trial(a):
         try:
@@ -121,7 +125,7 @@ def _translation_move(ctx: EnergyContext, tr: Translations, u: np.ndarray, grad:
     if ctx.has_vl:
         if np.any(r):
             rolled = trial(r)
-            if rolled is not None and rolled[-1] < e:
+            if rolled is not None and rolled[-1] < bar:
                 return r, rolled
             del rolled
         r = np.zeros_like(r)
@@ -137,31 +141,42 @@ def _translation_move(ctx: EnergyContext, tr: Translations, u: np.ndarray, grad:
     curv = 2.0 * (e1 - e + norm * lam1) / lam1**2
     lam2 = min(norm / curv if curv > 0.0 else np.inf, 0.25 * ctx.grid.n)
     second = trial(r + lam2 * s)
-    if second is not None and second[-1] < min(e, e1):
+    if second is not None and second[-1] < min(bar, e1):
         return r + lam2 * s, second
-    if e1 < e:
+    if e1 < bar:
         return r + lam1 * s, trial(r + lam1 * s)
     return None
 
 
-def _conjugate(cv: float, grad: np.ndarray, pg: np.ndarray, b_pg: np.ndarray, g_pg: float,
-               prev):
-    """Polak-Ribiere+ direction d = Pg + beta*d_prev, Bd, the slope <g, d> and beta.
+def _quasi_newton(ctx: EnergyContext, grad: np.ndarray, pairs: list):
+    """L-BFGS direction d = Hg, Bd, the slope <g, d> and the number of pairs behind d.
 
-    prev is (d, Bd, t, Pg, <g, Pg>) of the last accepted step, whose Nehari
-    scaling t carries d_prev = t*d and B d_prev = t*Bd to the new iterate.
-    Returns the plain Pg, B(Pg), <g, Pg> and beta 0 when prev is None, beta is
-    0 or d would not be a descent direction.
+    The two-loop recursion (Nocedal & Wright, Alg. 7.4) over pairs, oldest
+    first, each (s, y, Bs, 1/<s, y>) of an accepted step, with H0 = P and no
+    scaling: its middle is direction_and_b on the modified gradient q, so
+    Bd = B(Pq) + sum c_i Bs_i costs no transform. When <g, d> is not positive
+    the memory is cleared and d is the plain Pg.
     """
-    if prev is None:
-        return pg, b_pg, g_pg, 0.0
-    d_old, bd_old, t_old, pg_old, g_pg_old = prev
-    beta = max(0.0, (g_pg - cv * float(np.vdot(grad, pg_old))) / g_pg_old)
-    scale = beta * t_old
-    slope = g_pg + scale * cv * float(np.vdot(grad, d_old))
-    if beta > 0.0 and slope > 0.0:
-        return pg + scale * d_old, b_pg + scale * bd_old, slope, beta
-    return pg, b_pg, g_pg, 0.0
+    cv = ctx.grid.cell_volume
+    if pairs:
+        tmp = np.empty_like(grad)
+        q = grad.copy()
+        alphas = []
+        for s, y, _, rho in reversed(pairs):
+            alphas.append(rho * cv * float(np.vdot(s, q)))
+            q -= np.multiply(alphas[-1], y, out=tmp)
+        d, bd = direction_and_b(ctx, q)    # for constant V, bd is q, our own copy
+        del q
+        for (s, y, bs, rho), a in zip(pairs, reversed(alphas)):
+            c = a - rho * cv * float(np.vdot(y, d))
+            d += np.multiply(c, s, out=tmp)
+            bd += np.multiply(c, bs, out=tmp)
+        slope = cv * float(np.vdot(grad, d))
+        if slope > 0.0:
+            return d, bd, slope, len(pairs)
+        pairs.clear()
+    d, bd = direction_and_b(ctx, grad)
+    return d, bd, cv * float(np.vdot(grad, d)), 0
 
 
 # overflow shows as a non-finite Q, D or G, which fails the projection or the trial
@@ -169,32 +184,32 @@ def _conjugate(cv: float, grad: np.ndarray, pg: np.ndarray, b_pg: np.ndarray, g_
 def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> SolverResult:
     """Minimize the energy over the manifold from one initial field.
 
-    Step: preconditioned Polak-Ribiere+ conjugate gradient (the direction is
-    d = Pg + beta*d_prev with beta = max(0, <g, Pg - Pg_prev>/<g_prev, Pg_prev>),
-    P = (A - m + inf V)^-1 with A = sqrt(-Laplacian + m^2)), a line search on
+    Step: limited-memory BFGS with H0 = P = (A - m + inf V)^-1, A =
+    sqrt(-Laplacian + m^2) (_quasi_newton), a line search on
     phi(tau) = E(t*(u - tau*d)) with the Nehari scaling t as the retraction,
     and, every recenter_every iterations, a translation move of the bump
-    (_translation_move), which CG alone would crawl along the faint landscape
-    that the grid and V leave in the translations. Without V_l the last
-    iterate is rolled home once more at exit, by whole lattice vectors, so
-    where a start ends does not depend on whether it reached a checkpoint and
-    its recorded energy is still its own. beta is 0, so the step is the plain
-    preconditioned gradient, at the start, when d is not a descent direction
-    and after a translation move. A trial is accepted on Armijo or,
-    with the energy within round-off, on the approximate-Wolfe bound
+    (_translation_move), which descent alone would crawl along the faint
+    landscape that the grid and V leave in the translations. Without V_l the
+    last iterate is rolled home once more at exit, by whole lattice vectors,
+    so where a start ends does not depend on whether it reached a checkpoint
+    and its recorded energy is still its own. Each accepted step stores the
+    pair s = u+ - u, y = g+ - g with Bs = Bu+ - Bu, unless <s, y> <= 0 or y is
+    lost in round-off; a translation move clears the memory, so the step after
+    it, like the first, is the plain preconditioned gradient. Every line
+    search starts at tau = step_init and halves. A trial is accepted on Armijo
+    or, with the energy within round-off, on the approximate-Wolfe bound
     phi'(tau) <= -(1 - 2*delta)*phi'(0) (Hager & Zhang 2005). The energy is
     stationary along the fiber on the manifold, so phi'(tau) = -t<grad E, d>
-    at the trial, whose gradient is the next one once accepted. The next first
-    trial is the secant root of phi' through phi'(0) and phi'(tau).
+    at the trial, whose gradient is the next one once accepted.
 
-    The loop runs on arrays and caches Bu and phi per iterate, so a gradient
-    needs no transform, a direction one forward and one inverse and a trial
-    only the Riesz pair: Q(u - tau*d) = Q(u) - 2 tau <Bu, d> + tau^2 <Bd, d>
-    exactly. B(Pg) = g + (V - inf V) Pg costs no transform beyond Pg, and the
-    accepted Nehari scaling t carries d_prev and Bd_prev (B is linear), so Bd
-    costs none either. An accepted move rebuilds the cache from its trial's
-    fresh evaluation on the manifold, so the recurrences restart from exact
-    terms.
+    The loop runs on arrays and caches Bu per iterate, and phi until the
+    iterate's gradient is formed, so a gradient needs no transform, a
+    direction one forward and one inverse and a trial only the Riesz pair:
+    Q(u - tau*d) = Q(u) - 2 tau <Bu, d> + tau^2 <Bd, d> exactly.
+    B(Pq) = q + (V - inf V) Pq costs no transform beyond Pq, and the stored Bs
+    carry the rest of Bd (B is linear). An accepted move rebuilds the cache
+    from its trial's fresh evaluation on the manifold, so the recurrences
+    restart from exact terms.
     """
     t_start = time.perf_counter()
     cfg = cfg or SolverConfig()
@@ -207,7 +222,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     t_stars: list[float] = []
     steps: list[float] = []
     trials: list[int] = []
-    betas: list[float] = []
+    pairs_used: list[int] = []
     accepts: list[str | None] = []
     times: list[float] = []
     residuals: list[float] = []
@@ -217,7 +232,8 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
 
     def result(u, status, iterations, threshold):
         return SolverResult(u, np.asarray(energies), np.asarray(t_stars), np.asarray(steps),
-                            np.asarray(trials, dtype=int), np.asarray(betas), accepts,
+                            np.asarray(trials, dtype=int), np.asarray(pairs_used, dtype=int),
+                            accepts,
                             np.asarray(times), np.asarray(residuals), np.asarray(qnorms),
                             shifts_applied, shift_iters, status, iterations, threshold)
 
@@ -227,9 +243,9 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         return result(init, "projection_failed", 0, 0.0)
 
     grad = grad_values(ctx, u, bu, phi)
-    tau = cfg.step_init
-    step, n_trials, beta, accept = 0.0, 0, 0.0, None
-    d_prev = None    # what _conjugate needs of the last step; None resets beta
+    del phi    # each phi = I_alpha * |u|^p serves only its iterate's gradient
+    step, n_trials, n_pairs, accept = 0.0, 0, 0, None
+    pairs: list[tuple] = []
     threshold = 0.0
     status = "max_iters"
     it = 0
@@ -241,7 +257,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         t_stars.append(t_star)
         steps.append(step)
         trials.append(n_trials)
-        betas.append(beta)
+        pairs_used.append(n_pairs)
         accepts.append(accept)
         times.append(time.perf_counter() - t_start)
         residuals.append(res)
@@ -252,12 +268,10 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         if it == cfg.max_iters:
             break
 
-        pg, b_pg = direction_and_b(ctx, grad)
-        g_pg = cv * float(np.vdot(grad, pg))
-        direction, b_dir, slope, beta = _conjugate(cv, grad, pg, b_pg, g_pg, d_prev)
-        d_prev = b_pg = None    # frees the old arrays for the line search
+        direction, b_dir, slope, n_pairs = _quasi_newton(ctx, grad, pairs)
         bu_dir = cv * float(np.vdot(bu, direction))
         bdir_dir = cv * float(np.vdot(b_dir, direction))
+        tau = cfg.step_init
         for bt in range(cfg.max_backtracks):
             cand = u - tau * direction
             qc = q - 2.0 * tau * bu_dir + tau * tau * bdir_dir
@@ -271,7 +285,11 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
             e_new = energy_from_qdg(ctx, qc, dc, gc, t_c)
             armijo = e_new <= e - delta * tau * slope
             if armijo or e_new <= e + 1e-14 * (1.0 + abs(e)):
-                u_c, bu_c, phi_c = t_c * cand, t_c * (bu - tau * b_dir), t_c**p * phi_c
+                # the trial's arrays, scaled in place, become the iterate's
+                u_c = np.multiply(cand, t_c, out=cand)
+                bu_c = bu - tau * b_dir
+                bu_c *= t_c
+                phi_c *= t_c**p
                 grad_c = grad_values(ctx, u_c, bu_c, phi_c)
                 dphi = -t_c * cv * float(np.vdot(grad_c, direction))
                 if armijo or dphi <= (1.0 - 2.0 * delta) * slope:
@@ -281,15 +299,20 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         else:  # no trial accepted
             status = "stalled"
             break
-        u, bu, phi, grad = u_c, bu_c, phi_c, grad_c
-        del cand, u_c, bu_c, phi_c, grad_c    # the iterate's names alone keep its arrays
+        del cand, direction, b_dir
+        s_new, y_new = u_c - u, grad_c - grad
+        sy = cv * float(np.vdot(s_new, y_new))
+        # y must stand above the gradient's round-off, ~1e-12 |Bu|: pairs of
+        # noise would feed the errors of the cached Bu back into Bd, where they
+        # grow geometrically until the recorded energy is wrong
+        if sy > 0.0 and np.vdot(y_new, y_new) > 1e-24 * np.vdot(bu_c, bu_c):
+            if len(pairs) == MEMORY:
+                del pairs[0]    # before the new pair's Bs exists
+            pairs.append((s_new, y_new, bu_c - bu, 1.0 / sy))
+        u, bu, grad = u_c, bu_c, grad_c
+        # the iterate's names and the memory alone keep its arrays
+        del s_new, y_new, u_c, bu_c, phi_c, grad_c
         q, e, t_star, step, n_trials = t_c**2 * qc, e_new, t_c, tau, bt + 1
-        d_prev = (direction, b_dir, t_c, pg, g_pg)
-        # next first trial: the secant root of phi' through (0, -slope) and (tau,
-        # dphi), rounded to a power of 2^(1/8) so that round-off cannot move it
-        curv = slope + dphi
-        secant = tau * slope / curv if curv > 0.0 else np.inf
-        tau = min(float(np.exp2(np.round(8.0 * np.log2(secant)) / 8.0)), cfg.step_max)
 
         if cfg.recenter_every > 0 and (it + 1) % cfg.recenter_every == 0:
             move = _translation_move(ctx, tr, u, grad, e)
@@ -298,7 +321,8 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
                 del move    # it would keep these arrays alive past the next step
                 t_star *= t
                 grad = grad_values(ctx, u, bu, phi)
-                d_prev = None
+                del phi
+                pairs.clear()
                 shifts_applied.append(a)
                 shift_iters.append(it + 1)
     if cfg.recenter_every > 0 and not ctx.has_vl:

@@ -204,8 +204,12 @@ def energy(ctx: EnergyContext, u: Field) -> EnergyReport:
     )
 
 
-def estimate_d_bound(ctx: EnergyContext, n_samples: int = 64, seed: int = 0,
-                     safety: float = 2.0) -> float:
+D_BOUND_SAMPLES = 64    # random smooth fields behind the estimate
+D_BOUND_SEED = 0
+D_BOUND_SAFETY = 2.0    # factor on the largest sampled ratio
+
+
+def estimate_d_bound(ctx: EnergyContext) -> float:
     """Empirical constant C with D(u)/(2p) <= C * Q(u)^p over random smooth fields.
 
     Estimated once per context by randomized maximization and cached; later
@@ -213,17 +217,17 @@ def estimate_d_bound(ctx: EnergyContext, n_samples: int = 64, seed: int = 0,
     """
     if ctx._d_bound is not None:
         return ctx._d_bound
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(D_BOUND_SEED)
     p = ctx.params.p
     best = 0.0
-    for _ in range(n_samples):
+    for _ in range(D_BOUND_SAMPLES):
         u = random_smooth_field(ctx.grid, rng)
         q = q_boundary(ctx, u)
         if q <= 0:
             continue
         ratio = d_value(ctx, u) / (2.0 * p * q**p)
         best = max(best, ratio)
-    ctx._d_bound = safety * best
+    ctx._d_bound = D_BOUND_SAFETY * best
     return ctx._d_bound
 
 

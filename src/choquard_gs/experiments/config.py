@@ -34,6 +34,12 @@ class ExperimentConfig:
             raise ConfigError("sweep list of amplitudes is empty")
         if not self.box_list:
             raise ConfigError("sweep list of box sizes is empty")
+        if self.multistarts < 1:
+            raise ConfigError(f"need at least one start, got {self.multistarts}")
+        if self.max_iters < 1:
+            raise ConfigError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not self.tolerance_scale > 0:
+            raise ConfigError(f"tolerance scale must be positive, got {self.tolerance_scale}")
 
 
 def blob_hash(data: bytes) -> str:

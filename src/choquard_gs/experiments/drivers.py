@@ -249,8 +249,12 @@ def _suite_operator(ctx: EnergyContext, rep: Report, scale: float,
                   rel_tt <= 1e-4 * scale, f"rel err {rel_tt:.3e}")
 
 
+TRACE_FIELDS = 100    # random fields behind the trace-inequality checks
+J_FIELDS = 50         # and behind the manifold geometry checks
+
+
 def _suite_trace(ctx: EnergyContext, rep: Report, scale: float,
-                 rng: np.random.Generator, n_fields: int = 100) -> None:
+                 rng: np.random.Generator) -> None:
     rep.section("Trace and norm inequalities")
     g = ctx.grid
     m = ctx.params.m
@@ -259,7 +263,7 @@ def _suite_trace(ctx: EnergyContext, rep: Report, scale: float,
     V = Field(g, ctx.Vp.values + ctx.Vl.values)
     worst1 = worst2 = np.inf
     sandwich_ok = True
-    for _ in range(n_fields):
+    for _ in range(TRACE_FIELDS):
         u = random_smooth_field(g, rng)
         v = harmonic_extend(u, wall, m)
         ineq = check_trace_inequalities(v, m, p)
@@ -318,9 +322,9 @@ def _suite_brezis_lieb(ctx: EnergyContext, rep: Report, scale: float) -> None:
 
 
 def _suite_j_conditions(ctx: EnergyContext, rep: Report, scale: float,
-                        rng: np.random.Generator, n_fields: int = 50) -> None:
+                        rng: np.random.Generator) -> None:
     rep.section("Manifold geometry conditions")
-    fields = [random_smooth_field(ctx.grid, rng) for _ in range(n_fields)]
+    fields = [random_smooth_field(ctx.grid, rng) for _ in range(J_FIELDS)]
     jrep = check_J_conditions(ctx, fields, tol=1e-9 * scale)
     rep.add_check("energy floor on the small sphere", jrep.j1_ok,
                   f"min ratio {jrep.j1_min_ratio:.6f} at radius {jrep.radius:.3e}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -304,7 +305,7 @@ def load_field(path) -> Field:
         if magic != FIELD_MAGIC:
             raise ValueError(f"not a field file (magic {magic!r})")
         grid = Grid(int(N), float(L), int(n))
+        if os.fstat(fh.fileno()).st_size - fh.tell() < 8 * grid.size:
+            raise ValueError("field file truncated")
         data = np.frombuffer(fh.read(8 * grid.size), dtype="<f8")
-    if data.size != grid.size:
-        raise ValueError("field file truncated")
     return Field(grid, data.reshape(grid.shape).copy())

@@ -22,8 +22,10 @@ class NehariProjectionError(ValueError):
     """No scaling of the candidate reaches the manifold (degenerate nonlocal term)."""
 
 
-def nehari_t_from_qdg(q: float, d: float, g: float, p: float, qe: float,
-                      rtol: float = 1e-10) -> float:
+NEHARI_RTOL = 1e-10    # on the scalar residual, relative to q
+
+
+def nehari_t_from_qdg(q: float, d: float, g: float, p: float, qe: float) -> float:
     """Unique t > 0 with q - t^(2p-2) d + t^(q-2) g = 0.
 
     The scalar equation is the fiber stationarity condition divided by t^2.
@@ -59,7 +61,7 @@ def nehari_t_from_qdg(q: float, d: float, g: float, p: float, qe: float,
     t = hi
     for _ in range(200):
         r = resid(t)
-        if abs(r) <= rtol * q:
+        if abs(r) <= NEHARI_RTOL * q:
             return t
         if r > 0:
             lo = t

@@ -26,7 +26,15 @@ from .energy import (
 from .grid import Field, Translations, dft, gaussian_field
 from .nehari import NehariProjectionError, nehari_t_from_qdg
 
-MEMORY = 5    # curvature pairs behind an L-BFGS direction
+MEMORY = 5                  # curvature pairs behind an L-BFGS direction
+GRAD_TOL = 1e-8             # stop at this fraction of the start's residual,
+ROUND_OFF = 1e-12           # or at this fraction of |Bu| at the start, its round-off
+STEP_INIT = 1.0             # first trial tau of every line search
+SHRINK = 0.5                # backtracking factor
+SUFFICIENT_DECREASE = 1e-4  # Armijo's delta
+MAX_BACKTRACKS = 60
+RECENTER_EVERY = 25         # iterations between translation checkpoints
+INIT_NOISE = 1e-3           # amplitude of random_initial's second bump
 
 
 class SolveFailure(RuntimeError):
@@ -36,27 +44,18 @@ class SolveFailure(RuntimeError):
 @dataclass
 class SolverConfig:
     max_iters: int = 2000
-    grad_tol: float = 1e-8          # on the gradient norm, relative to the initial one
-    grad_tol_abs: float = 0.0       # optional absolute floor; 0 disables
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
-    max_backtracks: int = 60
-    step_init: float = 1.0
-    recenter_every: int = 25
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
 
 
 @dataclass(eq=False)
 class SolverResult:
     """Converged state plus the full iterate history needed for diagnostics.
 
-    status is 'converged' (the last residual met the tolerance), 'max_iters'
+    status is 'converged' (the last residual met the threshold), 'max_iters'
     (the iteration budget ran out), 'stalled' (a line search accepted no
     trial step) or 'projection_failed' (the start has no Nehari scaling).
     """
@@ -75,7 +74,7 @@ class SolverResult:
     shift_iters: list[int]            # index of the first iterate after each move
     status: str
     iterations: int
-    threshold: float
+    threshold: float                 # max(GRAD_TOL * res_0, ROUND_OFF * |Bu_0|) at the projected start
 
 
 def _onto_manifold(ctx: EnergyContext, u: np.ndarray, spec: np.ndarray | None = None):
@@ -187,7 +186,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     Step: limited-memory BFGS with H0 = P = (A - m + inf V)^-1, A =
     sqrt(-Laplacian + m^2) (_quasi_newton), a line search on
     phi(tau) = E(t*(u - tau*d)) with the Nehari scaling t as the retraction,
-    and, every recenter_every iterations, a translation move of the bump
+    and, every RECENTER_EVERY iterations, a translation move of the bump
     (_translation_move), which descent alone would crawl along the faint
     landscape that the grid and V leave in the translations. Without V_l the
     last iterate is rolled home once more at exit, by whole lattice vectors,
@@ -196,11 +195,13 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     pair s = u+ - u, y = g+ - g with Bs = Bu+ - Bu, unless <s, y> <= 0 or y is
     lost in round-off; a translation move clears the memory, so the step after
     it, like the first, is the plain preconditioned gradient. Every line
-    search starts at tau = step_init and halves. A trial is accepted on Armijo
+    search starts at tau = STEP_INIT and halves. A trial is accepted on Armijo
     or, with the energy within round-off, on the approximate-Wolfe bound
     phi'(tau) <= -(1 - 2*delta)*phi'(0) (Hager & Zhang 2005). The energy is
     stationary along the fiber on the manifold, so phi'(tau) = -t<grad E, d>
-    at the trial, whose gradient is the next one once accepted.
+    at the trial, whose gradient is the next one once accepted. The residual
+    must fall to GRAD_TOL times the start's, or to the gradient's round-off
+    ROUND_OFF * |Bu_0|, where a converged start stops instead of wandering.
 
     The loop runs on arrays and caches Bu per iterate, and phi until the
     iterate's gradient is formed, so a gradient needs no transform, a
@@ -216,7 +217,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     g = ctx.grid
     cv = g.cell_volume
     p, qe = ctx.params.p, ctx.params.q
-    delta = cfg.sufficient_decrease
+    delta = SUFFICIENT_DECREASE
     tr = Translations(g)
     energies: list[float] = []
     t_stars: list[float] = []
@@ -246,13 +247,12 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     del phi    # each phi = I_alpha * |u|^p serves only its iterate's gradient
     step, n_trials, n_pairs, accept = 0.0, 0, 0, None
     pairs: list[tuple] = []
-    threshold = 0.0
+    threshold = max(GRAD_TOL * float(np.sqrt(cv * np.vdot(grad, grad))),
+                    ROUND_OFF * float(np.sqrt(cv * np.vdot(bu, bu))))
     status = "max_iters"
     it = 0
     for it in range(cfg.max_iters + 1):
         res = float(np.sqrt(cv * np.vdot(grad, grad)))
-        if it == 0:
-            threshold = max(cfg.grad_tol * res, cfg.grad_tol_abs)
         energies.append(e)
         t_stars.append(t_star)
         steps.append(step)
@@ -271,8 +271,8 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         direction, b_dir, slope, n_pairs = _quasi_newton(ctx, grad, pairs)
         bu_dir = cv * float(np.vdot(bu, direction))
         bdir_dir = cv * float(np.vdot(b_dir, direction))
-        tau = cfg.step_init
-        for bt in range(cfg.max_backtracks):
+        tau = STEP_INIT
+        for bt in range(MAX_BACKTRACKS):
             cand = u - tau * direction
             qc = q - 2.0 * tau * bu_dir + tau * tau * bdir_dir
             phi_c, dc = nonlocal_terms(ctx, cand)
@@ -280,7 +280,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
             try:
                 t_c = nehari_t_from_qdg(qc, dc, gc, p, qe)
             except NehariProjectionError:
-                tau *= cfg.shrink
+                tau *= SHRINK
                 continue
             e_new = energy_from_qdg(ctx, qc, dc, gc, t_c)
             armijo = e_new <= e - delta * tau * slope
@@ -295,7 +295,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
                 if armijo or dphi <= (1.0 - 2.0 * delta) * slope:
                     accept = "armijo" if armijo else "derivative"
                     break
-            tau *= cfg.shrink
+            tau *= SHRINK
         else:  # no trial accepted
             status = "stalled"
             break
@@ -314,7 +314,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         del s_new, y_new, u_c, bu_c, phi_c, grad_c
         q, e, t_star, step, n_trials = t_c**2 * qc, e_new, t_c, tau, bt + 1
 
-        if cfg.recenter_every > 0 and (it + 1) % cfg.recenter_every == 0:
+        if (it + 1) % RECENTER_EVERY == 0:
             move = _translation_move(ctx, tr, u, grad, e)
             if move is not None:
                 a, (t, u, bu, phi, q, e) = move
@@ -325,7 +325,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
                 pairs.clear()
                 shifts_applied.append(a)
                 shift_iters.append(it + 1)
-    if cfg.recenter_every > 0 and not ctx.has_vl:
+    if not ctx.has_vl:
         # a start that stops between checkpoints ends home too; without V_l
         # the roll leaves the energy and the residual unchanged
         r = tr.home(u)
@@ -336,17 +336,14 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     return result(Field(g, u), status, it, threshold)
 
 
-def random_initial(ctx: EnergyContext, rng: np.random.Generator,
-                   noise: float = 1e-3) -> Field:
+def random_initial(ctx: EnergyContext, rng: np.random.Generator) -> Field:
     """Randomized smooth bump: Gaussian with random width/center plus small noise."""
     g = ctx.grid
     center = rng.uniform(-g.L / 2.0, g.L / 2.0, size=g.N)
     width = rng.uniform(0.8, max(1.6, g.L / 6.0))
     u = gaussian_field(g, center, width)
-    if noise > 0:
-        bump = gaussian_field(g, rng.uniform(-g.L, g.L, size=g.N), width).values
-        u = Field(g, u.values + noise * bump)
-    return u
+    bump = gaussian_field(g, rng.uniform(-g.L, g.L, size=g.N), width).values
+    return Field(g, u.values + INIT_NOISE * bump)
 
 
 def best_converged(results: list[SolverResult]) -> SolverResult:

@@ -186,7 +186,7 @@ def test_criterion_6_trace_and_norm_inequalities():
 def test_criterion_7_ground_state_solve():
     budget = Budget(120.0)
     ctx = build_context(make_params(n=256), const_potential())
-    cfg = SolverConfig(max_iters=2000, grad_tol=1e-8, seed=7)
+    cfg = SolverConfig(max_iters=2000, seed=7)
     best, runs = multistart(ctx, 8, cfg)
     finals = []
     for r in runs:

@@ -124,6 +124,32 @@ def test_cli_missing_config_is_config_error(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--multistarts", "0"],
+    ["solve", "--multistarts", "-3"],
+    ["solve", "--max-iters", "0"],
+    ["gamma-sweep", "--max-iters", "0"],
+    ["verify", "--tol-scale", "-1"],
+    ["verify", "--tol-scale", "0"],
+])
+def test_cli_bad_counts_are_config_errors(config_path, tmp_path, args, capsys):
+    out = tmp_path / "out"
+    assert main(args + ["--config", str(config_path), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_solver_config_fields_match_dataclass():
+    import dataclasses
+
+    from choquard_gs.solver import SolverConfig
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"`SolverConfig` fields: ([^.]*)\.", readme).group(1)
+    documented = re.findall(r"`([a-z_]+)`", sentence)
+    assert documented == [f.name for f in dataclasses.fields(SolverConfig)]
+
+
 def test_cli_solve_writes_outputs(config_path, tmp_path):
     out = tmp_path / "out"
     code = main(["solve", "--config", str(config_path), "--out", str(out),

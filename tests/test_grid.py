@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,16 @@ def test_load_rejects_wrong_magic(tmp_path):
 def test_load_rejects_truncated_header(tmp_path):
     p = tmp_path / "short.cgsf"
     p.write_bytes(b"CGSF\x01\0\0")
+    with pytest.raises(ValueError, match="truncated"):
+        load_field(p)
+
+
+@pytest.mark.parametrize("N, n, body", [(3, 2**22, 64), (2, 2**30, 64), (1, 64, 8 * 64 - 1)])
+def test_load_rejects_header_beyond_file(tmp_path, N, n, body):
+    # a header whose 8 n^N bytes of data are not in the file is a truncation,
+    # found before any read, even when n^N does not fit an index
+    p = tmp_path / "big.cgsf"
+    p.write_bytes(struct.pack("<4sB3xIf", b"CGSF", N, n, 4.0) + b"\0" * body)
     with pytest.raises(ValueError, match="truncated"):
         load_field(p)
 

@@ -34,6 +34,10 @@ class ExperimentConfig:
             raise ConfigError("sweep list of amplitudes is empty")
         if not self.box_list:
             raise ConfigError("sweep list of box sizes is empty")
+        if not all(np.isfinite(e) for e in self.eps_list):
+            raise ConfigError(f"amplitudes must be finite, got {self.eps_list}")
+        if not all(np.isfinite(L) and L > 0 for L in self.box_list):
+            raise ConfigError(f"box half-periods must be finite and positive, got {self.box_list}")
         if self.multistarts < 1:
             raise ConfigError(f"need at least one start, got {self.multistarts}")
         if self.max_iters < 1:

@@ -2,12 +2,12 @@
 quadrature, exact lattice shifts and spectral translations.
 
 Transform convention, used by every spectral operator in the package: the
-unnormalised real-to-complex DFT over the trailing N axes (``np.fft.rfftn``,
-inverse ``irfftn``, or ``rfft``/``irfft`` when N = 1; further leading axes
-stack rows), node 0 at x = -L. Fields are real, so only the half spectrum is
-kept, on the grid of ``Grid.freq2``: FFT index order on the leading axes,
-wavenumbers 0..n/2 on the last; sums over the full spectrum weight it by
-``Grid.half_weights``. No other module calls ``np.fft``.
+unnormalised real-to-complex DFT over the trailing N axes (the result of
+``np.fft.rfftn``, inverse ``irfftn``; further leading axes stack rows), node 0
+at x = -L. Fields are real, so only the half spectrum is kept, on the grid of
+``Grid.freq2``: FFT index order on the leading axes, wavenumbers 0..n/2 on the
+last; sums over the full spectrum weight it by ``Grid.half_weights``. No other
+module calls ``np.fft``.
 
 Every inner product of grid values is ``float(np.vdot(a, b))``: one BLAS call,
 with no grid-sized temporary.
@@ -138,28 +138,46 @@ def _check_same_grid(f: Field, g: Field) -> None:
 
 
 def dft(values: np.ndarray, N: int | None = None) -> np.ndarray:
-    """Unnormalised real-to-complex DFT over the trailing N axes (default all)."""
+    """Unnormalised real-to-complex DFT over the trailing N axes (default all).
+
+    The stages rfftn runs, rfft on the last axis then fft on each other one,
+    called directly: rfftn's argument handling costs about as much as a small
+    transform, and each later stage runs in place on the new spectrum."""
     N = np.ndim(values) if N is None else N
-    if N == 1:  # same result; rfftn's argument handling costs as much as the transform
-        return np.fft.rfft(values)
-    return np.fft.rfftn(values, axes=tuple(range(-N, 0)))
+    spec = np.fft.rfft(values)
+    for axis in range(-2, -N - 1, -1):
+        np.fft.fft(spec, axis=axis, out=spec)
+    return spec
+
+
+def _idft_consuming(work: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """idft_real that may overwrite work, the caller's own fresh spectrum."""
+    for axis in range(-len(shape), -1):
+        np.fft.ifft(work, axis=axis, out=work)
+    return np.fft.irfft(work, shape[-1])
 
 
 def idft_real(coeffs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of dft back to real values whose trailing axes have the given shape."""
+    """Inverse of dft back to real values whose trailing axes have the given shape;
+    coeffs are left as they are."""
     if len(shape) == 1:
         return np.fft.irfft(coeffs, shape[0])
-    return np.fft.irfftn(coeffs, s=shape, axes=tuple(range(-len(shape), 0)))
+    # the first stage writes a new array; the rest run in place on it
+    return _idft_consuming(np.fft.ifft(coeffs, axis=-len(shape)), shape[1:])
 
 
 def apply_multiplier(multiplier: np.ndarray, values: np.ndarray,
                      spec: np.ndarray | None = None) -> np.ndarray:
     """Fourier multiplier (symbol on the freq2 grid) applied to real grid values,
     or to each of a stack of them; spec, the values' dft when the caller has it,
-    saves the forward transform."""
+    saves the forward transform and is left as it is."""
     N = multiplier.ndim
-    # no name holds a fresh spectrum, so it is freed before the inverse transform
-    return idft_real(multiplier * (dft(values, N) if spec is None else spec), values.shape[-N:])
+    if spec is None:
+        spec = dft(values, N)
+        spec *= multiplier
+    else:
+        spec = multiplier * spec
+    return _idft_consuming(spec, values.shape[-N:])
 
 
 def l2_inner(f: Field, g: Field) -> float:

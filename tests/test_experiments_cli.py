@@ -131,8 +131,18 @@ def test_cli_missing_config_is_config_error(tmp_path):
     ["gamma-sweep", "--max-iters", "0"],
     ["verify", "--tol-scale", "-1"],
     ["verify", "--tol-scale", "0"],
+    ["gamma-sweep", "--eps-list", "nan,0"],
+    ["gamma-sweep", "--eps-list", "inf,0"],
+    ["box-sweep", "--box-list", "nan"],
+    ["box-sweep", "--box-list", "8,inf"],
+    ["box-sweep", "--box-list", "0"],
+    ["vl-sign", "--box-list", "-4"],
 ])
 def test_cli_bad_counts_are_config_errors(config_path, tmp_path, args, capsys):
+    # sweep lists are checked before any solve; vl-sign needs a localized part
+    # to get that far
+    if args[0] == "vl-sign":
+        config_path.write_text(VL_CONFIG, encoding="utf-8")
     out = tmp_path / "out"
     assert main(args + ["--config", str(config_path), "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err

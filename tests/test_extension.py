@@ -292,10 +292,12 @@ def test_slab_integrals_match_real_space_oracle(N, n, L, variant, rng):
         assert got == pytest.approx(trace, rel=1e-12)
 
 
-@pytest.mark.parametrize("N,names", [(1, ("rfft", "irfft")), (2, ("rfftn", "irfftn"))])
+@pytest.mark.parametrize("N,names", [(1, ("rfft", "irfft")),
+                                     (2, ("rfft", "fft", "ifft", "irfft"))])
 def test_transforms_per_extended_field(monkeypatch, rng, N, names):
     # the slab integrals come from the rows' spectrum: extending a field and
-    # running every check on it costs one forward and one inverse transform
+    # running every check on it costs one forward and one inverse transform,
+    # in 2-D each an rfft or irfft with one fft or ifft stage beside it
     calls = {}
 
     def counting(name, fn):

@@ -89,15 +89,24 @@ def test_round_trip(N, n, rng):
     assert np.max(np.abs(idft_real(coeffs, g.shape) - rows)) <= 1e-12 * np.max(np.abs(rows))
 
 
-@pytest.mark.parametrize("N, stack", [(1, ()), (1, (5,)), (2, ()), (2, (3,)), (3, ())])
+@pytest.mark.parametrize("N, stack", [(1, ()), (1, (5,)), (2, ()), (2, (3,)), (3, ()), (3, (4,))])
 def test_transforms_equal_rfftn(N, stack, rng):
-    # N = 1 takes rfft/irfft directly; every N must give rfftn/irfftn bit for bit
+    # the per-axis stages, run in place, give rfftn/irfftn bit for bit, for a
+    # field and a (rows, n^N) stack; the inverses never write into a spectrum
+    # the caller passes in
     n = {1: 256, 2: 32, 3: 16}[N]
-    x = rng.standard_normal(stack + (n,) * N)
+    shape = (n,) * N
     axes = tuple(range(-N, 0))
+    x = rng.standard_normal(stack + shape)
+    symbol = Grid(N, 2.0, n).freq2() + 1.0
     spec = dft(x, N)
+    kept = spec.copy()
     assert np.array_equal(spec, np.fft.rfftn(x, axes=axes))
-    assert np.array_equal(idft_real(spec, (n,) * N), np.fft.irfftn(spec, s=(n,) * N, axes=axes))
+    assert np.array_equal(idft_real(spec, shape), np.fft.irfftn(kept, s=shape, axes=axes))
+    expected = np.fft.irfftn(symbol * kept, s=shape, axes=axes)
+    assert np.array_equal(apply_multiplier(symbol, x), expected)
+    assert np.array_equal(apply_multiplier(symbol, x, spec=spec), expected)
+    assert np.array_equal(spec, kept)
 
 
 def test_forward_hermitian_for_real_fields(rng):

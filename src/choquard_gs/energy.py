@@ -96,9 +96,7 @@ def precondition(ctx: EnergyContext, g: Field) -> Field:
 
 def nonlocal_terms(ctx: EnergyContext, vals: np.ndarray) -> tuple[np.ndarray, float]:
     """phi = I_alpha * |u|^p and D(u) = <phi, |u|^p> on raw grid values."""
-    p = ctx.params.p
-    # np.square gives the bits of |u|^2.0 without the abs pass
-    up = np.square(vals) if p == 2.0 else np.abs(vals) ** p
+    up = np.abs(vals) ** ctx.params.p
     phi = apply_multiplier(ctx.kernel.conv_multiplier, up)
     return phi, ctx.grid.cell_volume * float(np.vdot(phi, up))
 

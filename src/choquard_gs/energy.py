@@ -112,8 +112,7 @@ def grad_values(ctx: EnergyContext, vals: np.ndarray, bu: np.ndarray,
                 phi: np.ndarray) -> np.ndarray:
     """L^2 gradient at raw values u from Bu and phi = I_alpha * |u|^p; no transform."""
     p, qe = ctx.params.p, ctx.params.q
-    # |u|^(p-2) is 1 for p = 2, and multiplying by it leaves phi bit for bit
-    out = bu - (phi if p == 2.0 else phi * np.abs(vals) ** (p - 2.0)) * vals
+    out = bu - phi * np.abs(vals) ** (p - 2.0) * vals
     if ctx.has_gamma:
         out = out + ctx.Gamma.values * np.abs(vals) ** (qe - 2.0) * vals
     return out

@@ -1,21 +1,1 @@
 """Experiment drivers: verification suites, sign studies, and limit sweeps."""
-
-from .config import ExperimentConfig
-from .drivers import (
-    run_box_sweep,
-    run_fiber_scan,
-    run_gamma_sweep,
-    run_solve,
-    run_verify,
-    run_vl_sign,
-)
-
-__all__ = [
-    "ExperimentConfig",
-    "run_box_sweep",
-    "run_fiber_scan",
-    "run_gamma_sweep",
-    "run_solve",
-    "run_verify",
-    "run_vl_sign",
-]

@@ -32,8 +32,6 @@ def apply_sqrt(op: SqrtOp, u: Field) -> Field:
     return Field(u.grid, apply_multiplier(op.multiplier, u.values))
 
 
-_SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
-
 # trapezoid nodes and weights for the theta integral over t in [1, inf), on
 # t = 1 + exp(x - e^-x): the integrand decays double-exponentially at both ends
 _X = 0.25 * np.arange(-16, 17)
@@ -56,17 +54,6 @@ def epstein_zeta(N: int, s: float) -> float:
     return math.pi ** (s / 2.0) / math.gamma(s / 2.0) * (integral - 2.0 / s - 2.0 / (N - s))
 
 
-def riesz_integrability_window(N: int, p: float, alpha: float) -> tuple[float, float]:
-    """Open interval of Lebesgue exponents t for which the near kernel part is L^t.
-
-    Nonempty exactly when the exponent assumption (N-1)p - N < alpha < N holds.
-    """
-    denom = N * (2.0 - p) + p
-    lo = max(1.0, N / denom) if denom > 0 else 1.0
-    hi = N / (N - alpha)
-    return lo, hi
-
-
 def sample_riesz_kernel(grid: Grid, alpha: float) -> np.ndarray:
     """Quadrature weights of |d|^(alpha - N) at minimal-image offsets, indexed by offset.
 
@@ -75,17 +62,12 @@ def sample_riesz_kernel(grid: Grid, alpha: float) -> np.ndarray:
     Euler-Maclaurin expansion (Navot 1961), which make the lattice sum of the
     kernel against a smooth function accurate to O(h^(4+alpha)).
     """
-    return _riesz_samples(grid, grid.offset_r2(), alpha)
-
-
-def _riesz_samples(grid: Grid, d2: np.ndarray, alpha: float) -> np.ndarray:
-    """sample_riesz_kernel on the squared offset lengths d2 (left unchanged)."""
     N = grid.N
     if not 0 < alpha < N:
         raise ValueError(f"Riesz order must lie in (0, N)=(0, {N}), got {alpha}")
     scale = grid.h ** (alpha - N)
     with np.errstate(divide="ignore"):
-        S = d2 ** ((alpha - N) / 2.0)  # infinite at the origin, overwritten below
+        S = grid.offset_r2() ** ((alpha - N) / 2.0)  # infinite at the origin, overwritten below
     # Laplacian stencil weight of the h^(2+alpha) term
     c = -epstein_zeta(N, N - alpha - 2.0) / (2 * N) * scale
     for axis in range(N):
@@ -100,17 +82,14 @@ class RieszKernel:
     """Box-periodized Riesz potential ready for circular convolution.
 
     conv_multiplier already carries the quadrature weight h^N, so convolution
-    is a plain per-frequency product. near_part_norm / far_part_bound are the
-    L^t norm of the kernel restricted to the unit ball and the sup of the
-    remainder, kept as diagnostics.
+    is a plain per-frequency product. far_part_bound is the sup of the kernel
+    outside the unit ball, kept as a diagnostic.
     """
 
     grid: Grid
     alpha: float
     conv_multiplier: np.ndarray
     kernel_samples: np.ndarray
-    near_part_exponent: float
-    near_part_norm: float
     far_part_bound: float
 
 
@@ -120,20 +99,16 @@ def build_riesz(grid: Grid, alpha: float, p: float = 2.0) -> RieszKernel:
         # the exponent window of the near kernel part is empty
         raise ValueError(f"Riesz order must exceed (N-1)p - N = {floor} for N={grid.N}, "
                          f"p={p}, got {alpha}")
-    d2 = grid.offset_r2()
-    S = _riesz_samples(grid, d2, alpha)
+    S = sample_riesz_kernel(grid, alpha)
     multiplier = grid.cell_volume * dft(S)
     imag_max = float(np.max(np.abs(multiplier.imag)))
     scale = float(np.max(np.abs(multiplier.real)))
     if imag_max > 1e-9 * scale:
         raise AssertionError("even kernel produced a non-real multiplier")
-    lo, hi = riesz_integrability_window(grid.N, p, alpha)
-    t = 0.5 * (lo + hi)
-    sphere = _SPHERE_MEASURE[grid.N]
-    near = (sphere / ((alpha - grid.N) * t + grid.N)) ** (1.0 / t)
+    d2 = grid.offset_r2()
     outside = d2 >= 1.0
     far = float(np.min(d2[outside])) ** ((alpha - grid.N) / 2.0) if np.any(outside) else 0.0
-    return RieszKernel(grid, alpha, multiplier.real, S, t, float(near), far)
+    return RieszKernel(grid, alpha, multiplier.real, S, far)
 
 
 def riesz_convolve(kernel: RieszKernel, f: Field) -> Field:

@@ -62,20 +62,14 @@ class PotentialSpec:
 
     sign mode 'zero' means Vl vanishes identically; 'negative'/'positive'
     require the sampled Vl to be strictly negative/positive everywhere.
-    ls_exponent records the Lebesgue integrability index of Vl (metadata only;
-    decaying closed forms satisfy it by construction).
     """
 
     Vp: Descriptor
     Vl: Descriptor
     Vl_sign: str
     Gamma: Descriptor
-    ls_exponent: float | None = None
 
 
-VP_TAGS = ("constant", "cosine")
-VL_TAGS = ("zero", "gaussian-bump", "inverse-power")
-GAMMA_TAGS = ("zero", "constant", "cosine")
 SIGN_MODES = ("zero", "negative", "positive")
 
 
@@ -260,20 +254,26 @@ def validate(params: ProblemParams, pot: PotentialSpec) -> ValidationReport:
     return ValidationReport(checks)
 
 
-_SECTION_FIELDS = {
-    "params": {"N", "m", "p", "q", "alpha", "L", "n"},
-    "potential.Vp": {"tag", "value", "offset", "amplitude"},
-    "potential.Vl": {"tag", "sign", "amplitude", "width", "power", "center", "ls_exponent"},
-    "potential.Gamma": {"tag", "value", "offset", "amplitude"},
+PARAM_KEYS = ("N", "m", "p", "q", "alpha", "L", "n")
+# the keys each tag of a potential section reads; [potential.Vl] also takes sign
+TAG_KEYS = {
+    "potential.Vp": {"constant": {"value"}, "cosine": {"offset", "amplitude"}},
+    "potential.Vl": {"zero": set(), "gaussian-bump": {"amplitude", "width", "center"},
+                     "inverse-power": {"amplitude", "width", "power", "center"}},
+    "potential.Gamma": {"zero": set(), "constant": {"value"}, "cosine": {"amplitude"}},
 }
 
 
-def _descriptor_from(section: dict, allowed: tuple[str, ...], where: str) -> Descriptor:
+def _descriptor_from(section: dict, where: str) -> Descriptor:
+    tags = TAG_KEYS[where]
     tag = section.pop("tag", None)
     if tag is None:
         raise ConfigError(f"[{where}] missing 'tag'")
-    if tag not in allowed:
-        raise ConfigError(f"[{where}] unknown tag '{tag}' (allowed: {', '.join(allowed)})")
+    if tag not in tags:
+        raise ConfigError(f"[{where}] unknown tag '{tag}' (allowed: {', '.join(tags)})")
+    unknown = set(section) - tags[tag]
+    if unknown:
+        raise ConfigError(f"[{where}] unknown keys for tag '{tag}': {sorted(unknown)}")
     params = {}
     for key, raw in section.items():
         try:
@@ -287,7 +287,8 @@ def load_problem_config(path) -> tuple[ProblemParams, PotentialSpec]:
     """Parse the flat key/value problem config (UTF-8, INI sections).
 
     Required sections: [params], [potential.Vp], [potential.Vl],
-    [potential.Gamma]. Unknown sections or keys are errors.
+    [potential.Gamma]. Unknown sections are errors, and so are keys that
+    the section's tag does not read.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
@@ -300,7 +301,7 @@ def load_problem_config(path) -> tuple[ProblemParams, PotentialSpec]:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
     found = set(parser.sections())
-    expected = set(_SECTION_FIELDS)
+    expected = {"params", *TAG_KEYS}
     if found != expected:
         missing = expected - found
         extra = found - expected
@@ -310,10 +311,9 @@ def load_problem_config(path) -> tuple[ProblemParams, PotentialSpec]:
         if extra:
             parts.append(f"unknown sections: {sorted(extra)}")
         raise ConfigError("; ".join(parts))
-    for sec in expected:
-        unknown = set(parser[sec]) - _SECTION_FIELDS[sec]
-        if unknown:
-            raise ConfigError(f"[{sec}] unknown keys: {sorted(unknown)}")
+    unknown = set(parser["params"]) - set(PARAM_KEYS)
+    if unknown:
+        raise ConfigError(f"[params] unknown keys: {sorted(unknown)}")
 
     par = dict(parser["params"])
     try:
@@ -328,8 +328,7 @@ def load_problem_config(path) -> tuple[ProblemParams, PotentialSpec]:
 
     vl_section = dict(parser["potential.Vl"])
     sign = vl_section.pop("sign", None)
-    ls_raw = vl_section.pop("ls_exponent", None)
-    vl = _descriptor_from(vl_section, VL_TAGS, "potential.Vl")
+    vl = _descriptor_from(vl_section, "potential.Vl")
     if vl.tag == "zero":
         sign = sign or "zero"
     if sign not in SIGN_MODES:
@@ -337,24 +336,21 @@ def load_problem_config(path) -> tuple[ProblemParams, PotentialSpec]:
     if sign == "zero" and vl.tag != "zero":
         raise ConfigError("[potential.Vl] sign 'zero' requires tag 'zero'")
 
-    vp = _descriptor_from(dict(parser["potential.Vp"]), VP_TAGS, "potential.Vp")
-    gamma = _descriptor_from(dict(parser["potential.Gamma"]), GAMMA_TAGS, "potential.Gamma")
-    ls_exponent = float(ls_raw) if ls_raw is not None else None
-    return params, PotentialSpec(vp, vl, sign, gamma, ls_exponent)
+    vp = _descriptor_from(dict(parser["potential.Vp"]), "potential.Vp")
+    gamma = _descriptor_from(dict(parser["potential.Gamma"]), "potential.Gamma")
+    return params, PotentialSpec(vp, vl, sign, gamma)
 
 
 def resolved_config_text(params: ProblemParams, pot: PotentialSpec) -> str:
     """Render the fully resolved problem back as config text for report embedding."""
     lines = ["[params]"]
-    for key in ("N", "m", "p", "q", "alpha", "L", "n"):
+    for key in PARAM_KEYS:
         lines.append(f"{key} = {getattr(params, key)!r}")
     for name, desc in (("Vp", pot.Vp), ("Vl", pot.Vl), ("Gamma", pot.Gamma)):
         lines.append(f"[potential.{name}]")
         lines.append(f"tag = {desc.tag}")
         if name == "Vl":
             lines.append(f"sign = {pot.Vl_sign}")
-            if pot.ls_exponent is not None:
-                lines.append(f"ls_exponent = {pot.ls_exponent!r}")
         for key, val in sorted(desc.params.items()):
             lines.append(f"{key} = {val!r}")
     return "\n".join(lines) + "\n"

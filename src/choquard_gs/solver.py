@@ -79,8 +79,8 @@ class SolverResult:
 
 def _onto_manifold(ctx: EnergyContext, u: np.ndarray, spec: np.ndarray | None = None):
     """Fresh cached terms at u from four transforms (three given spec, the dft
-    of u), then the Nehari scaling t: returns t, t*u, B(t*u),
-    phi = I_alpha * |t*u|^p, Q(t*u) and the energy.
+    of u), then the Nehari scaling t: returns t, t*u, B(t*u), the gradient at
+    t*u, Q(t*u) and the energy.
 
     Raises NehariProjectionError when no scaling reaches the manifold.
     """
@@ -89,7 +89,8 @@ def _onto_manifold(ctx: EnergyContext, u: np.ndarray, spec: np.ndarray | None = 
     q = ctx.grid.cell_volume * float(np.vdot(bu, u))
     gam = gamma_values(ctx, u)
     t = nehari_t_from_qdg(q, d, gam, ctx.params.p, ctx.params.q)
-    return (t, t * u, t * bu, t ** ctx.params.p * phi, t * t * q,
+    u, bu = t * u, t * bu
+    return (t, u, bu, grad_values(ctx, u, bu, t ** ctx.params.p * phi), t * t * q,
             energy_from_qdg(ctx, q, d, gam, t))
 
 
@@ -219,32 +220,24 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     p, qe = ctx.params.p, ctx.params.q
     delta = SUFFICIENT_DECREASE
     tr = Translations(g)
-    energies: list[float] = []
-    t_stars: list[float] = []
-    steps: list[float] = []
-    trials: list[int] = []
-    pairs_used: list[int] = []
-    accepts: list[str | None] = []
-    times: list[float] = []
-    residuals: list[float] = []
-    qnorms: list[float] = []
+    # one row per iterate, in SolverResult's order: energy, t*, step, trials,
+    # pairs, accept, seconds, residual, sqrt(Q)
+    rows: list[tuple] = []
     shifts_applied: list[np.ndarray] = []
     shift_iters: list[int] = []
 
     def result(u, status, iterations, threshold):
-        return SolverResult(u, np.asarray(energies), np.asarray(t_stars), np.asarray(steps),
-                            np.asarray(trials, dtype=int), np.asarray(pairs_used, dtype=int),
-                            accepts,
-                            np.asarray(times), np.asarray(residuals), np.asarray(qnorms),
+        e, t, tau, n, k, acc, secs, res, qn = zip(*rows) if rows else [()] * 9
+        return SolverResult(u, np.asarray(e), np.asarray(t), np.asarray(tau),
+                            np.asarray(n, dtype=int), np.asarray(k, dtype=int), list(acc),
+                            np.asarray(secs), np.asarray(res), np.asarray(qn),
                             shifts_applied, shift_iters, status, iterations, threshold)
 
     try:
-        t_star, u, bu, phi, q, e = _onto_manifold(ctx, init.values)
+        t_star, u, bu, grad, q, e = _onto_manifold(ctx, init.values)
     except NehariProjectionError:
         return result(init, "projection_failed", 0, 0.0)
 
-    grad = grad_values(ctx, u, bu, phi)
-    del phi    # each phi = I_alpha * |u|^p serves only its iterate's gradient
     step, n_trials, n_pairs, accept = 0.0, 0, 0, None
     pairs: list[tuple] = []
     threshold = max(GRAD_TOL * float(np.sqrt(cv * np.vdot(grad, grad))),
@@ -253,15 +246,8 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     it = 0
     for it in range(cfg.max_iters + 1):
         res = float(np.sqrt(cv * np.vdot(grad, grad)))
-        energies.append(e)
-        t_stars.append(t_star)
-        steps.append(step)
-        trials.append(n_trials)
-        pairs_used.append(n_pairs)
-        accepts.append(accept)
-        times.append(time.perf_counter() - t_start)
-        residuals.append(res)
-        qnorms.append(np.sqrt(max(q, 0.0)))
+        rows.append((e, t_star, step, n_trials, n_pairs, accept, time.perf_counter() - t_start,
+                     res, np.sqrt(max(q, 0.0))))
         if res <= threshold:
             status = "converged"
             break
@@ -317,11 +303,9 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         if (it + 1) % RECENTER_EVERY == 0:
             move = _translation_move(ctx, tr, u, grad, e)
             if move is not None:
-                a, (t, u, bu, phi, q, e) = move
+                a, (t, u, bu, grad, q, e) = move
                 del move    # it would keep these arrays alive past the next step
                 t_star *= t
-                grad = grad_values(ctx, u, bu, phi)
-                del phi
                 pairs.clear()
                 shifts_applied.append(a)
                 shift_iters.append(it + 1)

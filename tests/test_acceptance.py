@@ -208,7 +208,7 @@ def _vl_potential(amplitude: float) -> PotentialSpec:
     return PotentialSpec(Descriptor("constant", {"value": 1.0}),
                          Descriptor("inverse-power",
                                     {"amplitude": amplitude, "width": 2.0, "power": 2.0}),
-                         sign, Descriptor("zero"), ls_exponent=1.0)
+                         sign, Descriptor("zero"))
 
 
 def test_criterion_8_negative_bump_lowers_level():

@@ -61,7 +61,6 @@ sign = negative
 amplitude = -0.3
 width = 2.0
 power = 2.0
-ls_exponent = 1.0
 
 [potential.Gamma]
 tag = zero
@@ -108,6 +107,20 @@ def test_cli_rejects_more_than_one_worker(config_path, tmp_path):
     # starts run one at a time; --workers stays only as the value 1
     assert main(["solve", "--config", str(config_path), "--out", str(tmp_path),
                  "--multistarts", "1", "--workers", "2"]) == 2
+
+
+@pytest.mark.parametrize("extra", [[], ["--workers", "1"]])
+def test_cli_passes_options_through_as_experiment_config(config_path, monkeypatch, extra):
+    from dataclasses import fields
+
+    from choquard_gs import cli
+
+    dests = {a.dest for a in cli.build_parser()._actions} - {"help", "workers"}
+    assert dests <= {f.name for f in fields(ExperimentConfig)}
+    seen = []
+    monkeypatch.setitem(cli._DRIVERS, "solve", lambda ecfg: seen.append(ecfg) or 0)
+    assert main(["solve", "--config", str(config_path)] + extra) == 0
+    assert seen == [ExperimentConfig("solve", str(config_path))]
 
 
 def test_readme_synopsis_matches_parser():

@@ -11,7 +11,6 @@ from choquard_gs.operators import (
     epstein_zeta,
     phi_u,
     riesz_convolve,
-    riesz_integrability_window,
     sample_riesz_kernel,
 )
 
@@ -171,29 +170,6 @@ def test_far_part_bounded_by_one():
     for N, n, alpha in [(1, 64, 0.25), (1, 64, 0.75), (2, 16, 1.5), (3, 8, 2.5)]:
         k = build_riesz(Grid(N, 2.0, n), alpha)
         assert k.far_part_bound <= 1.0
-
-
-def test_integrability_window_matches_exponent_assumption():
-    # the window of valid Lebesgue exponents is nonempty exactly on the
-    # admissible (N, p, alpha) region; for p >= 2N/(N-1) no admissible alpha
-    # exists at all, so the sweep stays below that cap
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        N = int(rng.integers(1, 4))
-        cap = 4.0 if N == 1 else 2.0 * N / (N - 1)
-        p = rng.uniform(2.0, cap - 1e-9)
-        alpha = rng.uniform(-1.0, N + 1.0)
-        if not 0 < alpha < N:
-            continue
-        lo, hi = riesz_integrability_window(N, p, alpha)
-        assert (lo < hi) == ((N - 1) * p - N < alpha)
-
-
-def test_near_part_norm_positive():
-    k = build_riesz(Grid(1, 8.0, 64), 0.5, p=2.0)
-    lo, hi = riesz_integrability_window(1, 2.0, 0.5)
-    assert lo < k.near_part_exponent < hi
-    assert k.near_part_norm > 0
 
 
 # --- convolution ------------------------------------------------------------

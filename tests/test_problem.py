@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ from choquard_gs.problem import (
     validate,
 )
 from conftest import const_potential, make_params
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def report_dict(report):
@@ -185,6 +190,27 @@ def test_config_rejects_unknown_key(tmp_path):
                     encoding="utf-8")
     with pytest.raises(ConfigError, match="unknown keys"):
         load_problem_config(path)
+
+
+@pytest.mark.parametrize("section, replacement, key", [
+    ("[potential.Gamma]\ntag = zero",
+     "[potential.Gamma]\ntag = cosine\namplitude = 0.5\noffset = 0.2", "offset"),
+    ("value = 1.0", "value = 1\namplitude = 7", "amplitude"),
+    ("tag = gaussian-bump\nsign = negative\namplitude = -0.3\nwidth = 2.0",
+     "tag = zero\nwidth = 3", "width"),
+], ids=["Gamma-cosine", "Vp-constant", "Vl-zero"])
+def test_config_rejects_key_its_tag_does_not_read(tmp_path, section, replacement, key):
+    # each key is read by another tag of the same section, never by this one
+    path = tmp_path / "problem.ini"
+    assert CONFIG_OK.count(section) == 1
+    path.write_text(CONFIG_OK.replace(section, replacement), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"unknown keys for tag .*'{key}'"):
+        load_problem_config(path)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
+def test_shipped_configs_load(path):
+    assert validate(*load_problem_config(path)).all_passed
 
 
 def test_config_rejects_missing_section(tmp_path):

@@ -7,8 +7,7 @@ from .energy import (
     brezis_lieb_check,
     build_context,
     d_value,
-    energy,
-    energy_per,
+    energy_report,
     energy_value,
     grad_energy,
     q_boundary,
@@ -21,7 +20,6 @@ from .extension import (
     check_trace_inequalities,
     dtn_apply,
     harmonic_extend,
-    q_form_volume,
 )
 from .grid import (
     Field,
@@ -40,7 +38,6 @@ from .nehari import (
     NehariProjectionError,
     check_J_conditions,
     fiber_scan,
-    ground_level,
     project_to_nehari,
 )
 from .operators import (

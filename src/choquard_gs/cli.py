@@ -18,7 +18,6 @@ from .experiments.drivers import (
     run_vl_sign,
 )
 from .problem import ConfigError
-from .solver import SolveFailure
 
 _DRIVERS = {
     "solve": run_solve,
@@ -74,9 +73,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except SolveFailure as exc:
-        print(f"solve failure: {exc}", file=sys.stderr)
-        return 1
 
 
 def entry() -> None:

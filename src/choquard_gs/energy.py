@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import Field, Grid, apply_multiplier, l2_norm, random_smooth_field, shift
 from .operators import RieszKernel, SqrtOp, build_riesz, build_sqrt_op
-from .problem import PotentialSpec, ProblemParams, sample_potentials, validate
+from .problem import PotentialSpec, ProblemParams, validate
 
 
 @dataclass(eq=False)
@@ -59,13 +59,14 @@ class EnergyContext:
 
 
 def build_context(params: ProblemParams, pot: PotentialSpec) -> EnergyContext:
-    """Validate the problem and assemble operators, kernel and sampled potentials."""
+    """Validate the problem and assemble operators and kernel around the
+    potentials the validation sampled."""
     report = validate(params, pot)
     if not report.all_passed:
         failed = "; ".join(f"{c.name} ({c.witness})" for c in report.failures())
         raise ValueError(f"problem validation failed: {failed}")
-    grid = params.make_grid()
-    vp, vl, gam = sample_potentials(params, pot, grid)
+    vp, vl, gam = report.potentials
+    grid = vp.grid
     sqrt_op = build_sqrt_op(grid, params.m)
     kernel = build_riesz(grid, params.alpha, p=params.p)
     return EnergyContext(params, grid, sqrt_op, kernel, vp, vl, gam)
@@ -161,11 +162,6 @@ def vl_integral(ctx: EnergyContext, u: Field) -> float:
     return ctx.grid.cell_volume * float(np.vdot(ctx.Vl.values * u.values, u.values))
 
 
-def energy_per(ctx: EnergyContext, u: Field) -> float:
-    """Periodic energy: the full energy minus the localized-potential half term."""
-    return energy_value(ctx, u) - 0.5 * vl_integral(ctx, u)
-
-
 def grad_energy(ctx: EnergyContext, u: Field) -> Field:
     """L^2 gradient field of the energy at u."""
     phi = nonlocal_terms(ctx, u.values)[0]
@@ -188,7 +184,7 @@ class EnergyReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def energy(ctx: EnergyContext, u: Field) -> EnergyReport:
+def energy_report(ctx: EnergyContext, u: Field) -> EnergyReport:
     q, d, g = qdg(ctx, u)
     e = energy_from_qdg(ctx, q, d, g)
     grad = grad_energy(ctx, u)
@@ -232,17 +228,11 @@ def estimate_d_bound(ctx: EnergyContext) -> float:
 
 @dataclass
 class BrezisLiebReport:
-    shifts: list
     deltas: list[float]
-    floor: float
 
     def decreasing(self, jitter: float = 0.1) -> bool:
         d = self.deltas
         return all(d[i + 1] <= d[i] * (1.0 + jitter) for i in range(len(d) - 1))
-
-    def strictly_decreasing(self) -> bool:
-        d = self.deltas
-        return all(d[i + 1] < d[i] for i in range(len(d) - 1))
 
 
 def brezis_lieb_check(ctx: EnergyContext, u0: Field, w: Field, shifts) -> BrezisLiebReport:
@@ -258,13 +248,5 @@ def brezis_lieb_check(ctx: EnergyContext, u0: Field, w: Field, shifts) -> Brezis
         un = Field(ctx.grid, u0.values + wz.values)
         delta = d_value(ctx, un) - d_value(ctx, wz) - d_u0
         deltas.append(abs(delta))
-    floor = 1e-12 * max(1.0, abs(d_u0))
-    return BrezisLiebReport([np.asarray(z) for z in shifts], deltas, floor)
+    return BrezisLiebReport(deltas)
 
-
-def directional_derivative_fd(ctx: EnergyContext, u: Field, w: Field,
-                              eps: float = 1e-5) -> float:
-    """Central finite difference of the energy along w; gradient oracle."""
-    up = Field(ctx.grid, u.values + eps * w.values)
-    um = Field(ctx.grid, u.values - eps * w.values)
-    return (energy_value(ctx, up) - energy_value(ctx, um)) / (2.0 * eps)

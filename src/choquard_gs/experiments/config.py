@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from ..problem import ConfigError
+from ..solver import SolverConfig
 
 KINDS = ("solve", "verify", "gamma-sweep", "vl-sign", "box-sweep", "fiber-scan")
 
@@ -44,6 +45,10 @@ class ExperimentConfig:
             raise ConfigError(f"max_iters must be at least 1, got {self.max_iters}")
         if not self.tolerance_scale > 0:
             raise ConfigError(f"tolerance scale must be positive, got {self.tolerance_scale}")
+
+    @property
+    def solver_config(self) -> SolverConfig:
+        return SolverConfig(max_iters=self.max_iters, seed=self.seed)
 
 
 def blob_hash(data: bytes) -> str:
@@ -82,12 +87,10 @@ class Report:
     def all_passed(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
 
-    def embed_inputs(self, config_text: str, extra: dict | None = None) -> None:
+    def embed_inputs(self, config_text: str, extra: dict) -> None:
         self.section("Resolved inputs")
         self.lines.append(f"content hash: `{blob_hash(config_text.encode())}`")
-        if extra:
-            for key, val in sorted(extra.items()):
-                self.lines.append(f"- {key}: {val}")
+        self.lines += [f"- {key}: {val}" for key, val in sorted(extra.items())]
         self.lines += ["", "```ini", config_text.rstrip("\n"), "```"]
 
     def write(self, out_dir) -> Path:

@@ -14,8 +14,7 @@ from ..energy import (
     b_values,
     brezis_lieb_check,
     build_context,
-    energy,
-    energy_value,
+    energy_report,
     gamma_integral,
     q_boundary,
     qdg,
@@ -39,7 +38,13 @@ from ..grid import (
     save_field,
     shift,
 )
-from ..nehari import check_J_conditions, fiber_scan, fiber_scan_csv, project_to_nehari
+from ..nehari import (
+    check_J_conditions,
+    fiber_scan,
+    fiber_scan_csv,
+    nehari_t_from_qdg,
+    project_to_nehari,
+)
 from ..operators import apply_sqrt, build_riesz, epstein_zeta, phi_u, riesz_convolve
 from ..problem import (
     ConfigError,
@@ -48,53 +53,53 @@ from ..problem import (
     ProblemParams,
     load_problem_config,
     resolved_config_text,
-    validate,
 )
 from ..solver import SolverConfig, SolveFailure, best_converged, multistart, solve
 from .config import ExperimentConfig, Report
 
 
-def _load(ecfg: ExperimentConfig):
-    params, pot = load_problem_config(ecfg.problem_path)
-    report = validate(params, pot)
-    if not report.all_passed:
-        raise ConfigError("problem validation failed:\n" + "\n".join(report.lines()))
-    return params, pot
-
-
-def _solver_config(ecfg: ExperimentConfig) -> SolverConfig:
-    return SolverConfig(max_iters=ecfg.max_iters, seed=ecfg.seed)
-
-
 def _build(params: ProblemParams, pot: PotentialSpec) -> EnergyContext:
+    """The context of one problem, validated once; a failed check is a ConfigError."""
     try:
         return build_context(params, pot)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _report_for(ecfg: ExperimentConfig, title: str, params, pot) -> Report:
-    rep = Report(title)
-    text = resolved_config_text(params, pot)
-    rep.embed_inputs(text, {"kind": ecfg.kind, "seed": ecfg.seed})
-    return rep
+def _driver(title: str):
+    """Frame a driver body(ecfg, pot, ctx, rep) as run(ecfg) -> exit code.
+
+    run loads and builds the problem, heads the report with its resolved
+    inputs, runs the body and writes the report; it returns 0 when every
+    check passed and 1 otherwise, a SolveFailure being one failed check. A
+    ConfigError, from the problem or the body, propagates before anything is
+    written.
+    """
+    def frame(body):
+        def run(ecfg: ExperimentConfig) -> int:
+            params, pot = load_problem_config(ecfg.problem_path)
+            ctx = _build(params, pot)
+            rep = Report(title)
+            rep.embed_inputs(resolved_config_text(params, pot),
+                             {"kind": ecfg.kind, "seed": ecfg.seed})
+            try:
+                body(ecfg, pot, ctx, rep)
+            except SolveFailure as exc:
+                rep.add_check("every solve converged", False, str(exc))
+            rep.write(ecfg.out_dir)
+            return 0 if rep.all_passed else 1
+        return run
+    return frame
 
 
 # ---------------------------------------------------------------------------
 # plain solve
 
 
-def run_solve(ecfg: ExperimentConfig) -> int:
-    params, pot = _load(ecfg)
-    ctx = _build(params, pot)
-    rep = _report_for(ecfg, "Ground-state solve", params, pot)
-    cfg = _solver_config(ecfg)
-    try:
-        best, runs = multistart(ctx, ecfg.multistarts, cfg)
-    except SolveFailure as exc:
-        rep.add_check("at least one start converged", False, str(exc))
-        rep.write(ecfg.out_dir)
-        return 1
+@_driver("Ground-state solve")
+def run_solve(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
+              rep: Report) -> None:
+    best, runs = multistart(ctx, ecfg.multistarts, ecfg.solver_config)
     rep.section("Runs")
     for i, r in enumerate(runs):
         rep.add_line(f"- start {i}: status={r.status}, iterations={r.iterations}, "
@@ -105,7 +110,7 @@ def run_solve(ecfg: ExperimentConfig) -> int:
 
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    er = energy(ctx, best.u_final)
+    er = energy_report(ctx, best.u_final)
     (out / "energy.json").write_text(er.to_json() + "\n", encoding="utf-8")
     save_field(best.u_final, out / "u_final.cgsf",
                {"experiment": "solve", "seed": ecfg.seed, "energy": er.e_val})
@@ -121,8 +126,6 @@ def run_solve(ecfg: ExperimentConfig) -> int:
                                  "t_star": float(t), "step": float(tau), "trials": int(trials),
                                  "pairs": int(n_pairs), "accept": accept, "t_s": float(t_s),
                                  "shift": None if z is None else [float(c) for c in z]}) + "\n")
-    rep.write(ecfg.out_dir)
-    return 0 if rep.all_passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -345,26 +348,23 @@ def _run_all_suites(ctx: EnergyContext, rep: Report, scale: float, seed: int) ->
     _suite_j_conditions(ctx, rep, scale, rng)
 
 
-def run_verify(ecfg: ExperimentConfig) -> int:
-    params, pot = _load(ecfg)
-    ctx = _build(params, pot)
-    rep = _report_for(ecfg, "Verification suites", params, pot)
+@_driver("Verification suites")
+def run_verify(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
+               rep: Report) -> None:
     _run_all_suites(ctx, rep, ecfg.tolerance_scale, ecfg.seed)
-    rep.write(ecfg.out_dir)
-    return 0 if rep.all_passed else 1
 
 
 # ---------------------------------------------------------------------------
 # fiber scan
 
 
-def run_fiber_scan(ecfg: ExperimentConfig) -> int:
-    params, pot = _load(ecfg)
-    ctx = _build(params, pot)
-    rep = _report_for(ecfg, "Fiber scan", params, pot)
+@_driver("Fiber scan")
+def run_fiber_scan(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
+                   rep: Report) -> None:
     u = gaussian_field(ctx.grid, np.zeros(ctx.grid.N), width=max(1.0, ctx.grid.L / 8.0))
-    t_star, _ = project_to_nehari(ctx, u)
-    scan = fiber_scan(ctx, u, np.geomspace(t_star / 4.0, 4.0 * t_star, 41))
+    triple = qdg(ctx, u)
+    t_star = nehari_t_from_qdg(*triple, ctx.params.p, ctx.params.q)
+    scan = fiber_scan(ctx, u, np.geomspace(t_star / 4.0, 4.0 * t_star, 41), triple)
     rep.add_check("single rise-then-fall pattern", scan.slope_sign_ok)
     rep.add_check("scan maximum brackets the projection point",
                   scan.max_bracket_contains_t_star(),
@@ -375,9 +375,7 @@ def run_fiber_scan(ecfg: ExperimentConfig) -> int:
                   f"residual {scan.residual_at_t_star:.3e}")
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "fiber_scan.csv").write_text(fiber_scan_csv(ctx, u, scan), encoding="utf-8")
-    rep.write(ecfg.out_dir)
-    return 0 if rep.all_passed else 1
+    (out / "fiber_scan.csv").write_text(fiber_scan_csv(scan), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +406,9 @@ def _aligned_distance(ctx: EnergyContext, u: Field, ref: Field) -> float:
     return float(np.sqrt(max(q_boundary(ctx, Field(g, pick - ref.values)), 0.0)))
 
 
-def run_gamma_sweep(ecfg: ExperimentConfig) -> int:
-    params, pot = _load(ecfg)
+@_driver("Vanishing local factor sweep")
+def run_gamma_sweep(ecfg: ExperimentConfig, pot: PotentialSpec, ctx_base: EnergyContext,
+                    rep: Report) -> None:
     if pot.Vl_sign != "zero":
         raise ConfigError("gamma sweep requires a vanishing localized potential")
     if any(e < 0 for e in ecfg.eps_list):
@@ -417,10 +416,7 @@ def run_gamma_sweep(ecfg: ExperimentConfig) -> int:
     eps = sorted({float(e) for e in ecfg.eps_list}, reverse=True)
     if eps[-1] != 0.0:
         eps.append(0.0)
-    ctx_base = _build(params, pot)
-    rep = _report_for(ecfg, "Vanishing local factor sweep", params, pot)
-    cfg = _solver_config(ecfg)
-
+    cfg = ecfg.solver_config
     contexts = [ctx_base.with_gamma_scaled(e) for e in eps]
     results = []
     init = None
@@ -461,8 +457,6 @@ def run_gamma_sweep(ecfg: ExperimentConfig) -> int:
     rep.add_check("recentered distance to the limit state decreasing", dist_ok,
                   ", ".join(f"{d:.3e}" for d in dist))
     rep.add_check("limit level positive", c0 > 0, f"c0={float(c0)!r}")
-    rep.write(ecfg.out_dir)
-    return 0 if rep.all_passed else 1
 
 
 def _with_box(params: ProblemParams, L: float, h: float) -> ProblemParams:
@@ -471,8 +465,7 @@ def _with_box(params: ProblemParams, L: float, h: float) -> ProblemParams:
 
 
 def _vl_spec(pot: PotentialSpec, amplitude: float) -> PotentialSpec:
-    if amplitude == 0.0:
-        return replace(pot, Vl=Descriptor("zero", {}), Vl_sign="zero")
+    """The localized part at a nonzero amplitude, its sign mode to match."""
     par = dict(pot.Vl.params)
     par["amplitude"] = amplitude
     sign = "positive" if amplitude > 0 else "negative"
@@ -488,20 +481,20 @@ def _overlap_near_origin(u: Field, radius: float) -> float:
     return float(g.cell_volume * np.sum(u.values[g.r2() < radius**2] ** 2))
 
 
-def run_vl_sign(ecfg: ExperimentConfig) -> int:
-    params, pot = _load(ecfg)
+@_driver("Localized potential sign study")
+def run_vl_sign(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
+                rep: Report) -> None:
     if pot.Vl.tag == "zero":
         raise ConfigError("vl-sign experiment needs a localized potential profile")
     amp = abs(pot.Vl.get("amplitude"))
-    rep = _report_for(ecfg, "Localized potential sign study", params, pot)
-    cfg = _solver_config(ecfg)
+    params, cfg = ctx.params, ecfg.solver_config
 
-    ctx0 = _build(params, _vl_spec(pot, 0.0))
-    best0, _ = multistart(ctx0, ecfg.multistarts, cfg)
+    best0, _ = multistart(ctx.periodic_variant(), ecfg.multistarts, cfg)
     c_per_base = best0.energy_trace[-1]
     u_per = best0.u_final
 
-    ctx_neg = _build(params, _vl_spec(pot, -amp))
+    neg = _vl_spec(pot, -amp)
+    ctx_neg = ctx if neg == pot else _build(params, neg)
     best_neg = _solve_best(ctx_neg, [u_per], cfg)
     c_neg = best_neg.energy_trace[-1]
 
@@ -514,7 +507,7 @@ def run_vl_sign(ecfg: ExperimentConfig) -> int:
                   f"drop {c_per_base - c_neg:.6e}")
 
     rep.section("Positive localized part: escape signature over growing boxes")
-    h = params.make_grid().h
+    h = ctx.grid.h
     gaps = []
     overlaps = []
     for L in sorted(float(v) for v in ecfg.box_list):
@@ -542,8 +535,6 @@ def run_vl_sign(ecfg: ExperimentConfig) -> int:
     rep.add_check("bump overlap decreasing with the box",
                   all(overlaps[i + 1] <= overlaps[i] for i in range(len(overlaps) - 1)),
                   ", ".join(f"{o:.3e}" for o in overlaps))
-    rep.write(ecfg.out_dir)
-    return 0 if rep.all_passed else 1
 
 
 def _embed(u: Field, target: Grid) -> Field:
@@ -557,19 +548,30 @@ def _embed(u: Field, target: Grid) -> Field:
     return Field(target, vals)
 
 
-def run_box_sweep(ecfg: ExperimentConfig) -> int:
-    params, pot = _load(ecfg)
-    rep = _report_for(ecfg, "Box periodization sweep", params, pot)
-    cfg = _solver_config(ecfg)
-    h = params.make_grid().h
+def _box_start(grid: Grid) -> Field:
+    """A width-2 Gaussian at the origin plus 1e-3 of one at 0.37 on every axis.
+
+    An exactly even start keeps every iterate even, so where Gamma peaks at
+    the origin descent can stop at a saddle whose unstable mode is odd.
+    """
+    odd = gaussian_field(grid, np.full(grid.N, 0.37), width=2.0, amplitude=1e-3)
+    return Field(grid, gaussian_field(grid, np.zeros(grid.N), width=2.0).values + odd.values)
+
+
+@_driver("Box periodization sweep")
+def run_box_sweep(ecfg: ExperimentConfig, pot: PotentialSpec, ctx_base: EnergyContext,
+                  rep: Report) -> None:
     Ls = sorted(float(v) for v in ecfg.box_list)
+    if len(Ls) < 2:
+        raise ConfigError("box sweep needs at least two box sizes")
+    params, cfg, h = ctx_base.params, ecfg.solver_config, ctx_base.grid.h
     cs = []
     tails = []
     prev = None
     for L in Ls:
         par_L = _with_box(params, L, h)
         ctx = _build(par_L, pot)
-        inits = [gaussian_field(ctx.grid, np.zeros(par_L.N), width=2.0)]
+        inits = [_box_start(ctx.grid)]
         if prev is not None:
             inits.insert(0, _embed(prev, ctx.grid))
         r = _solve_best(ctx, inits, cfg)
@@ -591,12 +593,8 @@ def run_box_sweep(ecfg: ExperimentConfig) -> int:
     # resolution study at the largest box: halving h must move the level by
     # less than the truncation gap being resolved (the largest one in the
     # sweep; smaller gaps share the h bias, which cancels in differences)
-    par_fine = replace(_with_box(params, Ls[-1], h), n=2 * _with_box(params, Ls[-1], h).n)
-    ctx_fine = _build(par_fine, pot)
-    r_fine = _solve_best(ctx_fine, [gaussian_field(ctx_fine.grid, np.zeros(par_fine.N),
-                                                   width=2.0)], cfg)
+    ctx_fine = _build(_with_box(params, Ls[-1], h / 2.0), pot)
+    r_fine = _solve_best(ctx_fine, [_box_start(ctx_fine.grid)], cfg)
     h_shift = abs(r_fine.energy_trace[-1] - cs[-1])
     rep.add_check("spacing refinement moves the level less than the truncation gap",
                   h_shift < max(diffs[0], 1e-12), f"h-shift {h_shift:.3e} vs gap {diffs[0]:.3e}")
-    rep.write(ecfg.out_dir)
-    return 0 if rep.all_passed else 1

@@ -1,5 +1,5 @@
 """Half-space realization: harmonic-type extension, boundary derivative operator,
-quadratic form on the volume, and trace-inequality checks.
+and the trace and norm-equivalence checks on the volume.
 
 Everything here is diagonal in the boundary Fourier variable, so only the wall
 direction is discretized: geometrically clustered nodes, trapezoid quadrature.
@@ -63,20 +63,6 @@ class WallGrid:
         w[1:-1] = (dx[:-1] + dx[1:]) / 2.0
         return w
 
-    def refined(self, factor: int = 2) -> WallGrid:
-        """Same span and clustering profile with factor-times more nodes."""
-        return build_wall(self.grid, nx=factor * self.nx, x_max=self.x_max,
-                          delta0=float(self.x[1]) / factor)
-
-    def extended(self, factor: float = 2.0) -> WallGrid:
-        """Continue the geometric progression past x_max (tail-truncation study)."""
-        x = list(self.x)
-        step = x[-1] - x[-2]
-        while x[-1] < factor * self.x_max:
-            step *= self.ratio
-            x.append(x[-1] + step)
-        return WallGrid(self.grid, np.asarray(x), x[-1], self.ratio)
-
 
 def build_wall(grid: Grid, m: float = 1.0, nx: int = 384, x_max: float | None = None,
                delta0: float | None = None) -> WallGrid:
@@ -117,9 +103,6 @@ class ExtendedField:
     values: np.ndarray
     spec: np.ndarray
     s: np.ndarray
-
-    def trace(self) -> Field:
-        return Field(self.wall.grid, self.values[0].copy())
 
     @cached_property
     def slab(self) -> np.ndarray:
@@ -185,29 +168,6 @@ def volume_integrals(v: ExtendedField) -> tuple[float, float]:
     return grad, float(np.sum(v.slab))
 
 
-def h1_norm2_volume(v: ExtendedField) -> float:
-    grad, mass = volume_integrals(v)
-    return grad + mass
-
-
-def _q_form(v: ExtendedField, V_field: Field, m: float, grad: float, mass: float) -> float:
-    """Q(v) from its slab integrals (volume_integrals) plus the boundary (V - m) term."""
-    g = v.wall.grid
-    if V_field.grid != g:
-        raise ValueError("potential grid does not match extension grid")
-    u0 = v.values[0]
-    boundary = g.cell_volume * float(np.vdot((V_field.values - m) * u0, u0))
-    return grad + m * m * mass + boundary
-
-
-def q_form_volume(v: ExtendedField, V_field: Field, m: float) -> float:
-    """Quadratic form: volume Dirichlet + mass terms plus boundary (V - m) term.
-
-    Trapezoid in the wall direction, spectral in the boundary variables.
-    """
-    return _q_form(v, V_field, m, *volume_integrals(v))
-
-
 @dataclass
 class InequalityReport:
     """Both trace inequalities evaluated on one extension, with margins."""
@@ -223,10 +183,6 @@ class InequalityReport:
             return (rhs - lhs) / scale
 
         return rel(self.trace_p_lhs, self.trace_p_rhs), rel(self.trace_2_lhs, self.trace_2_rhs)
-
-    def ok(self, tol: float = 1e-8) -> bool:
-        m1, m2 = self.margins()
-        return m1 >= -tol and m2 >= -tol
 
 
 def check_trace_inequalities(v: ExtendedField, m: float, p: float) -> InequalityReport:
@@ -262,29 +218,22 @@ def norm_equivalence_constants(m: float, v_min: float, v_max: float) -> tuple[fl
 
 def check_norm_equivalence(v: ExtendedField, V_field: Field, m: float,
                            tol: float = 1e-9) -> tuple[bool, float, float, float]:
-    """Sandwich Q between the equivalence constants times the squared H^1 norm."""
-    v_min = float(np.min(V_field.values))
-    v_max = float(np.max(V_field.values))
-    c_low, c_high = norm_equivalence_constants(m, v_min, v_max)
+    """Sandwich Q between the equivalence constants times the squared H^1 norm.
+
+    Q(v) is the volume Dirichlet and mass terms (trapezoid in the wall
+    direction, spectral in the boundary variables) plus the boundary (V - m)
+    term.
+    """
+    g = v.wall.grid
+    if V_field.grid != g:
+        raise ValueError("potential grid does not match extension grid")
+    c_low, c_high = norm_equivalence_constants(m, float(np.min(V_field.values)),
+                                               float(np.max(V_field.values)))
     grad, mass = volume_integrals(v)
-    q = _q_form(v, V_field, m, grad, mass)
+    u0 = v.values[0]
+    q = grad + m * m * mass + g.cell_volume * float(np.vdot((V_field.values - m) * u0, u0))
     h1 = grad + mass
     lower_ok = q >= c_low * h1 * (1.0 - tol)
     upper_ok = q <= c_high * h1 * (1.0 + tol)
     return bool(lower_ok and upper_ok), q, c_low * h1, c_high * h1
 
-
-def pde_residual(v: ExtendedField, m: float) -> float:
-    """Interior residual of the extension equation: finite differences in x,
-    spectral in y; decays at second order under wall refinement."""
-    g = v.wall.grid
-    w = v.wall.weights
-    dx = np.diff(v.wall.x).reshape((-1,) + (1,) * g.N)
-    hm, hp, vals = dx[:-1], dx[1:], v.values
-    d2 = 2.0 * (hm * vals[2:] - (hm + hp) * vals[1:-1] + hp * vals[:-2]) / (
-        hm * hp * (hm + hp)
-    )
-    r = -d2 + apply_multiplier(g.freq2() + m * m, vals[1:-1])
-    total = float(w[1:-1] @ _row_integrals(g, r * r))
-    norm = float(w[1:-1] @ _row_integrals(g, vals[1:-1] ** 2))
-    return float(np.sqrt(total / max(norm, 1e-300)))

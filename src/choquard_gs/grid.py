@@ -59,10 +59,6 @@ class Grid:
     def cell_volume(self) -> float:
         return self.h**self.N
 
-    @property
-    def box_volume(self) -> float:
-        return (2.0 * self.L) ** self.N
-
     def axis_coords(self) -> np.ndarray:
         return -self.L + self.h * np.arange(self.n)
 
@@ -323,7 +319,10 @@ def load_field(path) -> Field:
         if magic != FIELD_MAGIC:
             raise ValueError(f"not a field file (magic {magic!r})")
         grid = Grid(int(N), float(L), int(n))
-        if os.fstat(fh.fileno()).st_size - fh.tell() < 8 * grid.size:
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if body < 8 * grid.size:
             raise ValueError("field file truncated")
+        if body > 8 * grid.size:
+            raise ValueError(f"field file has {body - 8 * grid.size} bytes past its values")
         data = np.frombuffer(fh.read(8 * grid.size), dtype="<f8")
     return Field(grid, data.reshape(grid.shape).copy())

@@ -1,4 +1,4 @@
-"""Nehari manifold machinery: fiber maps, the unique projection, ground level."""
+"""Nehari manifold machinery: fiber maps, the unique projection, geometry checks."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import numpy as np
 from .energy import (
     EnergyContext,
     energy_from_qdg,
-    energy_value,
     estimate_d_bound,
     fiber_residual_from_qdg,
     qdg,
@@ -86,10 +85,11 @@ def project_to_nehari(ctx: EnergyContext, u: Field) -> tuple[float, Field]:
 
 @dataclass
 class FiberScan:
-    """Energy along the ray t -> t*u with the located maximizer."""
+    """Energy and fiber residual along the ray t -> t*u, with the located maximizer."""
 
     t_values: np.ndarray
     e_values: np.ndarray
+    residuals: np.ndarray
     t_star: float
     residual_at_t_star: float
     slope_sign_ok: bool
@@ -101,53 +101,32 @@ class FiberScan:
         return bool(lo <= self.t_star <= hi) or i in (0, len(self.t_values) - 1)
 
 
-def fiber_scan(ctx: EnergyContext, u: Field, t_grid) -> FiberScan:
-    """Sample the fiber energy and certify the single rise-then-fall pattern."""
+def fiber_scan(ctx: EnergyContext, u: Field, t_grid, triple=None) -> FiberScan:
+    """Sample the fiber energy and certify the single rise-then-fall pattern.
+    triple, the (Q, D, G) of u when the caller has it, saves its evaluation."""
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if np.any(t_grid <= 0):
         raise ValueError("fiber scan requires positive scalings")
-    q, d, g = qdg(ctx, u)
+    q, d, g = qdg(ctx, u) if triple is None else triple
     t_star = nehari_t_from_qdg(q, d, g, ctx.params.p, ctx.params.q)
     e_vals = np.array([energy_from_qdg(ctx, q, d, g, t) for t in t_grid])
-    # analytic fiber slope keeps the sign test exact in t; samples within
-    # round-off of the root itself carry slope of either sign
-    p, qe = ctx.params.p, ctx.params.q
-    slopes = t_grid * q - t_grid ** (2.0 * p - 1.0) * d + t_grid ** (qe - 1.0) * g
+    resids = np.array([fiber_residual_from_qdg(ctx, q, d, g, t) for t in t_grid])
+    # the fiber slope, residual / t, keeps the sign test exact in t; samples
+    # within round-off of the root itself carry slope of either sign
+    slopes = resids / t_grid
     tol = 1e-12 * np.max(np.abs(slopes))
     ok = bool(np.all(slopes[t_grid < t_star] > -tol) and np.all(slopes[t_grid > t_star] < tol))
     resid = fiber_residual_from_qdg(ctx, q, d, g, t_star)
-    return FiberScan(t_grid, e_vals, t_star, resid, ok)
+    return FiberScan(t_grid, e_vals, resids, t_star, resid, ok)
 
 
-def fiber_scan_csv(ctx: EnergyContext, u: Field, scan: FiberScan) -> str:
+def fiber_scan_csv(scan: FiberScan) -> str:
     """CSV rows (t, energy, residual) for plotting, residual being the fiber
     derivative pairing at each scaling."""
-    q, d, g = qdg(ctx, u)
     lines = ["t,energy,residual"]
-    for t, e in zip(scan.t_values, scan.e_values):
-        lines.append(f"{t!r},{e!r},{fiber_residual_from_qdg(ctx, q, d, g, t)!r}")
+    for row in zip(scan.t_values, scan.e_values, scan.residuals):
+        lines.append(",".join(repr(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def ground_level(ctx: EnergyContext, candidates: list[Field]) -> tuple[float, Field]:
-    """Infimum of the energy over the projected candidate set."""
-    if not candidates:
-        raise ValueError("candidate list is empty")
-    best_e = None
-    best_u = None
-    failures = 0
-    for u in candidates:
-        try:
-            _, u_star = project_to_nehari(ctx, u)
-        except NehariProjectionError:
-            failures += 1
-            continue
-        e = energy_value(ctx, u_star)
-        if best_e is None or e < best_e:
-            best_e, best_u = e, u_star
-    if best_u is None:
-        raise NehariProjectionError(f"all {failures} candidates failed projection")
-    return best_e, best_u
 
 
 @dataclass
@@ -162,10 +141,6 @@ class JConditionReport:
     j3_violations: int
     j4_ok: bool
     j4_min_margin: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.j1_ok and self.j2_ok and self.j3_ok and self.j4_ok
 
 
 def check_J_conditions(ctx: EnergyContext, sample_fields: list[Field],
@@ -201,7 +176,7 @@ def check_J_conditions(ctx: EnergyContext, sample_fields: list[Field],
             j2_ok = False
         # fiber slope sign pattern around the projection point
         t_star = nehari_t_from_qdg(q, d, g, p, qe)
-        scan = fiber_scan(ctx, u, np.geomspace(t_star / 8.0, t_star * 8.0, 33))
+        scan = fiber_scan(ctx, u, np.geomspace(t_star / 8.0, t_star * 8.0, 33), (q, d, g))
         if not scan.slope_sign_ok:
             j3_violations += 1
         # coercivity on the manifold

@@ -153,6 +153,8 @@ class AssumptionCheck:
 @dataclass
 class ValidationReport:
     checks: list[AssumptionCheck]
+    # (Vp, Vl, Gamma) as sampled for the checks, once sampling succeeded
+    potentials: tuple[Field, Field, Field] | None = None
 
     @property
     def all_passed(self) -> bool:
@@ -160,11 +162,6 @@ class ValidationReport:
 
     def failures(self) -> list[AssumptionCheck]:
         return [c for c in self.checks if not c.passed]
-
-    def lines(self) -> list[str]:
-        return [
-            f"[{'pass' if c.passed else 'FAIL'}] {c.name}: {c.witness}" for c in self.checks
-        ]
 
 
 def _argwitness(grid: Grid, values: np.ndarray, idx_flat: int) -> str:
@@ -251,7 +248,7 @@ def validate(params: ProblemParams, pot: PotentialSpec) -> ValidationReport:
         vmin_idx = int(np.argmin(vp.values))
         add("essinf Vp > 0 (positive localized part)",
             vp.values.flat[vmin_idx] > 0.0, _argwitness(grid, vp.values, vmin_idx))
-    return ValidationReport(checks)
+    return ValidationReport(checks, (vp, vl, gam))
 
 
 PARAM_KEYS = ("N", "m", "p", "q", "alpha", "L", "n")

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choquard_gs import PotentialSpec, ProblemParams, build_context
+from choquard_gs import PotentialSpec, ProblemParams, build_context, build_wall
 from choquard_gs.problem import Descriptor, load_problem_config
 
 
@@ -28,6 +28,12 @@ def gamma_potential(amplitude: float = 0.5) -> PotentialSpec:
     return PotentialSpec(Descriptor("constant", {"value": 1.0}),
                          Descriptor("zero"), "zero",
                          Descriptor("cosine", {"amplitude": amplitude}))
+
+
+def refined_wall(wall, factor: int = 2):
+    """The same wall span and clustering profile with factor-times more nodes."""
+    return build_wall(wall.grid, nx=factor * wall.nx, x_max=wall.x_max,
+                      delta0=float(wall.x[1]) / factor)
 
 
 @pytest.fixture(scope="session")

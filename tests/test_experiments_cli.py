@@ -150,10 +150,11 @@ def test_cli_missing_config_is_config_error(tmp_path):
     ["box-sweep", "--box-list", "8,inf"],
     ["box-sweep", "--box-list", "0"],
     ["vl-sign", "--box-list", "-4"],
+    ["box-sweep", "--box-list", "8"],
 ])
 def test_cli_bad_counts_are_config_errors(config_path, tmp_path, args, capsys):
     # sweep lists are checked before any solve; vl-sign needs a localized part
-    # to get that far
+    # to get that far, and a box sweep two boxes to difference
     if args[0] == "vl-sign":
         config_path.write_text(VL_CONFIG, encoding="utf-8")
     out = tmp_path / "out"
@@ -343,3 +344,85 @@ def test_gamma_sweep_reruns_bit_identically(config_path, tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+
+
+ALL_KINDS = ["solve", "verify", "fiber-scan", "gamma-sweep", "vl-sign", "box-sweep"]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_invalid_problem_exits_2_naming_the_check(kind, config_path, tmp_path, capsys):
+    config_path.write_text(DEFAULT_CONFIG.replace("n = 128", "n = 127"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(config_path), "--out", str(out)]) == 2
+    assert "grid points even and >= 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["solve", "gamma-sweep", "vl-sign", "box-sweep"])
+def test_solve_failure_leaves_a_failed_report(kind, config_path, tmp_path):
+    # no start converges in one iteration: every kind that solves still
+    # writes its report, with the failure as a check
+    if kind == "vl-sign":
+        config_path.write_text(VL_CONFIG, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(config_path), "--out", str(out),
+                 "--multistarts", "1", "--max-iters", "1"]) == 1
+    report = (out / "report.md").read_text()
+    assert "- [FAIL] every solve converged -- none of 1 starts converged" in report
+    assert "FAILURES present" in report
+
+
+FAST_RUNS = {
+    "solve": ["--multistarts", "1"],
+    "verify": [],
+    "fiber-scan": [],
+    "gamma-sweep": ["--eps-list", "0.5,0", "--multistarts", "1"],
+    "vl-sign": ["--box-list", "8,16", "--multistarts", "1"],
+    "box-sweep": ["--box-list", "4,8"],
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_each_built_context_is_validated_once(kind, tmp_path, monkeypatch):
+    import sys
+
+    import choquard_gs
+    from choquard_gs import energy, problem
+
+    calls = {"validate": 0, "build": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    # every binding of each function in the package, as a caller sees it
+    for key, fn in (("validate", problem.validate), ("build", energy.build_context)):
+        wrapper = counting(key, fn)
+        for name, module in list(sys.modules.items()):
+            if name.startswith(choquard_gs.__name__):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+    path = tmp_path / "problem.ini"
+    path.write_text(VL_CONFIG if kind == "vl-sign" else SMOKE_CONFIG, encoding="utf-8")
+    main([kind, "--config", str(path), "--out", str(tmp_path / "out"), "--tol-scale", "10"]
+         + FAST_RUNS[kind])
+    assert (tmp_path / "out" / "report.md").is_file()
+    assert calls["build"] >= 1
+    assert calls["validate"] == calls["build"]
+
+
+def test_box_sweep_reaches_the_ground_level_under_a_cosine_factor(tmp_path):
+    # the cosine Gamma peaks at the origin; an even start there stops at a
+    # saddle at 0.27051362 on the smallest box
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "bs"
+    main(["box-sweep", "--config", str(root / "configs" / "gamma_sweep.ini"),
+          "--out", str(out), "--box-list", "8,16"])
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert rows[0].startswith("L,c,")
+    L, c = rows[1].split(",")[:2]
+    assert float(L) == 8.0
+    assert float(c) == pytest.approx(0.26825225, abs=5e-9)

@@ -3,19 +3,19 @@ import pytest
 
 from choquard_gs.energy import q_boundary
 from choquard_gs.extension import (
+    WallGrid,
     build_wall,
     check_norm_equivalence,
     check_trace_inequalities,
     dtn_apply,
-    h1_norm2_volume,
     harmonic_extend,
     norm_equivalence_constants,
-    pde_residual,
-    q_form_volume,
     volume_integrals,
 )
 from choquard_gs.grid import Field, Grid, gaussian_field, l2_norm, random_smooth_field
 from choquard_gs.operators import apply_sqrt, build_sqrt_op
+from conftest import refined_wall
+from oracles import pde_residual, q_form_volume
 
 
 @pytest.fixture(scope="module")
@@ -28,12 +28,22 @@ def wall(grid):
     return build_wall(grid, m=1.0)
 
 
+def extended_wall(wall, factor=2.0):
+    """Continue the wall's geometric progression past x_max (tail-truncation study)."""
+    x = list(wall.x)
+    step = x[-1] - x[-2]
+    while x[-1] < factor * wall.x_max:
+        step *= wall.ratio
+        x.append(x[-1] + step)
+    return WallGrid(wall.grid, np.asarray(x), x[-1], wall.ratio)
+
+
 def test_wall_geometry(grid, wall):
     assert wall.x[0] == 0.0
     assert np.all(np.diff(wall.x) > 0)
     assert wall.x[-1] == pytest.approx(wall.x_max, rel=1e-9)
     assert np.all(np.diff(np.diff(wall.x)) > 0)  # clustered toward the boundary
-    fine = wall.refined(2)
+    fine = refined_wall(wall, 2)
     assert fine.nx == 2 * wall.nx
     assert fine.x[1] == pytest.approx(wall.x[1] / 2.0, rel=1e-6)
 
@@ -56,7 +66,6 @@ def test_extend_trace_reproduces_boundary(grid, wall, rng):
     u = random_smooth_field(grid, rng)
     v = harmonic_extend(u, wall, 1.0)
     assert np.max(np.abs(v.values[0] - u.values)) <= 1e-12 * np.max(np.abs(u.values))
-    assert np.max(np.abs(v.trace().values - u.values)) <= 1e-12 * np.max(np.abs(u.values))
 
 
 def test_pde_residual_second_order(grid):
@@ -75,7 +84,7 @@ def test_energy_stable_under_wall_extension(grid, wall):
     m = 1.0
     u = gaussian_field(grid, [0.0], 2.0)
     base = harmonic_extend(u, wall, m)
-    taller = harmonic_extend(u, wall.extended(2.0), m)
+    taller = harmonic_extend(u, extended_wall(wall, 2.0), m)
     g0, m0 = volume_integrals(base)
     g1, m1 = volume_integrals(taller)
     e0 = g0 + m**2 * m0
@@ -148,13 +157,14 @@ def test_q_form_volume_matches_boundary_form(grid, wall, ctx_const, rng):
         u = random_smooth_field(grid, rng)
         v = harmonic_extend(u, wall, m)
         qv = q_form_volume(v, V, m)
+        assert check_norm_equivalence(v, V, m)[1] == qv  # the form the sandwich checks
         qb = q_boundary(ctx_const, u)
         gaps.append(abs(qv - qb) / abs(qb))
     assert max(gaps) <= 1e-4
     # gap shrinks under wall refinement
     u = random_smooth_field(grid, rng)
     coarse = abs(q_form_volume(harmonic_extend(u, wall, m), V, m) - q_boundary(ctx_const, u))
-    fine_wall = wall.refined(2)
+    fine_wall = refined_wall(wall, 2)
     fine = abs(q_form_volume(harmonic_extend(u, fine_wall, m), V, m) - q_boundary(ctx_const, u))
     assert fine < coarse
 
@@ -199,21 +209,20 @@ def test_trace_inequalities_on_gaussian(grid, wall):
     rep = check_trace_inequalities(v, 1.0, 2.0)
     m1, m2 = rep.margins()
     assert m1 > 0 and m2 > 0
-    assert rep.ok()
 
 
 def test_trace_inequalities_zero_field(grid, wall):
     v = harmonic_extend(Field(grid, np.zeros(grid.n)), wall, 1.0)
     rep = check_trace_inequalities(v, 1.0, 2.0)
     assert rep.trace_p_lhs == 0.0 and rep.trace_2_lhs == 0.0
-    assert rep.ok()
+    assert min(rep.margins()) >= -1e-8
 
 
 def test_trace_inequalities_random_sweep(grid, wall, rng):
     for _ in range(100):
         u = random_smooth_field(grid, rng)
         rep = check_trace_inequalities(harmonic_extend(u, wall, 1.0), 1.0, 2.0)
-        assert rep.ok(tol=1e-8)
+        assert min(rep.margins()) >= -1e-8
 
 
 def test_norm_equivalence_constants_reference():
@@ -240,7 +249,7 @@ def test_norm_equivalence_sandwich(grid, wall, rng):
 
 def test_h1_norm_positive(grid, wall, rng):
     u = random_smooth_field(grid, rng)
-    assert h1_norm2_volume(harmonic_extend(u, wall, 1.0)) > 0
+    assert sum(volume_integrals(harmonic_extend(u, wall, 1.0))) > 0
 
 
 def _slab_oracle(u, wall_x, m, p):
@@ -281,7 +290,8 @@ def test_slab_integrals_match_real_space_oracle(N, n, L, variant, rng):
     g = Grid(N, L, n)
     m, p = 0.8, 3.0
     wall = build_wall(g, m)
-    wall = {"default": wall, "refined": wall.refined(2), "extended": wall.extended(2.0)}[variant]
+    wall = {"default": wall, "refined": refined_wall(wall, 2),
+            "extended": extended_wall(wall, 2.0)}[variant]
     for _ in range(3):
         u = random_smooth_field(g, rng)
         v = harmonic_extend(u, wall, m)

@@ -304,6 +304,17 @@ def test_load_rejects_header_beyond_file(tmp_path, N, n, body):
         load_field(p)
 
 
+def test_load_rejects_trailing_bytes(tmp_path):
+    # the body must be exactly 8 n^N bytes: garbage after the values is refused
+    g = Grid(1, 4.0, 16)
+    p = tmp_path / "field.cgsf"
+    save_field(Field(g, np.ones(g.shape)), p)
+    p.write_bytes(p.read_bytes() + b"x" * 43)
+    assert p.stat().st_size == 187
+    with pytest.raises(ValueError, match="43 bytes past"):
+        load_field(p)
+
+
 def test_gaussian_field_is_smooth_on_torus():
     g = Grid(1, 8.0, 128)
     f = gaussian_field(g, [7.5], 1.0)

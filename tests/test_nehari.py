@@ -1,14 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from choquard_gs.energy import energy_value, fiber_residual_from_qdg, q_boundary, qdg
 from choquard_gs.grid import Field, gaussian_field, random_smooth_field, shift
+from oracles import ground_level
 from choquard_gs.nehari import (
     NehariProjectionError,
     check_J_conditions,
     fiber_scan,
     fiber_scan_csv,
-    ground_level,
     nehari_t_from_qdg,
     project_to_nehari,
 )
@@ -129,7 +131,7 @@ def test_fiber_scan_rejects_nonpositive_grid(ctx_const, rng):
 def test_fiber_scan_csv_format(ctx_gamma, rng):
     u = random_smooth_field(ctx_gamma.grid, rng)
     scan = fiber_scan(ctx_gamma, u, [0.5, 1.0, 2.0])
-    text = fiber_scan_csv(ctx_gamma, u, scan)
+    text = fiber_scan_csv(scan)
     lines = text.strip().splitlines()
     assert lines[0] == "t,energy,residual"
     assert len(lines) == 4
@@ -169,10 +171,58 @@ def test_ground_level_empty_and_degenerate(ctx_const):
 def test_j_conditions_on_random_fields(ctx_gamma, rng):
     fields = [random_smooth_field(ctx_gamma.grid, rng) for _ in range(50)]
     rep = check_J_conditions(ctx_gamma, fields)
-    assert rep.all_ok
+    assert rep.j1_ok and rep.j2_ok and rep.j3_ok and rep.j4_ok
     assert rep.j3_violations == 0
     assert rep.radius > 0
     assert rep.j1_min_ratio >= 1.0 - 1e-9
+
+
+def _count_qdg(monkeypatch, *modules):
+    from choquard_gs import energy
+
+    calls = []
+
+    def counted(ctx, u):
+        calls.append(u)
+        return energy.qdg(ctx, u)
+
+    for module in modules:
+        monkeypatch.setattr(module, "qdg", counted)
+    return calls
+
+
+def test_j_conditions_evaluate_each_field_once(ctx_gamma, rng, monkeypatch):
+    from choquard_gs import nehari
+
+    fields = [random_smooth_field(ctx_gamma.grid, rng) for _ in range(5)]
+    calls = _count_qdg(monkeypatch, nehari)
+    assert check_J_conditions(ctx_gamma, fields).j3_ok
+    assert len(calls) == len(fields)
+
+
+def test_fiber_scan_driver_evaluates_its_field_once(tmp_path, monkeypatch):
+    from choquard_gs import nehari
+    from choquard_gs.experiments import drivers
+    from choquard_gs.experiments.config import ExperimentConfig
+
+    config = Path(__file__).resolve().parents[1] / "configs" / "smoke.ini"
+    calls = _count_qdg(monkeypatch, nehari, drivers)
+    ecfg = ExperimentConfig("fiber-scan", str(config), out_dir=str(tmp_path),
+                            tolerance_scale=10.0)
+    assert drivers.run_fiber_scan(ecfg) == 0
+    assert len(calls) == 1
+    rows = (tmp_path / "fiber_scan.csv").read_text().splitlines()
+    assert len(rows) == 42
+
+
+def test_fiber_scan_csv_needs_only_the_scan(ctx_gamma, rng):
+    u = random_smooth_field(ctx_gamma.grid, rng)
+    scan = fiber_scan(ctx_gamma, u, [0.5, 1.0, 2.0])
+    q, d, g = qdg(ctx_gamma, u)
+    want = [fiber_residual_from_qdg(ctx_gamma, q, d, g, t) for t in scan.t_values]
+    assert list(scan.residuals) == want
+    given = fiber_scan(ctx_gamma, u, [0.5, 1.0, 2.0], (q, d, g))
+    assert fiber_scan_csv(given) == fiber_scan_csv(scan)
 
 
 def test_j2_growth_is_monotone(ctx_gamma, rng):

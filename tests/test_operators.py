@@ -307,11 +307,12 @@ def test_sqrt_agrees_with_fine_wall_extension(rng):
     # cross-validation against the half-space normal-derivative realization
     from choquard_gs.extension import build_wall, dtn_apply
     from choquard_gs.grid import l2_norm
+    from conftest import refined_wall
 
     g = Grid(1, 16.0, 128)
     m = 1.0
     op = build_sqrt_op(g, m)
-    wall = build_wall(g, m).refined(8)
+    wall = refined_wall(build_wall(g, m), 8)
     for _ in range(3):
         u = random_smooth_field(g, rng)
         exact = apply_sqrt(op, u)

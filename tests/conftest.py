@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,23 @@ def gamma_potential(amplitude: float = 0.5) -> PotentialSpec:
     return PotentialSpec(Descriptor("constant", {"value": 1.0}),
                          Descriptor("zero"), "zero",
                          Descriptor("cosine", {"amplitude": amplitude}))
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Replace every binding of fn in the package by a wrapper that records
+    each call's arguments; returns the record."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "choquard_gs":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapped)
+    return calls
 
 
 def refined_wall(wall, factor: int = 2):

@@ -19,7 +19,7 @@ from choquard_gs.energy import (
     qdg,
 )
 from choquard_gs.grid import Field, gaussian_field, l2_inner, l2_norm2, random_smooth_field, shift
-from conftest import config_context, const_potential, gamma_potential, make_params
+from conftest import config_context, const_potential, count_calls, gamma_potential, make_params
 from oracles import directional_derivative_fd
 
 
@@ -260,21 +260,12 @@ def test_energy_module_is_not_shadowed_by_a_function():
 
 
 def test_build_context_validates_and_samples_once(monkeypatch):
-    from choquard_gs import energy, problem
+    from choquard_gs import problem
 
-    calls = {"validate": 0, "sample": 0}
-
-    def counted(key, fn):
-        def wrapped(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(energy, "validate", counted("validate", problem.validate))
-    monkeypatch.setattr(problem, "sample_potentials",
-                        counted("sample", problem.sample_potentials))
+    validated = count_calls(monkeypatch, problem.validate)
+    sampled = count_calls(monkeypatch, problem.sample_potentials)
     ctx = build_context(make_params(), gamma_potential())
-    assert calls == {"validate": 1, "sample": 1}
+    assert (len(validated), len(sampled)) == (1, 1)
     assert ctx.Gamma.grid is ctx.grid and np.any(ctx.Gamma.values)
 
 

@@ -11,11 +11,11 @@ import pytest
 
 from choquard_gs.cli import main
 from choquard_gs.energy import EnergyContext, build_context
-from choquard_gs.experiments.config import ExperimentConfig, Report, blob_hash
+from choquard_gs.experiments.config import KINDS, ExperimentConfig, Report, blob_hash
 from choquard_gs.experiments.drivers import _embed, _run_all_suites
 from choquard_gs.grid import Field, dft, gaussian_field, load_field
 from choquard_gs.problem import ConfigError
-from conftest import make_params, const_potential
+from conftest import const_potential, count_calls, make_params
 
 DEFAULT_CONFIG = """
 [params]
@@ -346,10 +346,7 @@ def test_gamma_sweep_reruns_bit_identically(config_path, tmp_path):
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
 
-ALL_KINDS = ["solve", "verify", "fiber-scan", "gamma-sweep", "vl-sign", "box-sweep"]
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 def test_invalid_problem_exits_2_naming_the_check(kind, config_path, tmp_path, capsys):
     config_path.write_text(DEFAULT_CONFIG.replace("n = 128", "n = 127"), encoding="utf-8")
     out = tmp_path / "out"
@@ -382,36 +379,19 @@ FAST_RUNS = {
 }
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 def test_each_built_context_is_validated_once(kind, tmp_path, monkeypatch):
-    import sys
+    from choquard_gs import problem
 
-    import choquard_gs
-    from choquard_gs import energy, problem
-
-    calls = {"validate": 0, "build": 0}
-
-    def counting(key, fn):
-        def wrapped(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    # every binding of each function in the package, as a caller sees it
-    for key, fn in (("validate", problem.validate), ("build", energy.build_context)):
-        wrapper = counting(key, fn)
-        for name, module in list(sys.modules.items()):
-            if name.startswith(choquard_gs.__name__):
-                for attr, value in list(vars(module).items()):
-                    if value is fn:
-                        monkeypatch.setattr(module, attr, wrapper)
+    validated = count_calls(monkeypatch, problem.validate)
+    built = count_calls(monkeypatch, build_context)
     path = tmp_path / "problem.ini"
     path.write_text(VL_CONFIG if kind == "vl-sign" else SMOKE_CONFIG, encoding="utf-8")
     main([kind, "--config", str(path), "--out", str(tmp_path / "out"), "--tol-scale", "10"]
          + FAST_RUNS[kind])
     assert (tmp_path / "out" / "report.md").is_file()
-    assert calls["build"] >= 1
-    assert calls["validate"] == calls["build"]
+    assert len(built) >= 1
+    assert len(validated) == len(built)
 
 
 def test_box_sweep_reaches_the_ground_level_under_a_cosine_factor(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from choquard_gs.energy import energy_value, fiber_residual_from_qdg, q_boundary, qdg
 from choquard_gs.grid import Field, gaussian_field, random_smooth_field, shift
+from conftest import count_calls
 from oracles import ground_level
 from choquard_gs.nehari import (
     NehariProjectionError,
@@ -177,36 +178,19 @@ def test_j_conditions_on_random_fields(ctx_gamma, rng):
     assert rep.j1_min_ratio >= 1.0 - 1e-9
 
 
-def _count_qdg(monkeypatch, *modules):
-    from choquard_gs import energy
-
-    calls = []
-
-    def counted(ctx, u):
-        calls.append(u)
-        return energy.qdg(ctx, u)
-
-    for module in modules:
-        monkeypatch.setattr(module, "qdg", counted)
-    return calls
-
-
 def test_j_conditions_evaluate_each_field_once(ctx_gamma, rng, monkeypatch):
-    from choquard_gs import nehari
-
     fields = [random_smooth_field(ctx_gamma.grid, rng) for _ in range(5)]
-    calls = _count_qdg(monkeypatch, nehari)
+    calls = count_calls(monkeypatch, qdg)
     assert check_J_conditions(ctx_gamma, fields).j3_ok
     assert len(calls) == len(fields)
 
 
 def test_fiber_scan_driver_evaluates_its_field_once(tmp_path, monkeypatch):
-    from choquard_gs import nehari
     from choquard_gs.experiments import drivers
     from choquard_gs.experiments.config import ExperimentConfig
 
     config = Path(__file__).resolve().parents[1] / "configs" / "smoke.ini"
-    calls = _count_qdg(monkeypatch, nehari, drivers)
+    calls = count_calls(monkeypatch, qdg)
     ecfg = ExperimentConfig("fiber-scan", str(config), out_dir=str(tmp_path),
                             tolerance_scale=10.0)
     assert drivers.run_fiber_scan(ecfg) == 0

@@ -9,7 +9,7 @@ run inside the optimization loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,12 +42,15 @@ def _solve_ratio(nx: int, x_max: float, delta0: float) -> float:
 
 @dataclass
 class WallGrid:
-    """Discretization of the wall direction x >= 0, clustered toward x = 0."""
+    """Discretization of the wall direction x >= 0, clustered toward x = 0.
+    Its weights and per-mass tables are built on first use: x stays fixed."""
 
     grid: Grid
     x: np.ndarray
     x_max: float
     ratio: float
+    _by_mass: dict[float, _Symbols] = field(default_factory=dict, init=False, repr=False,
+                                            compare=False)
 
     @property
     def nx(self) -> int:
@@ -62,6 +65,25 @@ class WallGrid:
         w[-1] = dx[-1] / 2.0
         w[1:-1] = (dx[:-1] + dx[1:]) / 2.0
         return w
+
+    def _symbols(self, m: float) -> _Symbols:
+        """This wall's tables for mass m, built by the first call for that m."""
+        if m not in self._by_mass:
+            self._by_mass[m] = _Symbols(self, m)
+        return self._by_mass[m]
+
+
+class _Symbols:
+    """One wall's tables for one mass m, on the freq2 grid and read-only: decay
+    is exp(-x s), s = sqrt(|xi|^2 + m^2), one row per wall node; s2 = s^2 and
+    grad = s^2 + |xi|^2 are the symbols of |d_x v|^2 and |grad v|^2."""
+
+    def __init__(self, wall: WallGrid, m: float):
+        freq2 = wall.grid.freq2()
+        s = np.sqrt(freq2 + m * m)
+        self.decay, self.s2, self.grad = np.exp(-np.multiply.outer(wall.x, s)), s**2, s**2 + freq2
+        for table in (self.decay, self.s2, self.grad):
+            table.flags.writeable = False
 
 
 def build_wall(grid: Grid, m: float = 1.0, nx: int = 384, x_max: float | None = None,
@@ -96,13 +118,14 @@ class ExtendedField:
     """Extension values on wall x boundary nodes; row 0 is the boundary trace.
 
     spec holds the rows' half spectrum, u-hat times exp(-x s), with s the
-    decay rate sqrt(|xi|^2 + m^2) on the freq2 grid.
+    decay rate sqrt(|xi|^2 + m^2) on the freq2 grid and m the mass of the
+    extension equation.
     """
 
     wall: WallGrid
     values: np.ndarray
     spec: np.ndarray
-    s: np.ndarray
+    m: float
 
     @cached_property
     def slab(self) -> np.ndarray:
@@ -121,10 +144,8 @@ def harmonic_extend(u: Field, wall: WallGrid, m: float) -> ExtendedField:
     """
     if u.grid != wall.grid:
         raise ValueError("field grid does not match wall grid")
-    g = u.grid
-    s = np.sqrt(g.freq2() + m * m)
-    spec = dft(u.values) * np.exp(-np.multiply.outer(wall.x, s))
-    return ExtendedField(wall, idft_real(spec, g.shape), spec, s)
+    spec = dft(u.values) * wall._symbols(m).decay
+    return ExtendedField(wall, idft_real(spec, u.grid.shape), spec, m)
 
 
 def _diff_weights(nodes: np.ndarray) -> np.ndarray:
@@ -147,11 +168,9 @@ def dtn_apply(u: Field, wall: WallGrid, m: float, npts: int = 3) -> Field:
         raise ValueError("field grid does not match wall grid")
     if not 2 <= npts <= wall.nx:
         raise ValueError("stencil width out of range")
-    g = u.grid
-    s = np.sqrt(g.freq2() + m * m)
     w = _diff_weights(wall.x[:npts])
-    symbol = np.tensordot(w, np.exp(-np.multiply.outer(wall.x[:npts], s)), axes=1)
-    return Field(g, apply_multiplier(-symbol, u.values))
+    symbol = np.tensordot(w, wall._symbols(m).decay[:npts], axes=1)
+    return Field(u.grid, apply_multiplier(-symbol, u.values))
 
 
 def _row_integrals(g: Grid, rows: np.ndarray) -> np.ndarray:
@@ -164,7 +183,7 @@ def volume_integrals(v: ExtendedField) -> tuple[float, float]:
 
     Per mode |d_x v|^2 + |grad_y v|^2 is (s^2 + |xi|^2) times |v|^2.
     """
-    grad = float(np.vdot(v.slab, v.s**2 + v.wall.grid.freq2()))
+    grad = float(np.vdot(v.slab, v.wall._symbols(v.m).grad))
     return grad, float(np.sum(v.slab))
 
 
@@ -192,7 +211,7 @@ def check_trace_inequalities(v: ExtendedField, m: float, p: float) -> Inequality
     lhs_p = float(g.cell_volume * np.sum(np.abs(u0) ** p))
     # L^{2(p-1)} norm of v over the volume, raised to 2(p-1)
     vol_2p2 = float(v.wall.weights @ _row_integrals(g, np.abs(v.values) ** (2.0 * (p - 1.0))))
-    dx2 = float(np.vdot(v.slab, v.s**2))
+    dx2 = float(np.vdot(v.slab, v.wall._symbols(v.m).s2))
     grad, mass = volume_integrals(v)
     rhs_p = p * vol_2p2 ** ((p - 1.0) / (2.0 * (p - 1.0))) * np.sqrt(dx2)
     lhs_2 = g.cell_volume * float(np.vdot(u0, u0))

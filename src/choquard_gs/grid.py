@@ -27,9 +27,17 @@ FIELD_MAGIC = b"CGSF"
 _FIELD_HEADER = struct.Struct("<4sB3xIf")
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on the box [-L, L)^N, periodically extended, n points per axis."""
+    """Uniform grid on the box [-L, L)^N, periodically extended, n points per axis.
+
+    axis_coords, freq2 and half_weights build their array on an instance's
+    first call and return that same array, read-only, to every later caller."""
 
     N: int
     L: float
@@ -60,7 +68,11 @@ class Grid:
         return self.h**self.N
 
     def axis_coords(self) -> np.ndarray:
-        return -self.L + self.h * np.arange(self.n)
+        return self._coords
+
+    @functools.cached_property
+    def _coords(self) -> np.ndarray:
+        return _read_only(-self.L + self.h * np.arange(self.n))
 
     def axis_freqs(self) -> np.ndarray:
         """Angular frequencies xi_k = pi*k/L in FFT index order."""
@@ -73,13 +85,21 @@ class Grid:
 
     def freq2(self) -> np.ndarray:
         """|xi|^2 on the half-spectrum grid of dft (FFT entry n/2 is -n/2, same square)."""
+        return self._freq2
+
+    @functools.cached_property
+    def _freq2(self) -> np.ndarray:
         xi2 = self.axis_freqs() ** 2
-        return self._axis_sum([xi2] * (self.N - 1) + [xi2[: self.n // 2 + 1]])
+        return _read_only(self._axis_sum([xi2] * (self.N - 1) + [xi2[: self.n // 2 + 1]]))
 
     def half_weights(self) -> np.ndarray:
         """Copies in the full spectrum of each half-spectrum coefficient, along the
         last axis: 1 at k = 0 and k = n/2 (self-mirrored), 2 elsewhere."""
-        return np.where(np.arange(self.n // 2 + 1) % (self.n // 2) == 0, 1.0, 2.0)
+        return self._half_weights
+
+    @functools.cached_property
+    def _half_weights(self) -> np.ndarray:
+        return _read_only(np.where(np.arange(self.n // 2 + 1) % (self.n // 2) == 0, 1.0, 2.0))
 
     def r2(self, center=None) -> np.ndarray:
         """Squared minimal-image distance of every node from center (default the origin)."""
@@ -273,8 +293,9 @@ def random_smooth_field(grid: Grid, rng: np.random.Generator, n_bumps: int = 3) 
     for _ in range(n_bumps):
         center = rng.uniform(-grid.L, grid.L, size=grid.N)
         width = rng.uniform(0.5, max(1.0, grid.L / 4))
-        amp = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
-        vals += gaussian_field(grid, center, width, amp).values
+        # the same draw as rng.choice([-1.0, 1.0]), without its argument handling
+        amp = rng.uniform(0.2, 1.0) * (-1.0, 1.0)[int(rng.integers(0, 2))]
+        vals += amp * np.exp(-grid.r2(center) / width**2)
     return Field(grid, vals)
 
 

@@ -122,10 +122,11 @@ def fiber_scan(ctx: EnergyContext, u: Field, t_grid, triple=None) -> FiberScan:
 
 def fiber_scan_csv(scan: FiberScan) -> str:
     """CSV rows (t, energy, residual) for plotting, residual being the fiber
-    derivative pairing at each scaling."""
+    derivative pairing at each scaling; each cell is repr of the Python float,
+    which reads back bit for bit (repr of a numpy scalar names its type)."""
     lines = ["t,energy,residual"]
     for row in zip(scan.t_values, scan.e_values, scan.residuals):
-        lines.append(",".join(repr(v) for v in row))
+        lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -32,8 +32,9 @@ def gamma_potential(amplitude: float = 0.5) -> PotentialSpec:
 
 
 def count_calls(monkeypatch, fn) -> list:
-    """Replace every binding of fn in the package by a wrapper that records
-    each call's arguments; returns the record."""
+    """Replace every binding of fn in the package, module attributes and the
+    methods of its classes alike, by a wrapper that records each call's
+    arguments (self first, for a method); returns the record."""
     calls = []
 
     def wrapped(*args, **kwargs):
@@ -42,9 +43,11 @@ def count_calls(monkeypatch, fn) -> list:
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "choquard_gs":
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, wrapped)
+            classes = [v for v in vars(module).values() if isinstance(v, type)]
+            for owner in [module, *classes]:
+                for attr, value in list(vars(owner).items()):
+                    if value is fn:
+                        monkeypatch.setattr(owner, attr, wrapped)
     return calls
 
 

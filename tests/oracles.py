@@ -5,7 +5,7 @@ import numpy as np
 
 from choquard_gs.energy import energy_value
 from choquard_gs.extension import volume_integrals
-from choquard_gs.grid import Field, apply_multiplier
+from choquard_gs.grid import Field, apply_multiplier, gaussian_field
 from choquard_gs.nehari import NehariProjectionError, project_to_nehari
 
 
@@ -57,3 +57,15 @@ def pde_residual(v, m):
     norm = float(w[1:-1] @ np.sum(vals[1:-1] ** 2, axis=axes))
     return float(np.sqrt(total / max(norm, 1e-300)))
 
+
+
+def random_smooth_field_per_bump(grid, rng, n_bumps=3):
+    """random_smooth_field built one gaussian_field per bump, its sign drawn by
+    rng.choice: the reference for both its values and its use of the stream."""
+    vals = np.zeros(grid.shape)
+    for _ in range(n_bumps):
+        center = rng.uniform(-grid.L, grid.L, size=grid.N)
+        width = rng.uniform(0.5, max(1.0, grid.L / 4))
+        amp = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
+        vals += gaussian_field(grid, center, width, amp).values
+    return Field(grid, vals)

@@ -12,10 +12,10 @@ import pytest
 from choquard_gs.cli import main
 from choquard_gs.energy import EnergyContext, build_context
 from choquard_gs.experiments.config import KINDS, ExperimentConfig, Report, blob_hash
-from choquard_gs.experiments.drivers import _embed, _run_all_suites
+from choquard_gs.experiments.drivers import TRACE_FIELDS, _embed, _run_all_suites, _suite_trace
 from choquard_gs.grid import Field, dft, gaussian_field, load_field
 from choquard_gs.problem import ConfigError
-from conftest import const_potential, count_calls, make_params
+from conftest import config_context, const_potential, count_calls, make_params
 
 DEFAULT_CONFIG = """
 [params]
@@ -406,3 +406,20 @@ def test_box_sweep_reaches_the_ground_level_under_a_cosine_factor(tmp_path):
     L, c = rows[1].split(",")[:2]
     assert float(L) == 8.0
     assert float(c) == pytest.approx(0.26825225, abs=5e-9)
+
+
+def test_trace_suite_builds_each_table_once(monkeypatch):
+    from choquard_gs import extension
+    from choquard_gs.grid import Grid
+
+    grid_builds = count_calls(monkeypatch, Grid.axis_freqs)  # one per |xi|^2 table
+    wall_builds = count_calls(monkeypatch, extension._Symbols)
+    extends = count_calls(monkeypatch, extension.harmonic_extend)
+    ctx = config_context("verify.ini")
+    rep = Report("trace suite")
+    _suite_trace(ctx, rep, 1.0, np.random.default_rng(0))
+    assert all(ok for _, ok, _ in rep.checks)
+    assert len(extends) == TRACE_FIELDS
+    assert [g for g, in grid_builds] == [ctx.grid]
+    (wall, m), = wall_builds
+    assert m == ctx.params.m and all(w is wall for _, w, _ in extends)

@@ -12,7 +12,16 @@ from choquard_gs.extension import (
     norm_equivalence_constants,
     volume_integrals,
 )
-from choquard_gs.grid import Field, Grid, gaussian_field, l2_norm, random_smooth_field
+from choquard_gs.grid import (
+    Field,
+    Grid,
+    apply_multiplier,
+    dft,
+    gaussian_field,
+    idft_real,
+    l2_norm,
+    random_smooth_field,
+)
 from choquard_gs.operators import apply_sqrt, build_sqrt_op
 from conftest import refined_wall
 from oracles import pde_residual, q_form_volume
@@ -328,3 +337,22 @@ def test_transforms_per_extended_field(monkeypatch, rng, N, names):
     check_norm_equivalence(v, V, 1.0)
     q_form_volume(v, V, 1.0)
     assert calls == dict.fromkeys(names, 1)
+
+
+def test_wall_tables_are_kept_per_mass(grid, rng):
+    # a fresh wall, used with two masses in turn: each call must match the
+    # uncached formula, whichever mass filled the wall's tables first
+    wall = build_wall(grid, m=1.0)
+    u = random_smooth_field(grid, rng)
+    for m in (1.0, 0.5, 1.0, 0.5):
+        s = np.sqrt(grid.freq2() + m * m)
+        w = np.linalg.solve(np.vander(wall.x[:3], 3, increasing=True).T, [0.0, 1.0, 0.0])
+        symbol = np.tensordot(w, np.exp(-np.multiply.outer(wall.x[:3], s)), axes=1)
+        want = apply_multiplier(-symbol, u.values)
+        assert dtn_apply(u, wall, m).values.tobytes() == want.tobytes()
+        spec = dft(u.values) * np.exp(-np.multiply.outer(wall.x, s))
+        v = harmonic_extend(u, wall, m)
+        assert v.spec.tobytes() == spec.tobytes()
+        assert v.values.tobytes() == idft_real(spec, grid.shape).tobytes()
+        assert volume_integrals(v) == (float(np.vdot(v.slab, s**2 + grid.freq2())),
+                                       float(np.sum(v.slab)))

@@ -1,3 +1,4 @@
+import functools
 import struct
 
 import numpy as np
@@ -18,6 +19,7 @@ from choquard_gs.grid import (
     save_field,
     shift,
 )
+from oracles import random_smooth_field_per_bump
 
 
 def test_grid_geometry():
@@ -331,3 +333,35 @@ def test_only_grid_calls_numpy_fft():
     callers = sorted(str(p.relative_to(package)) for p in package.rglob("*.py")
                      if "np.fft" in p.read_text() or "numpy.fft" in p.read_text())
     assert callers == ["grid.py"]
+
+
+@pytest.mark.parametrize("N, n", [(1, 16), (2, 8), (3, 8)])
+def test_grid_tables_are_built_once_and_read_only(N, n):
+    g = Grid(N, 2.5, n)
+    xi2 = ((np.pi / g.L) * np.fft.fftfreq(n, d=1.0 / n)) ** 2
+    uncached = {
+        "axis_coords": -g.L + g.h * np.arange(n),
+        "freq2": functools.reduce(np.add.outer, [xi2] * (N - 1) + [xi2[: n // 2 + 1]]),
+        "half_weights": np.where(np.arange(n // 2 + 1) % (n // 2) == 0, 1.0, 2.0),
+    }
+    for name, want in uncached.items():
+        table = getattr(g, name)()
+        assert table.shape == want.shape and table.tobytes() == want.tobytes()
+        assert getattr(g, name)() is table
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1.0
+        with pytest.raises(ValueError):
+            table *= 2.0
+        assert table.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("N, n", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("n_bumps", [3, 12])
+def test_random_smooth_field_matches_the_per_bump_oracle(N, n, n_bumps):
+    g = Grid(N, 4.0, n)
+    for seed in range(6):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_smooth_field(g, rng, n_bumps)
+        want = random_smooth_field_per_bump(g, ref, n_bumps)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state

@@ -199,6 +199,22 @@ def test_fiber_scan_driver_evaluates_its_field_once(tmp_path, monkeypatch):
     assert len(rows) == 42
 
 
+def test_fiber_scan_csv_holds_the_scan_numbers(tmp_path, monkeypatch):
+    from choquard_gs.experiments import drivers
+    from choquard_gs.experiments.config import ExperimentConfig
+
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
+    calls = count_calls(monkeypatch, fiber_scan_csv)
+    assert drivers.run_fiber_scan(ExperimentConfig("fiber-scan", str(config),
+                                                   out_dir=str(tmp_path))) == 0
+    (scan,), = calls
+    rows = (tmp_path / "fiber_scan.csv").read_text().splitlines()[1:]
+    cells = np.array([[float(c) for c in row.split(",")] for row in rows])
+    want = np.column_stack([scan.t_values, scan.e_values, scan.residuals])
+    assert cells.shape == want.shape == (41, 3)
+    assert cells.tobytes() == want.tobytes()
+
+
 def test_fiber_scan_csv_needs_only_the_scan(ctx_gamma, rng):
     u = random_smooth_field(ctx_gamma.grid, rng)
     scan = fiber_scan(ctx_gamma, u, [0.5, 1.0, 2.0])

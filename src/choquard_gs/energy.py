@@ -39,7 +39,6 @@ class EnergyContext:
             # A - m vanishes at xi = 0, so B's constant-coefficient part is
             # invertible only for a positive potential floor
             raise ValueError(f"min V must be positive to precondition, got {self.v_min}")
-        self._d_bound: float | None = None
         # P inverts B's constant-coefficient part A - m + min V exactly
         self._precond = 1.0 / (self.sqrt_op.multiplier - self.params.m + self.v_min)
         pg_shift = v - self.v_min
@@ -207,11 +206,10 @@ D_BOUND_SAFETY = 2.0    # factor on the largest sampled ratio
 def estimate_d_bound(ctx: EnergyContext) -> float:
     """Empirical constant C with D(u)/(2p) <= C * Q(u)^p over random smooth fields.
 
-    Estimated once per context by randomized maximization and cached; later
-    checks treat it as a regression bound.
+    Estimated by randomized maximization from the fixed seed D_BOUND_SEED, so
+    repeated calls on one context agree bit for bit; checks treat it as a
+    regression bound.
     """
-    if ctx._d_bound is not None:
-        return ctx._d_bound
     rng = np.random.default_rng(D_BOUND_SEED)
     p = ctx.params.p
     best = 0.0
@@ -222,8 +220,7 @@ def estimate_d_bound(ctx: EnergyContext) -> float:
             continue
         ratio = d_value(ctx, u) / (2.0 * p * q**p)
         best = max(best, ratio)
-    ctx._d_bound = D_BOUND_SAFETY * best
-    return ctx._d_bound
+    return D_BOUND_SAFETY * best
 
 
 @dataclass

@@ -39,6 +39,8 @@ class ExperimentConfig:
             raise ConfigError(f"amplitudes must be finite, got {self.eps_list}")
         if not all(np.isfinite(L) and L > 0 for L in self.box_list):
             raise ConfigError(f"box half-periods must be finite and positive, got {self.box_list}")
+        if len(set(self.box_list)) < len(self.box_list):
+            raise ConfigError(f"box half-periods must not repeat, got {self.box_list}")
         if self.multistarts < 1:
             raise ConfigError(f"need at least one start, got {self.multistarts}")
         if self.max_iters < 1:

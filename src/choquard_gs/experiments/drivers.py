@@ -20,6 +20,7 @@ from ..energy import (
     qdg,
 )
 from ..extension import (
+    WallGrid,
     build_wall,
     check_norm_equivalence,
     check_trace_inequalities,
@@ -220,7 +221,7 @@ def _suite_kernel_oracles(ctx: EnergyContext, rep: Report, scale: float) -> None
                   f"max abs err {err_row:.3e}")
 
 
-def _suite_operator(ctx: EnergyContext, rep: Report, scale: float,
+def _suite_operator(ctx: EnergyContext, wall: WallGrid, rep: Report, scale: float,
                     rng: np.random.Generator) -> None:
     rep.section("Operator realization")
     g = ctx.grid
@@ -235,17 +236,16 @@ def _suite_operator(ctx: EnergyContext, rep: Report, scale: float,
     pos = l2_inner(au, u) - m * l2_norm2(u)
     rep.add_check("square-root operator bounded below by the mass",
                   pos >= -1e-12 * scale * max(l2_norm2(u), 1.0), f"margin {pos:.3e}")
-    wall = build_wall(g, m)
     rel_errs = []
     for _ in range(5):
         v = random_smooth_field(g, rng)
-        via_wall = dtn_apply(v, wall, m)
+        via_wall = dtn_apply(v, wall)
         via_symbol = apply_sqrt(ctx.sqrt_op, v)
         rel_errs.append(l2_norm(Field(g, via_wall.values - via_symbol.values))
                         / l2_norm(via_symbol))
     rep.add_check("boundary-derivative operator agrees with the spectral square root",
                   max(rel_errs) <= 1e-4 * scale, f"max rel err {max(rel_errs):.3e}")
-    tt = dtn_apply(dtn_apply(u, wall, m), wall, m)
+    tt = dtn_apply(dtn_apply(u, wall), wall)
     lap = Field(g, apply_multiplier(g.freq2() + m * m, u.values))
     rel_tt = l2_norm(Field(g, tt.values - lap.values)) / l2_norm(lap)
     rep.add_check("operator squares to the Schrodinger operator",
@@ -256,23 +256,21 @@ TRACE_FIELDS = 100    # random fields behind the trace-inequality checks
 J_FIELDS = 50         # and behind the manifold geometry checks
 
 
-def _suite_trace(ctx: EnergyContext, rep: Report, scale: float,
+def _suite_trace(ctx: EnergyContext, wall: WallGrid, rep: Report, scale: float,
                  rng: np.random.Generator) -> None:
     rep.section("Trace and norm inequalities")
     g = ctx.grid
-    m = ctx.params.m
     p = ctx.params.p
-    wall = build_wall(g, m)
     V = Field(g, ctx.Vp.values + ctx.Vl.values)
     worst1 = worst2 = np.inf
     sandwich_ok = True
     for _ in range(TRACE_FIELDS):
         u = random_smooth_field(g, rng)
-        v = harmonic_extend(u, wall, m)
-        ineq = check_trace_inequalities(v, m, p)
+        v = harmonic_extend(u, wall)
+        ineq = check_trace_inequalities(v, p)
         m1, m2 = ineq.margins()
         worst1, worst2 = min(worst1, m1), min(worst2, m2)
-        ok, _, _, _ = check_norm_equivalence(v, V, m, tol=1e-9 * scale)
+        ok, _, _, _ = check_norm_equivalence(v, V, tol=1e-9 * scale)
         sandwich_ok = sandwich_ok and ok
     tol = 1e-8 * scale
     rep.add_check("p-power trace inequality on random extensions",
@@ -341,8 +339,9 @@ def _suite_j_conditions(ctx: EnergyContext, rep: Report, scale: float,
 def _run_all_suites(ctx: EnergyContext, rep: Report, scale: float, seed: int) -> None:
     rng = np.random.default_rng(seed)
     _suite_kernel_oracles(ctx, rep, scale)
-    _suite_operator(ctx, rep, scale, rng)
-    _suite_trace(ctx, rep, scale, rng)
+    wall = build_wall(ctx.grid, ctx.params.m)
+    _suite_operator(ctx, wall, rep, scale, rng)
+    _suite_trace(ctx, wall, rep, scale, rng)
     _suite_phi(ctx, rep, scale, rng)
     _suite_brezis_lieb(ctx, rep, scale)
     _suite_j_conditions(ctx, rep, scale, rng)

@@ -9,12 +9,12 @@ run inside the optimization loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, Grid, apply_multiplier, dft, idft_real
+from .grid import Field, Grid, _read_only, apply_multiplier, dft, idft_real
 
 
 def _solve_ratio(nx: int, x_max: float, delta0: float) -> float:
@@ -42,15 +42,15 @@ def _solve_ratio(nx: int, x_max: float, delta0: float) -> float:
 
 @dataclass
 class WallGrid:
-    """Discretization of the wall direction x >= 0, clustered toward x = 0.
-    Its weights and per-mass tables are built on first use: x stays fixed."""
+    """Discretization of the wall direction x >= 0, clustered toward x = 0,
+    for the one mass m of the extension equation. Its weights and tables are
+    built on first use: x and m stay fixed."""
 
     grid: Grid
+    m: float
     x: np.ndarray
     x_max: float
     ratio: float
-    _by_mass: dict[float, _Symbols] = field(default_factory=dict, init=False, repr=False,
-                                            compare=False)
 
     @property
     def nx(self) -> int:
@@ -66,24 +66,25 @@ class WallGrid:
         w[1:-1] = (dx[:-1] + dx[1:]) / 2.0
         return w
 
-    def _symbols(self, m: float) -> _Symbols:
-        """This wall's tables for mass m, built by the first call for that m."""
-        if m not in self._by_mass:
-            self._by_mass[m] = _Symbols(self, m)
-        return self._by_mass[m]
+    @cached_property
+    def _s(self) -> np.ndarray:
+        """Decay rate sqrt(|xi|^2 + m^2) of each mode, on the freq2 grid."""
+        return np.sqrt(self.grid.freq2() + self.m * self.m)
 
+    @cached_property
+    def decay(self) -> np.ndarray:
+        """exp(-x s), one read-only row per wall node."""
+        return _read_only(np.exp(-np.multiply.outer(self.x, self._s)))
 
-class _Symbols:
-    """One wall's tables for one mass m, on the freq2 grid and read-only: decay
-    is exp(-x s), s = sqrt(|xi|^2 + m^2), one row per wall node; s2 = s^2 and
-    grad = s^2 + |xi|^2 are the symbols of |d_x v|^2 and |grad v|^2."""
+    @cached_property
+    def s2(self) -> np.ndarray:
+        """s^2, the read-only symbol of |d_x v|^2."""
+        return _read_only(self._s**2)
 
-    def __init__(self, wall: WallGrid, m: float):
-        freq2 = wall.grid.freq2()
-        s = np.sqrt(freq2 + m * m)
-        self.decay, self.s2, self.grad = np.exp(-np.multiply.outer(wall.x, s)), s**2, s**2 + freq2
-        for table in (self.decay, self.s2, self.grad):
-            table.flags.writeable = False
+    @cached_property
+    def grad(self) -> np.ndarray:
+        """s^2 + |xi|^2, the read-only symbol of |grad v|^2."""
+        return _read_only(self.s2 + self.grid.freq2())
 
 
 def build_wall(grid: Grid, m: float = 1.0, nx: int = 384, x_max: float | None = None,
@@ -110,22 +111,19 @@ def build_wall(grid: Grid, m: float = 1.0, nx: int = 384, x_max: float | None = 
     else:
         x = delta0 * np.expm1(i * np.log(r)) / (r - 1.0)
     x[0] = 0.0
-    return WallGrid(grid, x, float(x_max), r)
+    return WallGrid(grid, m, x, float(x_max), r)
 
 
 @dataclass(eq=False)
 class ExtendedField:
     """Extension values on wall x boundary nodes; row 0 is the boundary trace.
 
-    spec holds the rows' half spectrum, u-hat times exp(-x s), with s the
-    decay rate sqrt(|xi|^2 + m^2) on the freq2 grid and m the mass of the
-    extension equation.
+    spec holds the rows' half spectrum, u-hat times the wall's decay table.
     """
 
     wall: WallGrid
     values: np.ndarray
     spec: np.ndarray
-    m: float
 
     @cached_property
     def slab(self) -> np.ndarray:
@@ -136,7 +134,7 @@ class ExtendedField:
         return (g.cell_volume / g.size) * g.half_weights() * power
 
 
-def harmonic_extend(u: Field, wall: WallGrid, m: float) -> ExtendedField:
+def harmonic_extend(u: Field, wall: WallGrid) -> ExtendedField:
     """Solve -Laplacian v + m^2 v = 0 on the half-space with trace u.
 
     Per boundary mode the solution is exp(-x*sqrt(|xi|^2 + m^2)) times the
@@ -144,8 +142,8 @@ def harmonic_extend(u: Field, wall: WallGrid, m: float) -> ExtendedField:
     """
     if u.grid != wall.grid:
         raise ValueError("field grid does not match wall grid")
-    spec = dft(u.values) * wall._symbols(m).decay
-    return ExtendedField(wall, idft_real(spec, u.grid.shape), spec, m)
+    spec = dft(u.values) * wall.decay
+    return ExtendedField(wall, idft_real(spec, u.grid.shape), spec)
 
 
 def _diff_weights(nodes: np.ndarray) -> np.ndarray:
@@ -157,19 +155,17 @@ def _diff_weights(nodes: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def dtn_apply(u: Field, wall: WallGrid, m: float, npts: int = 3) -> Field:
+def dtn_apply(u: Field, wall: WallGrid) -> Field:
     """Boundary-normal derivative of the extension: -dv/dx at x = 0.
 
-    One-sided finite difference over the first npts wall nodes (order
-    npts - 1); converges to the spectral square-root operator under wall
+    One-sided finite difference over the first three wall nodes (second
+    order); converges to the spectral square-root operator under wall
     refinement.
     """
     if u.grid != wall.grid:
         raise ValueError("field grid does not match wall grid")
-    if not 2 <= npts <= wall.nx:
-        raise ValueError("stencil width out of range")
-    w = _diff_weights(wall.x[:npts])
-    symbol = np.tensordot(w, wall._symbols(m).decay[:npts], axes=1)
+    w = _diff_weights(wall.x[:3])
+    symbol = np.tensordot(w, wall.decay[:3], axes=1)
     return Field(u.grid, apply_multiplier(-symbol, u.values))
 
 
@@ -183,7 +179,7 @@ def volume_integrals(v: ExtendedField) -> tuple[float, float]:
 
     Per mode |d_x v|^2 + |grad_y v|^2 is (s^2 + |xi|^2) times |v|^2.
     """
-    grad = float(np.vdot(v.slab, v.wall._symbols(v.m).grad))
+    grad = float(np.vdot(v.slab, v.wall.grad))
     return grad, float(np.sum(v.slab))
 
 
@@ -204,14 +200,14 @@ class InequalityReport:
         return rel(self.trace_p_lhs, self.trace_p_rhs), rel(self.trace_2_lhs, self.trace_2_rhs)
 
 
-def check_trace_inequalities(v: ExtendedField, m: float, p: float) -> InequalityReport:
+def check_trace_inequalities(v: ExtendedField, p: float) -> InequalityReport:
     """Evaluate the L^p trace bound and its L^2 consequence on an extension."""
-    g = v.wall.grid
+    g, m = v.wall.grid, v.wall.m
     u0 = v.values[0]
     lhs_p = float(g.cell_volume * np.sum(np.abs(u0) ** p))
     # L^{2(p-1)} norm of v over the volume, raised to 2(p-1)
     vol_2p2 = float(v.wall.weights @ _row_integrals(g, np.abs(v.values) ** (2.0 * (p - 1.0))))
-    dx2 = float(np.vdot(v.slab, v.wall._symbols(v.m).s2))
+    dx2 = float(np.vdot(v.slab, v.wall.s2))
     grad, mass = volume_integrals(v)
     rhs_p = p * vol_2p2 ** ((p - 1.0) / (2.0 * (p - 1.0))) * np.sqrt(dx2)
     lhs_2 = g.cell_volume * float(np.vdot(u0, u0))
@@ -235,7 +231,7 @@ def norm_equivalence_constants(m: float, v_min: float, v_max: float) -> tuple[fl
     return c_low, c_high
 
 
-def check_norm_equivalence(v: ExtendedField, V_field: Field, m: float,
+def check_norm_equivalence(v: ExtendedField, V_field: Field,
                            tol: float = 1e-9) -> tuple[bool, float, float, float]:
     """Sandwich Q between the equivalence constants times the squared H^1 norm.
 
@@ -243,7 +239,7 @@ def check_norm_equivalence(v: ExtendedField, V_field: Field, m: float,
     direction, spectral in the boundary variables) plus the boundary (V - m)
     term.
     """
-    g = v.wall.grid
+    g, m = v.wall.grid, v.wall.m
     if V_field.grid != g:
         raise ValueError("potential grid does not match extension grid")
     c_low, c_high = norm_equivalence_constants(m, float(np.min(V_field.values)),

@@ -68,7 +68,7 @@ def test_criterion_1_operator_oracle_equivalence():
     for wall in walls:
         total, ref = 0.0, 0.0
         for u in fields:
-            diff = dtn_apply(u, wall, m).values - apply_sqrt(op, u).values
+            diff = dtn_apply(u, wall).values - apply_sqrt(op, u).values
             total += float(np.sum(diff**2))
             ref += float(np.sum(apply_sqrt(op, u).values ** 2))
         errs.append(np.sqrt(total / ref))
@@ -170,12 +170,12 @@ def test_criterion_6_trace_and_norm_inequalities():
     worst1 = worst2 = np.inf
     for i in range(100):
         u = random_smooth_field(grid, rng)
-        v = harmonic_extend(u, wall, m)
-        rep = check_trace_inequalities(v, m, 2.0)
+        v = harmonic_extend(u, wall)
+        rep = check_trace_inequalities(v, 2.0)
         m1, m2 = rep.margins()
         worst1, worst2 = min(worst1, m1), min(worst2, m2)
         V = V_flat if i % 2 == 0 else V_cos
-        ok, _, _, _ = check_norm_equivalence(v, V, m)
+        ok, _, _, _ = check_norm_equivalence(v, V)
         assert ok
     assert worst1 >= -1e-8
     assert worst2 >= -1e-8

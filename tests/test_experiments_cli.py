@@ -12,7 +12,7 @@ import pytest
 from choquard_gs.cli import main
 from choquard_gs.energy import EnergyContext, build_context
 from choquard_gs.experiments.config import KINDS, ExperimentConfig, Report, blob_hash
-from choquard_gs.experiments.drivers import TRACE_FIELDS, _embed, _run_all_suites, _suite_trace
+from choquard_gs.experiments.drivers import TRACE_FIELDS, _embed, _run_all_suites
 from choquard_gs.grid import Field, dft, gaussian_field, load_field
 from choquard_gs.problem import ConfigError
 from conftest import config_context, const_potential, count_calls, make_params
@@ -151,10 +151,12 @@ def test_cli_missing_config_is_config_error(tmp_path):
     ["box-sweep", "--box-list", "0"],
     ["vl-sign", "--box-list", "-4"],
     ["box-sweep", "--box-list", "8"],
+    ["box-sweep", "--box-list", "8,8,16"],
+    ["vl-sign", "--box-list", "8,16,8"],
 ])
 def test_cli_bad_counts_are_config_errors(config_path, tmp_path, args, capsys):
     # sweep lists are checked before any solve; vl-sign needs a localized part
-    # to get that far, and a box sweep two boxes to difference
+    # to get that far, and a box sweep two distinct boxes to difference
     if args[0] == "vl-sign":
         config_path.write_text(VL_CONFIG, encoding="utf-8")
     out = tmp_path / "out"
@@ -408,18 +410,19 @@ def test_box_sweep_reaches_the_ground_level_under_a_cosine_factor(tmp_path):
     assert float(c) == pytest.approx(0.26825225, abs=5e-9)
 
 
-def test_trace_suite_builds_each_table_once(monkeypatch):
+def test_verify_builds_one_wall(monkeypatch):
     from choquard_gs import extension
     from choquard_gs.grid import Grid
 
     grid_builds = count_calls(monkeypatch, Grid.axis_freqs)  # one per |xi|^2 table
-    wall_builds = count_calls(monkeypatch, extension._Symbols)
+    walls = count_calls(monkeypatch, extension.build_wall)
     extends = count_calls(monkeypatch, extension.harmonic_extend)
     ctx = config_context("verify.ini")
-    rep = Report("trace suite")
-    _suite_trace(ctx, rep, 1.0, np.random.default_rng(0))
+    rep = Report("verify suites")
+    _run_all_suites(ctx, rep, 1.0, 0)
     assert all(ok for _, ok, _ in rep.checks)
     assert len(extends) == TRACE_FIELDS
-    assert [g for g, in grid_builds] == [ctx.grid]
-    (wall, m), = wall_builds
-    assert m == ctx.params.m and all(w is wall for _, w, _ in extends)
+    assert sum(g is ctx.grid for g, in grid_builds) == 1
+    assert walls == [(ctx.grid, ctx.params.m)]
+    wall = extends[0][1]
+    assert wall.m == ctx.params.m and all(w is wall for _, w in extends)

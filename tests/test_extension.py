@@ -44,7 +44,7 @@ def extended_wall(wall, factor=2.0):
     while x[-1] < factor * wall.x_max:
         step *= wall.ratio
         x.append(x[-1] + step)
-    return WallGrid(wall.grid, np.asarray(x), x[-1], wall.ratio)
+    return WallGrid(wall.grid, wall.m, np.asarray(x), x[-1], wall.ratio)
 
 
 def test_wall_geometry(grid, wall):
@@ -65,7 +65,7 @@ def test_wall_rejects_tiny(grid):
 def test_extend_constant_decays_at_mass_rate(grid, wall):
     m = 1.0
     c = 2.0
-    v = harmonic_extend(Field(grid, np.full(grid.n, c)), wall, m)
+    v = harmonic_extend(Field(grid, np.full(grid.n, c)), wall)
     for i in (0, wall.nx // 2, wall.nx - 1):
         assert np.allclose(v.values[i], c * np.exp(-m * wall.x[i]), rtol=1e-12)
     assert np.allclose(v.values[0], c, atol=1e-12)
@@ -73,7 +73,7 @@ def test_extend_constant_decays_at_mass_rate(grid, wall):
 
 def test_extend_trace_reproduces_boundary(grid, wall, rng):
     u = random_smooth_field(grid, rng)
-    v = harmonic_extend(u, wall, 1.0)
+    v = harmonic_extend(u, wall)
     assert np.max(np.abs(v.values[0] - u.values)) <= 1e-12 * np.max(np.abs(u.values))
 
 
@@ -83,7 +83,7 @@ def test_pde_residual_second_order(grid):
     errs = []
     for factor in (1, 2, 4):
         w = build_wall(grid, m, nx=96 * factor)
-        errs.append(pde_residual(harmonic_extend(u, w, m), m))
+        errs.append(pde_residual(harmonic_extend(u, w), m))
     assert errs[1] < errs[0] / 3.0
     assert errs[2] < errs[1] / 3.0
 
@@ -92,8 +92,8 @@ def test_energy_stable_under_wall_extension(grid, wall):
     # truncation already below round-off once exp(-m x_max) < 1e-8
     m = 1.0
     u = gaussian_field(grid, [0.0], 2.0)
-    base = harmonic_extend(u, wall, m)
-    taller = harmonic_extend(u, extended_wall(wall, 2.0), m)
+    base = harmonic_extend(u, wall)
+    taller = harmonic_extend(u, extended_wall(wall, 2.0))
     g0, m0 = volume_integrals(base)
     g1, m1 = volume_integrals(taller)
     e0 = g0 + m**2 * m0
@@ -110,14 +110,14 @@ def test_dtn_single_mode_converges_to_symbol(grid):
     errs = []
     for factor in (1, 2, 4):
         w = build_wall(grid, m, nx=96 * factor)
-        out = dtn_apply(u, w, m)
+        out = dtn_apply(u, w)
         errs.append(np.max(np.abs(out.values - expected * u.values)) / expected)
     assert errs[0] < 1e-3
     assert errs[2] < errs[1] < errs[0]
 
 
 def test_dtn_zero_field(grid, wall):
-    out = dtn_apply(Field(grid, np.zeros(grid.n)), wall, 1.0)
+    out = dtn_apply(Field(grid, np.zeros(grid.n)), wall)
     assert not np.any(out.values)
 
 
@@ -126,7 +126,7 @@ def test_dtn_matches_sqrt_operator(grid, wall, rng):
     op = build_sqrt_op(grid, m)
     for _ in range(5):
         u = random_smooth_field(grid, rng)
-        via_wall = dtn_apply(u, wall, m)
+        via_wall = dtn_apply(u, wall)
         via_symbol = apply_sqrt(op, u)
         rel = l2_norm(Field(grid, via_wall.values - via_symbol.values)) / l2_norm(via_symbol)
         assert rel <= 1e-4
@@ -141,7 +141,7 @@ def test_dtn_refinement_order(grid, rng):
     errs = []
     for factor in (1, 2, 4):
         w = build_wall(grid, m, nx=128 * factor)
-        err = l2_norm(Field(grid, dtn_apply(u, w, m).values - exact.values))
+        err = l2_norm(Field(grid, dtn_apply(u, w).values - exact.values))
         errs.append(err)
     slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(slopes) >= 1.9
@@ -150,7 +150,7 @@ def test_dtn_refinement_order(grid, rng):
 def test_dtn_squares_to_schrodinger(grid, wall, rng):
     m = 1.0
     u = random_smooth_field(grid, rng)
-    twice = dtn_apply(dtn_apply(u, wall, m), wall, m)
+    twice = dtn_apply(dtn_apply(u, wall), wall)
     # full-grid symbol built here, independent of the production half grid
     symbol = grid.axis_freqs() ** 2 + m * m
     target = Field(grid, np.fft.ifft(symbol * np.fft.fft(u.values)).real)
@@ -164,30 +164,30 @@ def test_q_form_volume_matches_boundary_form(grid, wall, ctx_const, rng):
     gaps = []
     for _ in range(5):
         u = random_smooth_field(grid, rng)
-        v = harmonic_extend(u, wall, m)
+        v = harmonic_extend(u, wall)
         qv = q_form_volume(v, V, m)
-        assert check_norm_equivalence(v, V, m)[1] == qv  # the form the sandwich checks
+        assert check_norm_equivalence(v, V)[1] == qv  # the form the sandwich checks
         qb = q_boundary(ctx_const, u)
         gaps.append(abs(qv - qb) / abs(qb))
     assert max(gaps) <= 1e-4
     # gap shrinks under wall refinement
     u = random_smooth_field(grid, rng)
-    coarse = abs(q_form_volume(harmonic_extend(u, wall, m), V, m) - q_boundary(ctx_const, u))
+    coarse = abs(q_form_volume(harmonic_extend(u, wall), V, m) - q_boundary(ctx_const, u))
     fine_wall = refined_wall(wall, 2)
-    fine = abs(q_form_volume(harmonic_extend(u, fine_wall, m), V, m) - q_boundary(ctx_const, u))
+    fine = abs(q_form_volume(harmonic_extend(u, fine_wall), V, m) - q_boundary(ctx_const, u))
     assert fine < coarse
 
 
 def test_q_form_zero_field(grid, wall):
     V = Field(grid, np.ones(grid.n))
-    v = harmonic_extend(Field(grid, np.zeros(grid.n)), wall, 1.0)
+    v = harmonic_extend(Field(grid, np.zeros(grid.n)), wall)
     assert q_form_volume(v, V, 1.0) == 0.0
 
 
 def test_q_form_reduces_to_dirichlet_energy_when_v_equals_m(grid, wall, rng):
     m = 1.0
     u = random_smooth_field(grid, rng)
-    v = harmonic_extend(u, wall, m)
+    v = harmonic_extend(u, wall)
     V = Field(grid, np.full(grid.n, m))
     q = q_form_volume(v, V, m)
     grad, mass = volume_integrals(v)
@@ -208,21 +208,21 @@ def test_volume_integrals_on_single_modes(N, n):
     for k in (n // 2, 1):
         xi = np.pi * k / g.L
         u = Field(g, np.cos(xi * x[-1]))
-        grad, mass = volume_integrals(harmonic_extend(u, w, m))
+        grad, mass = volume_integrals(harmonic_extend(u, w))
         assert grad == pytest.approx((2 * xi**2 + m * m) * mass, rel=1e-12)
 
 
 def test_trace_inequalities_on_gaussian(grid, wall):
     u = gaussian_field(grid, [0.0], 2.0)
-    v = harmonic_extend(u, wall, 1.0)
-    rep = check_trace_inequalities(v, 1.0, 2.0)
+    v = harmonic_extend(u, wall)
+    rep = check_trace_inequalities(v, 2.0)
     m1, m2 = rep.margins()
     assert m1 > 0 and m2 > 0
 
 
 def test_trace_inequalities_zero_field(grid, wall):
-    v = harmonic_extend(Field(grid, np.zeros(grid.n)), wall, 1.0)
-    rep = check_trace_inequalities(v, 1.0, 2.0)
+    v = harmonic_extend(Field(grid, np.zeros(grid.n)), wall)
+    rep = check_trace_inequalities(v, 2.0)
     assert rep.trace_p_lhs == 0.0 and rep.trace_2_lhs == 0.0
     assert min(rep.margins()) >= -1e-8
 
@@ -230,7 +230,7 @@ def test_trace_inequalities_zero_field(grid, wall):
 def test_trace_inequalities_random_sweep(grid, wall, rng):
     for _ in range(100):
         u = random_smooth_field(grid, rng)
-        rep = check_trace_inequalities(harmonic_extend(u, wall, 1.0), 1.0, 2.0)
+        rep = check_trace_inequalities(harmonic_extend(u, wall), 2.0)
         assert min(rep.margins()) >= -1e-8
 
 
@@ -250,15 +250,15 @@ def test_norm_equivalence_sandwich(grid, wall, rng):
     V = Field(grid, 1.0 + 0.25 * np.cos(2 * np.pi * grid.axis_coords()))
     for _ in range(20):
         u = random_smooth_field(grid, rng)
-        v = harmonic_extend(u, wall, 1.0)
-        ok, q, low, high = check_norm_equivalence(v, V, 1.0)
+        v = harmonic_extend(u, wall)
+        ok, q, low, high = check_norm_equivalence(v, V)
         assert ok
         assert low <= q <= high
 
 
 def test_h1_norm_positive(grid, wall, rng):
     u = random_smooth_field(grid, rng)
-    assert sum(volume_integrals(harmonic_extend(u, wall, 1.0))) > 0
+    assert sum(volume_integrals(harmonic_extend(u, wall))) > 0
 
 
 def _slab_oracle(u, wall_x, m, p):
@@ -303,10 +303,10 @@ def test_slab_integrals_match_real_space_oracle(N, n, L, variant, rng):
             "extended": extended_wall(wall, 2.0)}[variant]
     for _ in range(3):
         u = random_smooth_field(g, rng)
-        v = harmonic_extend(u, wall, m)
+        v = harmonic_extend(u, wall)
         grad, mass, trace = _slab_oracle(u, wall.x, m, p)
         assert volume_integrals(v) == pytest.approx((grad, mass), rel=1e-12)
-        rep = check_trace_inequalities(v, m, p)
+        rep = check_trace_inequalities(v, p)
         got = (rep.trace_p_lhs, rep.trace_p_rhs, rep.trace_2_lhs, rep.trace_2_rhs)
         assert got == pytest.approx(trace, rel=1e-12)
 
@@ -332,27 +332,37 @@ def test_transforms_per_extended_field(monkeypatch, rng, N, names):
     u = random_smooth_field(g, rng)
     V = Field(g, np.full(g.shape, 1.25))
     calls.clear()
-    v = harmonic_extend(u, wall, 1.0)
-    check_trace_inequalities(v, 1.0, 2.0)
-    check_norm_equivalence(v, V, 1.0)
+    v = harmonic_extend(u, wall)
+    check_trace_inequalities(v, 2.0)
+    check_norm_equivalence(v, V)
     q_form_volume(v, V, 1.0)
     assert calls == dict.fromkeys(names, 1)
 
 
-def test_wall_tables_are_kept_per_mass(grid, rng):
-    # a fresh wall, used with two masses in turn: each call must match the
-    # uncached formula, whichever mass filled the wall's tables first
-    wall = build_wall(grid, m=1.0)
-    u = random_smooth_field(grid, rng)
-    for m in (1.0, 0.5, 1.0, 0.5):
+def test_each_wall_follows_its_own_mass(grid, rng):
+    # two walls, each built for its own m, hold read-only tables equal bit for
+    # bit to the uncached formulas for that m, and every routine uses them
+    for m in (1.0, 0.5):
+        wall = build_wall(grid, m)
+        assert wall.m == m
         s = np.sqrt(grid.freq2() + m * m)
+        tables = {"decay": np.exp(-np.multiply.outer(wall.x, s)), "s2": s**2,
+                  "grad": s**2 + grid.freq2()}
+        for name, want in tables.items():
+            got = getattr(wall, name)
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+        v = harmonic_extend(Field(grid, np.full(grid.n, 2.0)), wall)
+        assert np.allclose(v.values[:, 0], 2.0 * np.exp(-m * wall.x), rtol=1e-12)
+        u = random_smooth_field(grid, rng)
         w = np.linalg.solve(np.vander(wall.x[:3], 3, increasing=True).T, [0.0, 1.0, 0.0])
-        symbol = np.tensordot(w, np.exp(-np.multiply.outer(wall.x[:3], s)), axes=1)
+        symbol = np.tensordot(w, tables["decay"][:3], axes=1)
         want = apply_multiplier(-symbol, u.values)
-        assert dtn_apply(u, wall, m).values.tobytes() == want.tobytes()
-        spec = dft(u.values) * np.exp(-np.multiply.outer(wall.x, s))
-        v = harmonic_extend(u, wall, m)
+        assert dtn_apply(u, wall).values.tobytes() == want.tobytes()
+        spec = dft(u.values) * tables["decay"]
+        v = harmonic_extend(u, wall)
         assert v.spec.tobytes() == spec.tobytes()
         assert v.values.tobytes() == idft_real(spec, grid.shape).tobytes()
-        assert volume_integrals(v) == (float(np.vdot(v.slab, s**2 + grid.freq2())),
+        assert volume_integrals(v) == (float(np.vdot(v.slab, tables["grad"])),
                                        float(np.sum(v.slab)))

@@ -316,6 +316,6 @@ def test_sqrt_agrees_with_fine_wall_extension(rng):
     for _ in range(3):
         u = random_smooth_field(g, rng)
         exact = apply_sqrt(op, u)
-        approx = dtn_apply(u, wall, m)
+        approx = dtn_apply(u, wall)
         rel = l2_norm(Field(g, approx.values - exact.values)) / l2_norm(exact)
         assert rel <= 1e-6

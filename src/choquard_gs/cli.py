@@ -8,25 +8,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments.config import KINDS, ExperimentConfig
-from .experiments.drivers import (
-    run_box_sweep,
-    run_fiber_scan,
-    run_gamma_sweep,
-    run_solve,
-    run_verify,
-    run_vl_sign,
-)
+from .experiments.config import ExperimentConfig
+from .experiments.drivers import KINDS, run
 from .problem import ConfigError
-
-_DRIVERS = {
-    "solve": run_solve,
-    "verify": run_verify,
-    "gamma-sweep": run_gamma_sweep,
-    "vl-sign": run_vl_sign,
-    "box-sweep": run_box_sweep,
-    "fiber-scan": run_fiber_scan,
-}
 
 
 def _float_list(text: str) -> list[float]:
@@ -69,7 +53,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     args.pop("workers", None)
     try:
-        return _DRIVERS[args["kind"]](ExperimentConfig(**args))
+        return run(ExperimentConfig(**args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

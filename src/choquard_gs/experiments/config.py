@@ -11,8 +11,6 @@ import numpy as np
 from ..problem import ConfigError
 from ..solver import SolverConfig
 
-KINDS = ("solve", "verify", "gamma-sweep", "vl-sign", "box-sweep", "fiber-scan")
-
 
 @dataclass
 class ExperimentConfig:
@@ -27,8 +25,6 @@ class ExperimentConfig:
     box_list: list[float] = field(default_factory=lambda: [8.0, 16.0, 32.0])
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind '{self.kind}'")
         if not Path(self.problem_path).is_file():
             raise ConfigError(f"problem config not found: {self.problem_path}")
         if not self.eps_list:

@@ -1,4 +1,4 @@
-"""Experiment drivers behind the CLI: solve, verify, and the three sweep studies."""
+"""Experiment drivers behind the CLI: run(ecfg) and the six kinds it looks up in KINDS."""
 
 from __future__ import annotations
 
@@ -67,39 +67,12 @@ def _build(params: ProblemParams, pot: PotentialSpec) -> EnergyContext:
         raise ConfigError(str(exc)) from exc
 
 
-def _driver(title: str):
-    """Frame a driver body(ecfg, pot, ctx, rep) as run(ecfg) -> exit code.
-
-    run loads and builds the problem, heads the report with its resolved
-    inputs, runs the body and writes the report; it returns 0 when every
-    check passed and 1 otherwise, a SolveFailure being one failed check. A
-    ConfigError, from the problem or the body, propagates before anything is
-    written.
-    """
-    def frame(body):
-        def run(ecfg: ExperimentConfig) -> int:
-            params, pot = load_problem_config(ecfg.problem_path)
-            ctx = _build(params, pot)
-            rep = Report(title)
-            rep.embed_inputs(resolved_config_text(params, pot),
-                             {"kind": ecfg.kind, "seed": ecfg.seed})
-            try:
-                body(ecfg, pot, ctx, rep)
-            except SolveFailure as exc:
-                rep.add_check("every solve converged", False, str(exc))
-            rep.write(ecfg.out_dir)
-            return 0 if rep.all_passed else 1
-        return run
-    return frame
-
-
 # ---------------------------------------------------------------------------
 # plain solve
 
 
-@_driver("Ground-state solve")
-def run_solve(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
-              rep: Report) -> None:
+def _ground_state(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
+                  rep: Report) -> None:
     best, runs = multistart(ctx, ecfg.multistarts, ecfg.solver_config)
     rep.section("Runs")
     for i, r in enumerate(runs):
@@ -347,9 +320,8 @@ def _run_all_suites(ctx: EnergyContext, rep: Report, scale: float, seed: int) ->
     _suite_j_conditions(ctx, rep, scale, rng)
 
 
-@_driver("Verification suites")
-def run_verify(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
-               rep: Report) -> None:
+def _verify(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
+            rep: Report) -> None:
     _run_all_suites(ctx, rep, ecfg.tolerance_scale, ecfg.seed)
 
 
@@ -357,9 +329,8 @@ def run_verify(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
 # fiber scan
 
 
-@_driver("Fiber scan")
-def run_fiber_scan(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
-                   rep: Report) -> None:
+def _fiber_scan(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
+                rep: Report) -> None:
     u = gaussian_field(ctx.grid, np.zeros(ctx.grid.N), width=max(1.0, ctx.grid.L / 8.0))
     triple = qdg(ctx, u)
     t_star = nehari_t_from_qdg(*triple, ctx.params.p, ctx.params.q)
@@ -405,9 +376,8 @@ def _aligned_distance(ctx: EnergyContext, u: Field, ref: Field) -> float:
     return float(np.sqrt(max(q_boundary(ctx, Field(g, pick - ref.values)), 0.0)))
 
 
-@_driver("Vanishing local factor sweep")
-def run_gamma_sweep(ecfg: ExperimentConfig, pot: PotentialSpec, ctx_base: EnergyContext,
-                    rep: Report) -> None:
+def _gamma_sweep(ecfg: ExperimentConfig, pot: PotentialSpec, ctx_base: EnergyContext,
+                 rep: Report) -> None:
     if pot.Vl_sign != "zero":
         raise ConfigError("gamma sweep requires a vanishing localized potential")
     if any(e < 0 for e in ecfg.eps_list):
@@ -419,13 +389,11 @@ def run_gamma_sweep(ecfg: ExperimentConfig, pot: PotentialSpec, ctx_base: Energy
     contexts = [ctx_base.with_gamma_scaled(e) for e in eps]
     results = []
     init = None
-    for e, ctx in zip(eps, contexts):
+    for ctx in contexts:
         if init is None:
             best, _ = multistart(ctx, ecfg.multistarts, cfg)
         else:
-            best = solve(ctx, init, cfg)
-            if best.status != "converged":
-                raise SolveFailure(f"sweep point eps={e} did not converge")
+            best = _solve_best(ctx, [init], cfg)
         results.append(best)
         init = best.u_final
     c = [r.energy_trace[-1] for r in results]
@@ -480,9 +448,8 @@ def _overlap_near_origin(u: Field, radius: float) -> float:
     return float(g.cell_volume * np.sum(u.values[g.r2() < radius**2] ** 2))
 
 
-@_driver("Localized potential sign study")
-def run_vl_sign(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
-                rep: Report) -> None:
+def _vl_sign(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
+             rep: Report) -> None:
     if pot.Vl.tag == "zero":
         raise ConfigError("vl-sign experiment needs a localized potential profile")
     amp = abs(pot.Vl.get("amplitude"))
@@ -557,9 +524,8 @@ def _box_start(grid: Grid) -> Field:
     return Field(grid, gaussian_field(grid, np.zeros(grid.N), width=2.0).values + odd.values)
 
 
-@_driver("Box periodization sweep")
-def run_box_sweep(ecfg: ExperimentConfig, pot: PotentialSpec, ctx_base: EnergyContext,
-                  rep: Report) -> None:
+def _box_sweep(ecfg: ExperimentConfig, pot: PotentialSpec, ctx_base: EnergyContext,
+               rep: Report) -> None:
     Ls = sorted(float(v) for v in ecfg.box_list)
     if len(Ls) < 2:
         raise ConfigError("box sweep needs at least two box sizes")
@@ -597,3 +563,41 @@ def run_box_sweep(ecfg: ExperimentConfig, pot: PotentialSpec, ctx_base: EnergyCo
     h_shift = abs(r_fine.energy_trace[-1] - cs[-1])
     rep.add_check("spacing refinement moves the level less than the truncation gap",
                   h_shift < max(diffs[0], 1e-12), f"h-shift {h_shift:.3e} vs gap {diffs[0]:.3e}")
+
+
+# ---------------------------------------------------------------------------
+# the one entry point
+
+# kind -> (report title, body(ecfg, pot, ctx, rep)), in the command line's order
+KINDS = {
+    "solve": ("Ground-state solve", _ground_state),
+    "verify": ("Verification suites", _verify),
+    "gamma-sweep": ("Vanishing local factor sweep", _gamma_sweep),
+    "vl-sign": ("Localized potential sign study", _vl_sign),
+    "box-sweep": ("Box periodization sweep", _box_sweep),
+    "fiber-scan": ("Fiber scan", _fiber_scan),
+}
+
+
+def run(ecfg: ExperimentConfig) -> int:
+    """Run the experiment ecfg.kind and return its exit code.
+
+    run loads and builds the problem, heads the report with the kind's title
+    and the resolved inputs, runs the kind's body and writes the report; it
+    returns 0 when every check passed and 1 otherwise, a SolveFailure being
+    one failed check. An unknown kind, or a ConfigError from the problem or
+    the body, raises before anything is written.
+    """
+    if ecfg.kind not in KINDS:
+        raise ConfigError(f"unknown experiment kind '{ecfg.kind}'")
+    title, body = KINDS[ecfg.kind]
+    params, pot = load_problem_config(ecfg.problem_path)
+    ctx = _build(params, pot)
+    rep = Report(title)
+    rep.embed_inputs(resolved_config_text(params, pot), {"kind": ecfg.kind, "seed": ecfg.seed})
+    try:
+        body(ecfg, pot, ctx, rep)
+    except SolveFailure as exc:
+        rep.add_check("every solve converged", False, str(exc))
+    rep.write(ecfg.out_dir)
+    return 0 if rep.all_passed else 1

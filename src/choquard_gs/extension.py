@@ -18,9 +18,8 @@ from .grid import Field, Grid, _read_only, apply_multiplier, dft, idft_real
 
 
 def _solve_ratio(nx: int, x_max: float, delta0: float) -> float:
-    """Per-step geometric ratio r with delta0*(r^(nx-1) - 1)/(r - 1) = x_max."""
-    if delta0 * (nx - 1) >= x_max:
-        return 1.0
+    """Per-step geometric ratio r > 1 with delta0*(r^(nx-1) - 1)/(r - 1) = x_max,
+    for delta0*(nx - 1) < x_max."""
 
     def gap(r):
         expo = (nx - 1) * np.log(r)
@@ -49,8 +48,6 @@ class WallGrid:
     grid: Grid
     m: float
     x: np.ndarray
-    x_max: float
-    ratio: float
 
     @property
     def nx(self) -> int:
@@ -87,31 +84,25 @@ class WallGrid:
         return _read_only(self.s2 + self.grid.freq2())
 
 
-def build_wall(grid: Grid, m: float = 1.0, nx: int = 384, x_max: float | None = None,
-               delta0: float | None = None) -> WallGrid:
+def build_wall(grid: Grid, m: float, nx: int = 384) -> WallGrid:
     """Wall grid sized so extension tails and boundary derivatives resolve.
 
-    x_max defaults to 23.1/m (extension amplitude below 1e-10 at the top);
-    the first spacing defaults to 0.01 over the stiffest symbol value. At the
-    defaults both the order-2 boundary stencil and the trapezoid energy
-    integrals sit below 1e-4 relative error, second order under refinement.
+    The top x_max = 23.1/m puts the extension amplitude below 1e-10; the
+    first spacing is 0.01 over the stiffest symbol value, scaled by 384/nx.
+    Both the order-2 boundary stencil and the trapezoid energy integrals sit
+    below 1e-4 relative error, second order under refinement in nx.
     """
     if nx < 16:
         raise ValueError("wall needs at least 16 nodes")
-    if x_max is None:
-        x_max = 23.1 / m
-    if delta0 is None:
-        # scales inversely with nx so raising nx refines uniformly
-        s_max = np.sqrt(np.max(grid.freq2()) + m * m)
-        delta0 = (0.01 / s_max) * (384.0 / nx)
+    x_max = 23.1 / m
+    # scales inversely with nx so raising nx refines uniformly
+    s_max = np.sqrt(np.max(grid.freq2()) + m * m)
+    delta0 = (0.01 / s_max) * (384.0 / nx)
+    # delta0*(nx - 1) < 3.84/s_max <= 3.84/m < x_max: the spacing always grows
     r = _solve_ratio(nx, x_max, delta0)
-    i = np.arange(nx)
-    if r == 1.0:
-        x = x_max * i / (nx - 1)
-    else:
-        x = delta0 * np.expm1(i * np.log(r)) / (r - 1.0)
+    x = delta0 * np.expm1(np.arange(nx) * np.log(r)) / (r - 1.0)
     x[0] = 0.0
-    return WallGrid(grid, m, x, float(x_max), r)
+    return WallGrid(grid, m, x)
 
 
 @dataclass(eq=False)

@@ -144,9 +144,6 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite entries")
 
-    def copy(self) -> Field:
-        return Field(self.grid, self.values.copy())
-
 
 def _check_same_grid(f: Field, g: Field) -> None:
     if f.grid != g.grid:

@@ -53,8 +53,7 @@ def count_calls(monkeypatch, fn) -> list:
 
 def refined_wall(wall, factor: int = 2):
     """The same wall span and clustering profile with factor-times more nodes."""
-    return build_wall(wall.grid, wall.m, nx=factor * wall.nx, x_max=wall.x_max,
-                      delta0=float(wall.x[1]) / factor)
+    return build_wall(wall.grid, wall.m, nx=factor * wall.nx)
 
 
 @pytest.fixture(scope="session")

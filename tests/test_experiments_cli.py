@@ -11,8 +11,8 @@ import pytest
 
 from choquard_gs.cli import main
 from choquard_gs.energy import EnergyContext, build_context
-from choquard_gs.experiments.config import KINDS, ExperimentConfig, Report, blob_hash
-from choquard_gs.experiments.drivers import TRACE_FIELDS, _embed, _run_all_suites
+from choquard_gs.experiments.config import ExperimentConfig, Report, blob_hash
+from choquard_gs.experiments.drivers import KINDS, TRACE_FIELDS, _embed, _run_all_suites, run
 from choquard_gs.grid import Field, dft, gaussian_field, load_field
 from choquard_gs.problem import ConfigError
 from conftest import config_context, const_potential, count_calls, make_params
@@ -90,9 +90,12 @@ def test_report_collects_checks(tmp_path):
     assert (tmp_path / "metrics.csv").read_text().startswith("a,b")
 
 
-def test_experiment_config_validation(config_path):
-    with pytest.raises(ConfigError):
-        ExperimentConfig(kind="warp", problem_path=str(config_path))
+def test_experiment_config_validation(config_path, tmp_path):
+    # the kind is checked where it is looked up, before anything is written
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="unknown experiment kind 'warp'"):
+        run(ExperimentConfig(kind="warp", problem_path=str(config_path), out_dir=str(out)))
+    assert not out.exists()
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="solve", problem_path="missing.ini")
     with pytest.raises(ConfigError):
@@ -118,7 +121,7 @@ def test_cli_passes_options_through_as_experiment_config(config_path, monkeypatc
     dests = {a.dest for a in cli.build_parser()._actions} - {"help", "workers"}
     assert dests <= {f.name for f in fields(ExperimentConfig)}
     seen = []
-    monkeypatch.setitem(cli._DRIVERS, "solve", lambda ecfg: seen.append(ecfg) or 0)
+    monkeypatch.setattr(cli, "run", lambda ecfg: seen.append(ecfg) or 0)
     assert main(["solve", "--config", str(config_path)] + extra) == 0
     assert seen == [ExperimentConfig("solve", str(config_path))]
 
@@ -131,6 +134,8 @@ def test_readme_synopsis_matches_parser():
     documented = set(re.findall(r"--[a-z][a-z-]*", synopsis))
     defined = set(re.findall(r"--[a-z][a-z-]*", build_parser().format_usage()))
     assert documented == defined
+    kinds = re.match(r"choquard-gs <([a-z|-]*)>", synopsis).group(1)
+    assert tuple(kinds.split("|")) == tuple(KINDS)
 
 
 def test_cli_missing_config_is_config_error(tmp_path):
@@ -371,6 +376,21 @@ def test_solve_failure_leaves_a_failed_report(kind, config_path, tmp_path):
     assert "FAILURES present" in report
 
 
+def test_gamma_sweep_warm_point_failure_is_a_failed_check(config_path, tmp_path, monkeypatch):
+    # the first point runs multistart; the warm-started ones go through the
+    # drivers' own solve binding and the rule that accepts every other solve
+    from choquard_gs.experiments import drivers
+
+    solve = drivers.solve
+    monkeypatch.setattr(drivers, "solve",
+                        lambda ctx, u, cfg: replace(solve(ctx, u, cfg), status="max_iters"))
+    out = tmp_path / "out"
+    assert main(["gamma-sweep", "--config", str(config_path), "--out", str(out),
+                 "--eps-list", "0.5,0", "--multistarts", "1"]) == 1
+    report = (out / "report.md").read_text()
+    assert "- [FAIL] every solve converged -- none of 1 starts converged" in report
+
+
 FAST_RUNS = {
     "solve": ["--multistarts", "1"],
     "verify": [],
@@ -391,7 +411,9 @@ def test_each_built_context_is_validated_once(kind, tmp_path, monkeypatch):
     path.write_text(VL_CONFIG if kind == "vl-sign" else SMOKE_CONFIG, encoding="utf-8")
     main([kind, "--config", str(path), "--out", str(tmp_path / "out"), "--tol-scale", "10"]
          + FAST_RUNS[kind])
-    assert (tmp_path / "out" / "report.md").is_file()
+    report = (tmp_path / "out" / "report.md").read_text()
+    assert report.startswith(f"# {KINDS[kind][0]}\n")
+    assert f"- kind: {kind}\n" in report
     assert len(built) >= 1
     assert len(validated) == len(built)
 

@@ -38,19 +38,20 @@ def wall(grid):
 
 
 def extended_wall(wall, factor=2.0):
-    """Continue the wall's geometric progression past x_max (tail-truncation study)."""
+    """Continue the wall's geometric progression past its top (tail-truncation study)."""
     x = list(wall.x)
     step = x[-1] - x[-2]
-    while x[-1] < factor * wall.x_max:
-        step *= wall.ratio
+    ratio, top = step / (x[-2] - x[-3]), x[-1]
+    while x[-1] < factor * top:
+        step *= ratio
         x.append(x[-1] + step)
-    return WallGrid(wall.grid, wall.m, np.asarray(x), x[-1], wall.ratio)
+    return WallGrid(wall.grid, wall.m, np.asarray(x))
 
 
 def test_wall_geometry(grid, wall):
     assert wall.x[0] == 0.0
     assert np.all(np.diff(wall.x) > 0)
-    assert wall.x[-1] == pytest.approx(wall.x_max, rel=1e-9)
+    assert wall.x[-1] == pytest.approx(23.1 / wall.m, rel=1e-9)
     assert np.all(np.diff(np.diff(wall.x)) > 0)  # clustered toward the boundary
     fine = refined_wall(wall, 2)
     assert fine.nx == 2 * wall.nx
@@ -59,7 +60,9 @@ def test_wall_geometry(grid, wall):
 
 def test_wall_rejects_tiny(grid):
     with pytest.raises(ValueError):
-        build_wall(grid, nx=8)
+        build_wall(grid, 1.0, nx=8)
+    with pytest.raises(TypeError):  # the mass has no default
+        build_wall(grid)
 
 
 def test_extend_constant_decays_at_mass_rate(grid, wall):

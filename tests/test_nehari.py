@@ -193,7 +193,7 @@ def test_fiber_scan_driver_evaluates_its_field_once(tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, qdg)
     ecfg = ExperimentConfig("fiber-scan", str(config), out_dir=str(tmp_path),
                             tolerance_scale=10.0)
-    assert drivers.run_fiber_scan(ecfg) == 0
+    assert drivers.run(ecfg) == 0
     assert len(calls) == 1
     rows = (tmp_path / "fiber_scan.csv").read_text().splitlines()
     assert len(rows) == 42
@@ -205,8 +205,7 @@ def test_fiber_scan_csv_holds_the_scan_numbers(tmp_path, monkeypatch):
 
     config = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
     calls = count_calls(monkeypatch, fiber_scan_csv)
-    assert drivers.run_fiber_scan(ExperimentConfig("fiber-scan", str(config),
-                                                   out_dir=str(tmp_path))) == 0
+    assert drivers.run(ExperimentConfig("fiber-scan", str(config), out_dir=str(tmp_path))) == 0
     (scan,), = calls
     rows = (tmp_path / "fiber_scan.csv").read_text().splitlines()[1:]
     cells = np.array([[float(c) for c in row.split(",")] for row in rows])

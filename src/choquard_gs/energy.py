@@ -8,7 +8,7 @@ box-periodized Riesz convolution.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -47,14 +47,10 @@ class EnergyContext:
 
     def periodic_variant(self) -> EnergyContext:
         """Same problem with the localized potential stripped."""
-        zero = Field(self.grid, np.zeros(self.grid.shape))
-        return EnergyContext(self.params, self.grid, self.sqrt_op, self.kernel,
-                             self.Vp, zero, self.Gamma)
+        return replace(self, Vl=Field(self.grid, np.zeros(self.grid.shape)))
 
     def with_gamma_scaled(self, factor: float) -> EnergyContext:
-        gam = Field(self.grid, factor * self.Gamma.values)
-        return EnergyContext(self.params, self.grid, self.sqrt_op, self.kernel,
-                             self.Vp, self.Vl, gam)
+        return replace(self, Gamma=Field(self.grid, factor * self.Gamma.values))
 
 
 def build_context(params: ProblemParams, pot: PotentialSpec) -> EnergyContext:
@@ -184,9 +180,12 @@ class EnergyReport:
 
 
 def energy_report(ctx: EnergyContext, u: Field) -> EnergyReport:
-    q, d, g = qdg(ctx, u)
+    bu = b_values(ctx, u.values)
+    phi, d = nonlocal_terms(ctx, u.values)
+    q = ctx.grid.cell_volume * float(np.vdot(bu, u.values))
+    g = gamma_values(ctx, u.values)
     e = energy_from_qdg(ctx, q, d, g)
-    grad = grad_energy(ctx, u)
+    grad = Field(ctx.grid, grad_values(ctx, u.values, bu, phi))
     return EnergyReport(
         q_val=q,
         d_val=d,
@@ -223,20 +222,11 @@ def estimate_d_bound(ctx: EnergyContext) -> float:
     return D_BOUND_SAFETY * best
 
 
-@dataclass
-class BrezisLiebReport:
-    deltas: list[float]
-
-    def decreasing(self, jitter: float = 0.1) -> bool:
-        d = self.deltas
-        return all(d[i + 1] <= d[i] * (1.0 + jitter) for i in range(len(d) - 1))
-
-
-def brezis_lieb_check(ctx: EnergyContext, u0: Field, w: Field, shifts) -> BrezisLiebReport:
+def brezis_lieb_check(ctx: EnergyContext, u0: Field, w: Field, shifts) -> list[float]:
     """Splitting defect of the nonlocal term under separating translations.
 
-    For u_n = u0 + w(. - z_n) reports |D(u_n) - D(u_n - u0) - D(u0)|, which
-    must sink toward the periodization floor as the bumps separate.
+    For u_n = u0 + w(. - z_n) returns |D(u_n) - D(u_n - u0) - D(u0)| for each
+    shift, which must sink toward the periodization floor as the bumps separate.
     """
     d_u0 = d_value(ctx, u0)
     deltas = []
@@ -245,5 +235,5 @@ def brezis_lieb_check(ctx: EnergyContext, u0: Field, w: Field, shifts) -> Brezis
         un = Field(ctx.grid, u0.values + wz.values)
         delta = d_value(ctx, un) - d_value(ctx, wz) - d_u0
         deltas.append(abs(delta))
-    return BrezisLiebReport(deltas)
+    return deltas
 

@@ -99,21 +99,16 @@ class Report:
                                            f"({sum(ok for _, ok, _ in self.checks)}/{len(self.checks)})", ""])
         (out / "report.md").write_text(body, encoding="utf-8")
         if self.metrics_rows:
-            keys: list[str] = []
-            for row in self.metrics_rows:
-                for k in row:
-                    if k not in keys:
-                        keys.append(k)
+            # every row holds the first row's keys, each with a number
+            keys = list(self.metrics_rows[0])
 
             def cell(v):
                 if isinstance(v, (int, np.integer)):
                     return str(int(v))
-                if isinstance(v, (float, np.floating)):
-                    return repr(float(v))
-                return str(v)
+                return repr(float(v))
 
             lines = [",".join(keys)]
             for row in self.metrics_rows:
-                lines.append(",".join(cell(row.get(k, "")) for k in keys))
+                lines.append(",".join(cell(row[k]) for k in keys))
             (out / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         return out / "report.md"

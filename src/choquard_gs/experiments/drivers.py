@@ -178,7 +178,7 @@ def _suite_kernel_oracles(ctx: EnergyContext, rep: Report, scale: float) -> None
     kern = build_riesz(small, alpha, p=ctx.params.p)
     line = (slice(None),) + (small.n // 2,) * (N - 1)
     spectral = riesz_convolve(kern, Field(small, np.exp(-small.r2()))).values[line]
-    x = small.axis_coords()
+    x = small.axis_coords
     near = np.abs(x) <= 1.5
     exact = _gaussian_riesz(N, alpha, x[near] ** 2)
     err = float(np.max(np.abs(spectral[near] - exact)) / np.max(exact))
@@ -219,7 +219,7 @@ def _suite_operator(ctx: EnergyContext, wall: WallGrid, rep: Report, scale: floa
     rep.add_check("boundary-derivative operator agrees with the spectral square root",
                   max(rel_errs) <= 1e-4 * scale, f"max rel err {max(rel_errs):.3e}")
     tt = dtn_apply(dtn_apply(u, wall), wall)
-    lap = Field(g, apply_multiplier(g.freq2() + m * m, u.values))
+    lap = Field(g, apply_multiplier(g.freq2 + m * m, u.values))
     rel_tt = l2_norm(Field(g, tt.values - lap.values)) / l2_norm(lap)
     rep.add_check("operator squares to the Schrodinger operator",
                   rel_tt <= 1e-4 * scale, f"rel err {rel_tt:.3e}")
@@ -289,10 +289,11 @@ def _suite_brezis_lieb(ctx: EnergyContext, rep: Report, scale: float) -> None:
     g = ctx.grid
     u0 = gaussian_field(g, np.zeros(g.N), width=min(1.0, g.L / 4.0))
     w = gaussian_field(g, np.zeros(g.N), width=min(0.8, g.L / 5.0), amplitude=0.7)
-    bl = brezis_lieb_check(ctx, u0, w, _bl_shifts(g))
-    detail = ", ".join(f"{d:.3e}" for d in bl.deltas)
+    deltas = brezis_lieb_check(ctx, u0, w, _bl_shifts(g))
+    detail = ", ".join(f"{d:.3e}" for d in deltas)
     rep.add_check("splitting defect decreases with separation",
-                  bl.decreasing(jitter=0.1 * scale), f"deltas {detail}")
+                  all(b <= a * (1.0 + 0.1 * scale) for a, b in zip(deltas, deltas[1:])),
+                  f"deltas {detail}")
 
 
 def _suite_j_conditions(ctx: EnergyContext, rep: Report, scale: float,
@@ -334,7 +335,7 @@ def _fiber_scan(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
     u = gaussian_field(ctx.grid, np.zeros(ctx.grid.N), width=max(1.0, ctx.grid.L / 8.0))
     triple = qdg(ctx, u)
     t_star = nehari_t_from_qdg(*triple, ctx.params.p, ctx.params.q)
-    scan = fiber_scan(ctx, u, np.geomspace(t_star / 4.0, 4.0 * t_star, 41), triple)
+    scan = fiber_scan(ctx, triple, np.geomspace(t_star / 4.0, 4.0 * t_star, 41))
     rep.add_check("single rise-then-fall pattern", scan.slope_sign_ok)
     rep.add_check("scan maximum brackets the projection point",
                   scan.max_bracket_contains_t_star(),

@@ -66,7 +66,7 @@ class WallGrid:
     @cached_property
     def _s(self) -> np.ndarray:
         """Decay rate sqrt(|xi|^2 + m^2) of each mode, on the freq2 grid."""
-        return np.sqrt(self.grid.freq2() + self.m * self.m)
+        return np.sqrt(self.grid.freq2 + self.m * self.m)
 
     @cached_property
     def decay(self) -> np.ndarray:
@@ -81,7 +81,7 @@ class WallGrid:
     @cached_property
     def grad(self) -> np.ndarray:
         """s^2 + |xi|^2, the read-only symbol of |grad v|^2."""
-        return _read_only(self.s2 + self.grid.freq2())
+        return _read_only(self.s2 + self.grid.freq2)
 
 
 def build_wall(grid: Grid, m: float, nx: int = 384) -> WallGrid:
@@ -96,7 +96,7 @@ def build_wall(grid: Grid, m: float, nx: int = 384) -> WallGrid:
         raise ValueError("wall needs at least 16 nodes")
     x_max = 23.1 / m
     # scales inversely with nx so raising nx refines uniformly
-    s_max = np.sqrt(np.max(grid.freq2()) + m * m)
+    s_max = np.sqrt(np.max(grid.freq2) + m * m)
     delta0 = (0.01 / s_max) * (384.0 / nx)
     # delta0*(nx - 1) < 3.84/s_max <= 3.84/m < x_max: the spacing always grows
     r = _solve_ratio(nx, x_max, delta0)
@@ -122,7 +122,7 @@ class ExtendedField:
         of v^2, so that its plain sum is the integral of v^2 (Parseval)."""
         g = self.wall.grid
         power = np.tensordot(self.wall.weights, self.spec.real**2 + self.spec.imag**2, axes=1)
-        return (g.cell_volume / g.size) * g.half_weights() * power
+        return (g.cell_volume / g.size) * g.half_weights * power
 
 
 def harmonic_extend(u: Field, wall: WallGrid) -> ExtendedField:

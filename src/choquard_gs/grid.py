@@ -36,8 +36,8 @@ def _read_only(table: np.ndarray) -> np.ndarray:
 class Grid:
     """Uniform grid on the box [-L, L)^N, periodically extended, n points per axis.
 
-    axis_coords, freq2 and half_weights build their array on an instance's
-    first call and return that same array, read-only, to every later caller."""
+    axis_coords, freq2 and half_weights are built on an instance's first read,
+    and every later read returns that same array, read-only."""
 
     N: int
     L: float
@@ -67,11 +67,8 @@ class Grid:
     def cell_volume(self) -> float:
         return self.h**self.N
 
-    def axis_coords(self) -> np.ndarray:
-        return self._coords
-
     @functools.cached_property
-    def _coords(self) -> np.ndarray:
+    def axis_coords(self) -> np.ndarray:
         return _read_only(-self.L + self.h * np.arange(self.n))
 
     def axis_freqs(self) -> np.ndarray:
@@ -83,22 +80,16 @@ class Grid:
         """Sum over axes of per-axis 1-D terms, each broadcast along its own axis."""
         return functools.reduce(np.add.outer, rows)
 
+    @functools.cached_property
     def freq2(self) -> np.ndarray:
         """|xi|^2 on the half-spectrum grid of dft (FFT entry n/2 is -n/2, same square)."""
-        return self._freq2
-
-    @functools.cached_property
-    def _freq2(self) -> np.ndarray:
         xi2 = self.axis_freqs() ** 2
         return _read_only(self._axis_sum([xi2] * (self.N - 1) + [xi2[: self.n // 2 + 1]]))
 
+    @functools.cached_property
     def half_weights(self) -> np.ndarray:
         """Copies in the full spectrum of each half-spectrum coefficient, along the
         last axis: 1 at k = 0 and k = n/2 (self-mirrored), 2 elsewhere."""
-        return self._half_weights
-
-    @functools.cached_property
-    def _half_weights(self) -> np.ndarray:
         return _read_only(np.where(np.arange(self.n // 2 + 1) % (self.n // 2) == 0, 1.0, 2.0))
 
     def r2(self, center=None) -> np.ndarray:
@@ -106,7 +97,7 @@ class Grid:
         if center is None:
             center = np.zeros(self.N)
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        x = self.axis_coords()
+        x = self.axis_coords
         rows = []
         for axis in range(self.N):
             d = min_image(self, x - center[axis])
@@ -240,8 +231,8 @@ class Translations:
         self._theta = (2.0 * np.pi / n) * np.fft.fftfreq(n, d=1.0 / n)
         self._dtheta = np.where(np.arange(n) == n // 2, 0.0, self._theta)
         self._half = n // 2 + 1
-        self._weights = grid.half_weights() / grid.size
-        self._x = grid.axis_coords()
+        self._weights = grid.half_weights / grid.size
+        self._x = grid.axis_coords
         self._cpu = grid.cells_per_unit()
         self.shape = grid.shape
 

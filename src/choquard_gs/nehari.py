@@ -101,13 +101,13 @@ class FiberScan:
         return bool(lo <= self.t_star <= hi) or i in (0, len(self.t_values) - 1)
 
 
-def fiber_scan(ctx: EnergyContext, u: Field, t_grid, triple=None) -> FiberScan:
-    """Sample the fiber energy and certify the single rise-then-fall pattern.
-    triple, the (Q, D, G) of u when the caller has it, saves its evaluation."""
+def fiber_scan(ctx: EnergyContext, triple, t_grid) -> FiberScan:
+    """Sample the fiber energy along t -> t*u from the triple (Q, D, G) = qdg(ctx, u)
+    and certify the single rise-then-fall pattern."""
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if np.any(t_grid <= 0):
         raise ValueError("fiber scan requires positive scalings")
-    q, d, g = qdg(ctx, u) if triple is None else triple
+    q, d, g = triple
     t_star = nehari_t_from_qdg(q, d, g, ctx.params.p, ctx.params.q)
     e_vals = np.array([energy_from_qdg(ctx, q, d, g, t) for t in t_grid])
     resids = np.array([fiber_residual_from_qdg(ctx, q, d, g, t) for t in t_grid])
@@ -177,7 +177,7 @@ def check_J_conditions(ctx: EnergyContext, sample_fields: list[Field],
             j2_ok = False
         # fiber slope sign pattern around the projection point
         t_star = nehari_t_from_qdg(q, d, g, p, qe)
-        scan = fiber_scan(ctx, u, np.geomspace(t_star / 8.0, t_star * 8.0, 33), (q, d, g))
+        scan = fiber_scan(ctx, (q, d, g), np.geomspace(t_star / 8.0, t_star * 8.0, 33))
         if not scan.slope_sign_ok:
             j3_violations += 1
         # coercivity on the manifold

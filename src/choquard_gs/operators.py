@@ -15,14 +15,13 @@ class SqrtOp:
     """Spectral realization of sqrt(-Laplacian + m^2) on the periodic box."""
 
     grid: Grid
-    m: float
     multiplier: np.ndarray
 
 
 def build_sqrt_op(grid: Grid, m: float) -> SqrtOp:
     if not m > 0:
         raise ValueError("mass must be positive")
-    return SqrtOp(grid, m, np.sqrt(grid.freq2() + m * m))
+    return SqrtOp(grid, np.sqrt(grid.freq2 + m * m))
 
 
 def apply_sqrt(op: SqrtOp, u: Field) -> Field:
@@ -87,7 +86,6 @@ class RieszKernel:
     """
 
     grid: Grid
-    alpha: float
     conv_multiplier: np.ndarray
     kernel_samples: np.ndarray
     far_part_bound: float
@@ -108,7 +106,7 @@ def build_riesz(grid: Grid, alpha: float, p: float = 2.0) -> RieszKernel:
     d2 = grid.offset_r2()
     outside = d2 >= 1.0
     far = float(np.min(d2[outside])) ** ((alpha - grid.N) / 2.0) if np.any(outside) else 0.0
-    return RieszKernel(grid, alpha, multiplier.real, S, far)
+    return RieszKernel(grid, multiplier.real, S, far)
 
 
 def riesz_convolve(kernel: RieszKernel, f: Field) -> Field:

@@ -80,7 +80,7 @@ def _tile_unit_cell(grid: Grid, cell_of) -> np.ndarray:
     periodicity and unit-lattice equivariance bitwise exact.
     """
     cpu = grid.cells_per_unit()
-    x1 = grid.axis_coords()[:cpu]
+    x1 = grid.axis_coords[:cpu]
     coords = [x1] if grid.N == 1 else np.meshgrid(*([x1] * grid.N), indexing="ij", sparse=True)
     return np.tile(cell_of(coords), (grid.n // cpu,) * grid.N)
 
@@ -118,10 +118,8 @@ def _sample_localized(desc: Descriptor, grid: Grid) -> np.ndarray:
     raise ConfigError(f"unknown localized potential tag '{desc.tag}'")
 
 
-def sample_potentials(params: ProblemParams, pot: PotentialSpec, grid: Grid | None = None):
+def sample_potentials(pot: PotentialSpec, grid: Grid):
     """Sample (Vp, Vl, Gamma) at the grid nodes; Vp and Gamma exactly box-periodic."""
-    if grid is None:
-        grid = params.make_grid()
     vp = Field(grid, _sample_periodic(pot.Vp, grid))
     if pot.Vl_sign == "zero":
         vl = Field(grid, np.zeros(grid.shape))
@@ -166,7 +164,7 @@ class ValidationReport:
 
 def _argwitness(grid: Grid, values: np.ndarray, idx_flat: int) -> str:
     idx = np.unravel_index(idx_flat, grid.shape)
-    x = [grid.axis_coords()[i] for i in idx]
+    x = [grid.axis_coords[i] for i in idx]
     return f"x={tuple(round(v, 6) for v in x)}, value={values[idx]:.6g}"
 
 
@@ -183,7 +181,7 @@ def validate(params: ProblemParams, pot: PotentialSpec) -> ValidationReport:
 
     N, p, q, alpha, m = params.N, params.p, params.q, params.alpha, params.m
     add("dimension", N in (1, 2, 3), f"N={N}")
-    add("mass positive", m > 0, f"m={m}")
+    add("mass positive", 0 < m < np.inf, f"m={m}")
     add("exponent window lower: (N-1)p - N < alpha",
         (N - 1) * p - N < alpha, f"(N-1)p-N={(N - 1) * p - N}, alpha={alpha}")
     add("exponent window upper: alpha < N", alpha < N, f"alpha={alpha}, N={N}")
@@ -194,7 +192,7 @@ def validate(params: ProblemParams, pot: PotentialSpec) -> ValidationReport:
     add("local exponent: q < min(2p, 2N/(N-1))", q < cap, f"q={q}, cap={cap}")
 
     add("box half-period positive integer",
-        params.L > 0 and abs(params.L - round(params.L)) < 1e-12,
+        0 < params.L < np.inf and abs(params.L - round(params.L)) < 1e-12,
         f"L={params.L}")
     add("grid points even and >= 8", params.n % 2 == 0 and params.n >= 8, f"n={params.n}")
     grid_ok = True
@@ -214,7 +212,7 @@ def validate(params: ProblemParams, pot: PotentialSpec) -> ValidationReport:
         return ValidationReport(checks)
 
     try:
-        vp, vl, gam = sample_potentials(params, pot, grid)
+        vp, vl, gam = sample_potentials(pot, grid)
     except ConfigError as exc:
         add("potential descriptors sampled", False, str(exc))
         return ValidationReport(checks)

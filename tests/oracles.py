@@ -51,7 +51,7 @@ def pde_residual(v, m):
     dx = np.diff(v.wall.x).reshape((-1,) + (1,) * g.N)
     hm, hp, vals = dx[:-1], dx[1:], v.values
     d2 = 2.0 * (hm * vals[2:] - (hm + hp) * vals[1:-1] + hp * vals[:-2]) / (hm * hp * (hm + hp))
-    r = -d2 + apply_multiplier(g.freq2() + m * m, vals[1:-1])
+    r = -d2 + apply_multiplier(g.freq2 + m * m, vals[1:-1])
     axes = tuple(range(1, g.N + 1))
     total = float(w[1:-1] @ np.sum(r * r, axis=axes))
     norm = float(w[1:-1] @ np.sum(vals[1:-1] ** 2, axis=axes))

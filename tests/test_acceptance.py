@@ -113,10 +113,10 @@ def test_criterion_3_nonlocal_term_properties():
     assert moved == pytest.approx(d1, rel=1e-12)
     u0 = gaussian_field(ctx.grid, [0.0], 1.0)
     w = gaussian_field(ctx.grid, [0.0], 0.8, amplitude=0.7)
-    bl = brezis_lieb_check(ctx, u0, w, [[2.0], [4.0], [6.0], [8.0]])
-    assert all(b < a for a, b in zip(bl.deltas, bl.deltas[1:]))
+    deltas = brezis_lieb_check(ctx, u0, w, [[2.0], [4.0], [6.0], [8.0]])
+    assert all(b < a for a, b in zip(deltas, deltas[1:]))
     budget.done(3, "nonlocal-term homogeneity, equivariance, splitting",
-                "deltas " + ", ".join(f"{d:.2e}" for d in bl.deltas))
+                "deltas " + ", ".join(f"{d:.2e}" for d in deltas))
 
 
 def test_criterion_4_gradient_check():
@@ -147,7 +147,7 @@ def test_criterion_5_nehari_geometry():
         assert abs(fiber_residual_from_qdg(ctx, q, d, g)) <= 1e-10 * q
         t_again, _ = project_to_nehari(ctx, u_star)
         assert 1 - 1e-8 <= t_again <= 1 + 1e-8
-        scan = fiber_scan(ctx, u, np.geomspace(t_star / 8, 8 * t_star, 33))
+        scan = fiber_scan(ctx, qdg(ctx, u), np.geomspace(t_star / 8, 8 * t_star, 33))
         if not scan.slope_sign_ok:
             violations += 1
         if i < 10:
@@ -166,7 +166,7 @@ def test_criterion_6_trace_and_norm_inequalities():
     wall = build_wall(grid, m)
     rng = np.random.default_rng(606)
     V_flat = Field(grid, np.ones(grid.n))
-    V_cos = Field(grid, 1.0 + 0.25 * np.cos(2 * np.pi * grid.axis_coords()))
+    V_cos = Field(grid, 1.0 + 0.25 * np.cos(2 * np.pi * grid.axis_coords))
     worst1 = worst2 = np.inf
     for i in range(100):
         u = random_smooth_field(grid, rng)
@@ -248,7 +248,7 @@ def test_criterion_9_positive_bump_escape_signature():
         if centered.status == "converged":
             c_pos = min(c_pos, centered.energy_trace[-1])
         gaps.append(c_pos - r_per.energy_trace[-1])
-        x = ctx_pos.grid.axis_coords()
+        x = ctx_pos.grid.axis_coords
         u2 = r_pos.u_final.values ** 2
         overlaps.append(float(ctx_pos.grid.cell_volume * np.sum(u2[np.abs(x) < 2.0])))
     assert all(g > 0 for g in gaps)

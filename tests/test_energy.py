@@ -39,7 +39,7 @@ def test_q_boundary_cosine_mode(ctx_const):
     g = ctx_const.grid
     m = ctx_const.params.m
     xi1 = np.pi / g.L
-    u = Field(g, np.cos(xi1 * g.axis_coords()))
+    u = Field(g, np.cos(xi1 * g.axis_coords))
     expected = (np.sqrt(xi1**2 + m**2) - m + 1.0) * (2 * g.L) ** g.N / 2.0
     assert q_boundary(ctx_const, u) == pytest.approx(expected, rel=1e-12)
 
@@ -181,19 +181,16 @@ def test_brezis_lieb_trivial_cases(ctx_const):
     u0 = gaussian_field(g, [0.0], 1.0)
     zero = zero_field(ctx_const)
     shifts = [[2.0], [4.0]]
-    rep = brezis_lieb_check(ctx_const, u0, zero, shifts)
-    assert all(d <= 1e-12 for d in rep.deltas)
-    rep = brezis_lieb_check(ctx_const, zero, u0, shifts)
-    assert all(d <= 1e-12 for d in rep.deltas)
+    assert all(d <= 1e-12 for d in brezis_lieb_check(ctx_const, u0, zero, shifts))
+    assert all(d <= 1e-12 for d in brezis_lieb_check(ctx_const, zero, u0, shifts))
 
 
 def test_brezis_lieb_separating_bumps(ctx_const):
     g = ctx_const.grid
     u0 = gaussian_field(g, [0.0], 1.0)
     w = gaussian_field(g, [0.0], 0.8, amplitude=0.7)
-    rep = brezis_lieb_check(ctx_const, u0, w, [[2.0], [4.0], [6.0], [8.0]])
-    assert all(b < a for a, b in zip(rep.deltas, rep.deltas[1:]))
-    assert rep.decreasing()
+    deltas = brezis_lieb_check(ctx_const, u0, w, [[2.0], [4.0], [6.0], [8.0]])
+    assert all(b < a for a, b in zip(deltas, deltas[1:]))
 
 
 def test_gamma_integral_zero_without_gamma(ctx_const, rng):
@@ -257,6 +254,17 @@ def test_energy_module_is_not_shadowed_by_a_function():
     import choquard_gs.energy as E
 
     assert callable(E.build_context) and callable(E.energy_report)
+
+
+def test_energy_report_evaluates_bu_and_phi_once(ctx_gamma, rng, monkeypatch):
+    from choquard_gs import energy
+
+    u = random_smooth_field(ctx_gamma.grid, rng)
+    want = energy_report(ctx_gamma, u)
+    b_calls = count_calls(monkeypatch, energy.b_values)
+    phi_calls = count_calls(monkeypatch, energy.nonlocal_terms)
+    assert energy_report(ctx_gamma, u) == want
+    assert (len(b_calls), len(phi_calls)) == (1, 1)
 
 
 def test_build_context_validates_and_samples_once(monkeypatch):

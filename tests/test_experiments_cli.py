@@ -362,6 +362,19 @@ def test_invalid_problem_exits_2_naming_the_check(kind, config_path, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, bad, check", [
+    ("L = 16", "L = 1e400", "box half-period positive integer"),
+    ("m = 1.0", "m = inf", "mass positive"),
+])
+def test_non_finite_box_or_mass_exits_2_naming_the_check(line, bad, check, config_path,
+                                                         tmp_path, capsys):
+    config_path.write_text(DEFAULT_CONFIG.replace(line, bad), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config_path), "--out", str(out)]) == 2
+    assert check in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["solve", "gamma-sweep", "vl-sign", "box-sweep"])
 def test_solve_failure_leaves_a_failed_report(kind, config_path, tmp_path):
     # no start converges in one iteration: every kind that solves still

@@ -108,7 +108,7 @@ def test_energy_stable_under_wall_extension(grid, wall):
 def test_dtn_single_mode_converges_to_symbol(grid):
     m = 1.0
     xi1 = 4.0 * np.pi / grid.L  # k = 4 mode
-    u = Field(grid, np.cos(xi1 * grid.axis_coords()))
+    u = Field(grid, np.cos(xi1 * grid.axis_coords))
     expected = np.sqrt(xi1**2 + m**2)
     errs = []
     for factor in (1, 2, 4):
@@ -207,7 +207,7 @@ def test_volume_integrals_on_single_modes(N, n):
     g = Grid(N, 2.0, n)
     m = 1.0
     w = build_wall(g, m, nx=32)
-    x = np.meshgrid(*([g.axis_coords()] * N), indexing="ij")
+    x = np.meshgrid(*([g.axis_coords] * N), indexing="ij")
     for k in (n // 2, 1):
         xi = np.pi * k / g.L
         u = Field(g, np.cos(xi * x[-1]))
@@ -250,7 +250,7 @@ def test_norm_equivalence_constants_reference():
 
 
 def test_norm_equivalence_sandwich(grid, wall, rng):
-    V = Field(grid, 1.0 + 0.25 * np.cos(2 * np.pi * grid.axis_coords()))
+    V = Field(grid, 1.0 + 0.25 * np.cos(2 * np.pi * grid.axis_coords))
     for _ in range(20):
         u = random_smooth_field(grid, rng)
         v = harmonic_extend(u, wall)
@@ -348,9 +348,9 @@ def test_each_wall_follows_its_own_mass(grid, rng):
     for m in (1.0, 0.5):
         wall = build_wall(grid, m)
         assert wall.m == m
-        s = np.sqrt(grid.freq2() + m * m)
+        s = np.sqrt(grid.freq2 + m * m)
         tables = {"decay": np.exp(-np.multiply.outer(wall.x, s)), "s2": s**2,
-                  "grad": s**2 + grid.freq2()}
+                  "grad": s**2 + grid.freq2}
         for name, want in tables.items():
             got = getattr(wall, name)
             assert got.tobytes() == want.tobytes()

@@ -26,7 +26,7 @@ def test_grid_geometry():
     g = Grid(1, 16.0, 128)
     assert g.h * g.n == pytest.approx(2 * g.L)
     assert g.cells_per_unit() == 4
-    x = g.axis_coords()
+    x = g.axis_coords
     assert x[0] == -16.0
     assert x[-1] == pytest.approx(16.0 - g.h)
 
@@ -63,7 +63,7 @@ def test_forward_constant_is_mean():
 def test_forward_cosine_mode_pair():
     g = Grid(1, 4.0, 32)
     c = 1.7
-    f = c * np.cos(np.pi * g.axis_coords() / g.L)
+    f = c * np.cos(np.pi * g.axis_coords / g.L)
     F = dft(f)
     # half spectrum: wavenumbers 0..n/2, the mirror k = -1 of k = 1 is not stored
     assert F.shape == (g.n // 2 + 1,)
@@ -72,8 +72,8 @@ def test_forward_cosine_mode_pair():
     others = np.delete(F, [1])
     assert np.max(np.abs(others)) < 1e-12
     # the multiplier grid is ordered like the coefficients
-    assert g.freq2().shape == F.shape
-    lap = apply_multiplier(g.freq2(), f)
+    assert g.freq2.shape == F.shape
+    lap = apply_multiplier(g.freq2, f)
     assert np.max(np.abs(lap - (np.pi / g.L) ** 2 * f)) < 1e-12
 
 
@@ -86,7 +86,7 @@ def test_round_trip(N, n, rng):
     # a stack of fields transforms row by row in one call
     rows = np.stack([f, 2.0 * f, -f])
     coeffs = dft(rows, N)
-    assert coeffs.shape == (3,) + g.freq2().shape
+    assert coeffs.shape == (3,) + g.freq2.shape
     assert np.max(np.abs(coeffs[1] - 2.0 * dft(f))) <= 1e-12 * np.max(np.abs(coeffs))
     assert np.max(np.abs(idft_real(coeffs, g.shape) - rows)) <= 1e-12 * np.max(np.abs(rows))
 
@@ -100,7 +100,7 @@ def test_transforms_equal_rfftn(N, stack, rng):
     shape = (n,) * N
     axes = tuple(range(-N, 0))
     x = rng.standard_normal(stack + shape)
-    symbol = Grid(N, 2.0, n).freq2() + 1.0
+    symbol = Grid(N, 2.0, n).freq2 + 1.0
     spec = dft(x, N)
     kept = spec.copy()
     assert np.array_equal(spec, np.fft.rfftn(x, axes=axes))
@@ -130,7 +130,7 @@ def test_forward_hermitian_for_real_fields(rng):
 def test_r2_is_the_minimal_image_distance():
     g = Grid(2, 2.0, 16)
     center = np.array([1.75, -2.0])
-    x = g.axis_coords()
+    x = g.axis_coords
     d = [np.min(np.abs(x[:, None] - c + 2 * g.L * np.arange(-1, 2)), axis=1) for c in center]
     expect = d[0][:, None] ** 2 + d[1][None, :] ** 2
     assert np.allclose(g.r2(center), expect, rtol=0, atol=1e-12)
@@ -143,7 +143,7 @@ def test_r2_is_the_minimal_image_distance():
 def test_l2_norms_on_reference_fields():
     g = Grid(1, 1.0, 64)
     assert l2_norm2(Field(g, np.ones(64))) == pytest.approx(2.0)
-    cos = Field(g, np.cos(np.pi * g.axis_coords() / g.L))
+    cos = Field(g, np.cos(np.pi * g.axis_coords / g.L))
     assert l2_norm2(cos) == pytest.approx(g.L)
     g2 = Grid(2, 1.0, 16)
     assert l2_norm2(Field(g2, np.ones((16, 16)))) == pytest.approx(4.0)
@@ -167,7 +167,7 @@ def test_parseval(rng):
     w[0] = w[-1] = 1.0
     spectral = g.cell_volume / g.size * np.sum(w * np.abs(dft(f.values)) ** 2)
     assert spectral == pytest.approx(l2_norm2(f), rel=1e-12)
-    assert np.array_equal(g.half_weights(), w)
+    assert np.array_equal(g.half_weights, w)
 
 
 def test_shift_identity_period_and_isometry(rng):
@@ -345,9 +345,11 @@ def test_grid_tables_are_built_once_and_read_only(N, n):
         "half_weights": np.where(np.arange(n // 2 + 1) % (n // 2) == 0, 1.0, 2.0),
     }
     for name, want in uncached.items():
-        table = getattr(g, name)()
+        table = getattr(g, name)
         assert table.shape == want.shape and table.tobytes() == want.tobytes()
-        assert getattr(g, name)() is table
+        assert getattr(g, name) is table
+        with pytest.raises(AttributeError):
+            setattr(g, name, want)
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 1.0
         with pytest.raises(ValueError):

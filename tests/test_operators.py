@@ -29,7 +29,7 @@ def test_sqrt_on_pure_mode():
     m = 1.0
     op = build_sqrt_op(g, m)
     xi1 = np.pi / g.L
-    u = Field(g, np.cos(xi1 * g.axis_coords()))
+    u = Field(g, np.cos(xi1 * g.axis_coords))
     expected = np.sqrt(xi1**2 + m**2)
     out = apply_sqrt(op, u)
     assert np.allclose(out.values, expected * u.values, atol=1e-13)

@@ -60,6 +60,14 @@ def test_validate_requires_integer_box():
     assert not d["box half-period positive integer"]
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("key, check", [("L", "box half-period positive integer"),
+                                        ("m", "mass positive")])
+def test_validate_rejects_non_finite_box_and_mass(key, check, value):
+    d = report_dict(validate(make_params(**{key: value}), const_potential()))
+    assert not d[check]
+
+
 def test_sign_mode_witness():
     # declared negative but actually positive somewhere: witness reported
     pot = PotentialSpec(Descriptor("constant", {"value": 2.0}),
@@ -95,10 +103,10 @@ def test_sample_potentials_reference_values():
     pot = PotentialSpec(Descriptor("constant", {"value": 2.0}),
                         Descriptor("gaussian-bump", {"amplitude": -0.5, "width": 1.0}),
                         "negative", Descriptor("zero"))
-    vp, vl, gam = sample_potentials(params, pot, grid)
+    vp, vl, gam = sample_potentials(pot, grid)
     assert np.all(vp.values == 2.0)
     assert not np.any(gam.values)
-    center = np.argmin(np.abs(grid.axis_coords()))
+    center = np.argmin(np.abs(grid.axis_coords))
     assert vl.values[center] == pytest.approx(-0.5)
     assert np.argmin(vl.values) == center
     assert abs(vl.values[0]) < 1e-100  # decays toward the box faces
@@ -110,7 +118,7 @@ def test_periodic_sampling_is_exactly_tiled():
     pot = PotentialSpec(Descriptor("cosine", {"offset": 2.0, "amplitude": 0.5}),
                         Descriptor("zero"), "zero",
                         Descriptor("cosine", {"amplitude": 0.3}))
-    vp, _, gam = sample_potentials(params, pot, grid)
+    vp, _, gam = sample_potentials(pot, grid)
     cpu = grid.cells_per_unit()
     assert np.array_equal(np.roll(vp.values, cpu), vp.values)
     assert np.array_equal(np.roll(gam.values, cpu), gam.values)
@@ -126,8 +134,8 @@ def test_gamma_cosine_profile_2d():
     grid = params.make_grid()
     pot = PotentialSpec(Descriptor("constant", {"value": 1.0}), Descriptor("zero"), "zero",
                         Descriptor("cosine", {"amplitude": 0.7}))
-    gam = sample_potentials(params, pot, grid)[2].values
-    x = grid.axis_coords()
+    gam = sample_potentials(pot, grid)[2].values
+    x = grid.axis_coords
     lattice = np.flatnonzero(x == np.round(x))
     half = np.flatnonzero(x - np.floor(x) == 0.5)
     quarter = np.flatnonzero(x - np.floor(x) == 0.25)
@@ -143,7 +151,7 @@ def test_unknown_tag_raises():
     pot = PotentialSpec(Descriptor("sawtooth", {"value": 1.0}),
                         Descriptor("zero"), "zero", Descriptor("zero"))
     with pytest.raises(ConfigError):
-        sample_potentials(make_params(), pot)
+        sample_potentials(pot, make_params().make_grid())
 
 
 CONFIG_OK = """

@@ -70,7 +70,7 @@ def test_recentering_moves_peak_to_origin(ctx_solver, converged):
     assert r.iterations < RECENTER_EVERY
     g = r.u_final.grid
     peak = np.argmax(np.abs(r.u_final.values))
-    assert abs(g.axis_coords()[peak]) <= g.h
+    assert abs(g.axis_coords[peak]) <= g.h
     assert r.shift_iters == [r.iterations]
     assert [z.tolist() for z in r.shifts_applied] == [[-8.0]]
     assert r.energy_trace[-1] == pytest.approx(energy_value(ctx_solver, r.u_final), rel=1e-12)
@@ -101,7 +101,7 @@ def test_recentering_guarded_by_localized_potential(amplitude, home, monkeypatch
     r = solve(ctx, init, SolverConfig(max_iters=1))
     assert r.shift_iters == [1]
     (a,) = r.shifts_applied
-    x_peak = g.axis_coords()[np.argmax(np.abs(r.u_final.values))]
+    x_peak = g.axis_coords[np.argmax(np.abs(r.u_final.values))]
     if home:
         assert a.tolist() == [-24.0] and x_peak == 0.0
     else:
@@ -266,7 +266,7 @@ def test_large_box_tail_mass():
     r = solve(ctx, gaussian_field(ctx.grid, [0.0], 2.0), SolverConfig())
     assert r.status == "converged"
     g = ctx.grid
-    d = np.abs(min_image(g, g.axis_coords()))
+    d = np.abs(min_image(g, g.axis_coords))
     w = r.u_final.values**2
     tail = float(np.sum(w[d >= g.L / 2]) / np.sum(w))
     assert tail < 1e-8

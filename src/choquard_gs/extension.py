@@ -74,6 +74,11 @@ class WallGrid:
         return _read_only(np.exp(-np.multiply.outer(self.x, self._s)))
 
     @cached_property
+    def slab_weights(self) -> np.ndarray:
+        """Per mode, the read-only trapezoid integral over x of exp(-2 x s)."""
+        return _read_only(np.tensordot(self.weights, self.decay**2, axes=1))
+
+    @cached_property
     def s2(self) -> np.ndarray:
         """s^2, the read-only symbol of |d_x v|^2."""
         return _read_only(self._s**2)
@@ -107,34 +112,38 @@ def build_wall(grid: Grid, m: float, nx: int = 384) -> WallGrid:
 
 @dataclass(eq=False)
 class ExtendedField:
-    """Extension values on wall x boundary nodes; row 0 is the boundary trace.
-
-    spec holds the rows' half spectrum, u-hat times the wall's decay table.
-    """
+    """Half-space extension of the boundary values trace; uhat is their half
+    spectrum, from which every slab integral comes."""
 
     wall: WallGrid
-    values: np.ndarray
-    spec: np.ndarray
+    trace: np.ndarray
+    uhat: np.ndarray
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Extension values, one row per wall node (row 0 the trace), built on
+        first read by one batched inverse of u-hat times the decay table."""
+        return idft_real(self.uhat * self.wall.decay, self.wall.grid.shape)
 
     @cached_property
     def slab(self) -> np.ndarray:
         """Slab spectrum: per mode, the trapezoid integral over x of its share
         of v^2, so that its plain sum is the integral of v^2 (Parseval)."""
         g = self.wall.grid
-        power = np.tensordot(self.wall.weights, self.spec.real**2 + self.spec.imag**2, axes=1)
-        return (g.cell_volume / g.size) * g.half_weights * power
+        power = self.uhat.real**2 + self.uhat.imag**2
+        return (g.cell_volume / g.size) * g.half_weights * self.wall.slab_weights * power
 
 
 def harmonic_extend(u: Field, wall: WallGrid) -> ExtendedField:
     """Solve -Laplacian v + m^2 v = 0 on the half-space with trace u.
 
     Per boundary mode the solution is exp(-x*sqrt(|xi|^2 + m^2)) times the
-    mode amplitude; all wall rows are synthesized by one batched inverse.
+    mode amplitude; one forward transform gives every amplitude, and the
+    wall rows are synthesized only when read.
     """
     if u.grid != wall.grid:
         raise ValueError("field grid does not match wall grid")
-    spec = dft(u.values) * wall.decay
-    return ExtendedField(wall, idft_real(spec, u.grid.shape), spec)
+    return ExtendedField(wall, u.values, dft(u.values))
 
 
 def _diff_weights(nodes: np.ndarray) -> np.ndarray:
@@ -194,13 +203,16 @@ class InequalityReport:
 def check_trace_inequalities(v: ExtendedField, p: float) -> InequalityReport:
     """Evaluate the L^p trace bound and its L^2 consequence on an extension."""
     g, m = v.wall.grid, v.wall.m
-    u0 = v.values[0]
+    u0 = v.trace
     lhs_p = float(g.cell_volume * np.sum(np.abs(u0) ** p))
-    # L^{2(p-1)} norm of v over the volume, raised to 2(p-1)
-    vol_2p2 = float(v.wall.weights @ _row_integrals(g, np.abs(v.values) ** (2.0 * (p - 1.0))))
     dx2 = float(np.vdot(v.slab, v.wall.s2))
     grad, mass = volume_integrals(v)
-    rhs_p = p * vol_2p2 ** ((p - 1.0) / (2.0 * (p - 1.0))) * np.sqrt(dx2)
+    # L^{2(p-1)} norm of v over the volume, raised to 2(p-1): the mass at p = 2
+    if p == 2:
+        vol_2p2 = mass
+    else:
+        vol_2p2 = float(v.wall.weights @ _row_integrals(g, np.abs(v.values) ** (2.0 * (p - 1.0))))
+    rhs_p = p * np.sqrt(vol_2p2 * dx2)
     lhs_2 = g.cell_volume * float(np.vdot(u0, u0))
     rhs_2 = m * grad + mass / m
     return InequalityReport(lhs_p, float(rhs_p), lhs_2, float(rhs_2))
@@ -236,7 +248,7 @@ def check_norm_equivalence(v: ExtendedField, V_field: Field,
     c_low, c_high = norm_equivalence_constants(m, float(np.min(V_field.values)),
                                                float(np.max(V_field.values)))
     grad, mass = volume_integrals(v)
-    u0 = v.values[0]
+    u0 = v.trace
     q = grad + m * m * mass + g.cell_volume * float(np.vdot((V_field.values - m) * u0, u0))
     h1 = grad + mass
     lower_ok = q >= c_low * h1 * (1.0 - tol)

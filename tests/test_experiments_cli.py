@@ -452,6 +452,7 @@ def test_verify_builds_one_wall(monkeypatch):
     grid_builds = count_calls(monkeypatch, Grid.axis_freqs)  # one per |xi|^2 table
     walls = count_calls(monkeypatch, extension.build_wall)
     extends = count_calls(monkeypatch, extension.harmonic_extend)
+    checked = count_calls(monkeypatch, extension.check_trace_inequalities)
     ctx = config_context("verify.ini")
     rep = Report("verify suites")
     _run_all_suites(ctx, rep, 1.0, 0)
@@ -461,3 +462,5 @@ def test_verify_builds_one_wall(monkeypatch):
     assert walls == [(ctx.grid, ctx.params.m)]
     wall = extends[0][1]
     assert wall.m == ctx.params.m and all(w is wall for _, w in extends)
+    assert len(checked) == TRACE_FIELDS
+    assert not any("values" in v.__dict__ for v, _ in checked)  # no wall rows built

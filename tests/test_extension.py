@@ -296,11 +296,16 @@ def _slab_oracle(u, wall_x, m, p):
     return grad, mass, trace
 
 
+VARIANTS = ("default", "refined", "extended")
+
+
+# p = 3 reads the trace check's real-space rows, p = 2 takes its mass path
 @pytest.mark.parametrize("N,n,L", [(1, 64, 8.0), (2, 16, 4.0)])
-@pytest.mark.parametrize("variant", ["default", "refined", "extended"])
-def test_slab_integrals_match_real_space_oracle(N, n, L, variant, rng):
+@pytest.mark.parametrize("variant,p", [(v, 3.0) for v in VARIANTS] + [(v, 2.0) for v in VARIANTS],
+                         ids=list(VARIANTS) + [f"{v}-p2" for v in VARIANTS])
+def test_slab_integrals_match_real_space_oracle(N, n, L, variant, p, rng):
     g = Grid(N, L, n)
-    m, p = 0.8, 3.0
+    m = 0.8
     wall = build_wall(g, m)
     wall = {"default": wall, "refined": refined_wall(wall, 2),
             "extended": extended_wall(wall, 2.0)}[variant]
@@ -312,14 +317,20 @@ def test_slab_integrals_match_real_space_oracle(N, n, L, variant, rng):
         rep = check_trace_inequalities(v, p)
         got = (rep.trace_p_lhs, rep.trace_p_rhs, rep.trace_2_lhs, rep.trace_2_rhs)
         assert got == pytest.approx(trace, rel=1e-12)
+        assert ("values" in v.__dict__) == (p != 2)
+        # the per-wall table reproduces the sum over every row's spectrum
+        rows = np.tensordot(wall.weights, np.abs(v.uhat * wall.decay) ** 2, axes=1)
+        old = (g.cell_volume / g.size) * g.half_weights * rows
+        assert np.max(np.abs(v.slab - old)) <= 1e-13 * np.max(old)
 
 
-@pytest.mark.parametrize("N,names", [(1, ("rfft", "irfft")),
-                                     (2, ("rfft", "fft", "ifft", "irfft"))])
+@pytest.mark.parametrize("N,names", [(1, (("rfft",), ("irfft",))),
+                                     (2, (("rfft", "fft"), ("ifft", "irfft")))])
 def test_transforms_per_extended_field(monkeypatch, rng, N, names):
-    # the slab integrals come from the rows' spectrum: extending a field and
-    # running every check on it costs one forward and one inverse transform,
-    # in 2-D each an rfft or irfft with one fft or ifft stage beside it
+    # the slab integrals come from the trace's spectrum: extending a field and
+    # running every p = 2 check on it costs one forward transform (in 2-D an
+    # rfft with one fft stage beside it); the wall rows cost one inverse, paid
+    # only when they are read
     calls = {}
 
     def counting(name, fn):
@@ -334,12 +345,28 @@ def test_transforms_per_extended_field(monkeypatch, rng, N, names):
     wall = build_wall(g, 1.0)
     u = random_smooth_field(g, rng)
     V = Field(g, np.full(g.shape, 1.25))
+    forward, inverse = names
+    one_forward = dict.fromkeys(forward, 1)
+    with_rows = {**one_forward, **dict.fromkeys(inverse, 1)}
     calls.clear()
     v = harmonic_extend(u, wall)
     check_trace_inequalities(v, 2.0)
     check_norm_equivalence(v, V)
+    volume_integrals(v)
+    assert calls == one_forward
     q_form_volume(v, V, 1.0)
-    assert calls == dict.fromkeys(names, 1)
+    v.values
+    assert calls == with_rows
+    calls.clear()
+    v = harmonic_extend(u, wall)
+    v.values
+    v.values
+    assert calls == with_rows
+    calls.clear()
+    v = harmonic_extend(u, wall)
+    check_trace_inequalities(v, 3.0)
+    check_norm_equivalence(v, V)
+    assert calls == with_rows
 
 
 def test_each_wall_follows_its_own_mass(grid, rng):
@@ -349,8 +376,9 @@ def test_each_wall_follows_its_own_mass(grid, rng):
         wall = build_wall(grid, m)
         assert wall.m == m
         s = np.sqrt(grid.freq2 + m * m)
-        tables = {"decay": np.exp(-np.multiply.outer(wall.x, s)), "s2": s**2,
-                  "grad": s**2 + grid.freq2}
+        decay = np.exp(-np.multiply.outer(wall.x, s))
+        tables = {"decay": decay, "s2": s**2, "grad": s**2 + grid.freq2,
+                  "slab_weights": np.tensordot(wall.weights, decay**2, axes=1)}
         for name, want in tables.items():
             got = getattr(wall, name)
             assert got.tobytes() == want.tobytes()
@@ -363,9 +391,8 @@ def test_each_wall_follows_its_own_mass(grid, rng):
         symbol = np.tensordot(w, tables["decay"][:3], axes=1)
         want = apply_multiplier(-symbol, u.values)
         assert dtn_apply(u, wall).values.tobytes() == want.tobytes()
-        spec = dft(u.values) * tables["decay"]
         v = harmonic_extend(u, wall)
-        assert v.spec.tobytes() == spec.tobytes()
-        assert v.values.tobytes() == idft_real(spec, grid.shape).tobytes()
+        assert v.uhat.tobytes() == dft(u.values).tobytes()
+        assert v.values.tobytes() == idft_real(v.uhat * decay, grid.shape).tobytes()
         assert volume_integrals(v) == (float(np.vdot(v.slab, tables["grad"])),
                                        float(np.sum(v.slab)))

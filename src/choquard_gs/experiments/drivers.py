@@ -43,7 +43,6 @@ from ..nehari import (
     check_J_conditions,
     fiber_scan,
     fiber_scan_csv,
-    nehari_t_from_qdg,
     project_to_nehari,
 )
 from ..operators import apply_sqrt, build_riesz, epstein_zeta, phi_u, riesz_convolve
@@ -55,7 +54,14 @@ from ..problem import (
     load_problem_config,
     resolved_config_text,
 )
-from ..solver import SolverConfig, SolveFailure, best_converged, multistart, solve
+from ..solver import (
+    SolverConfig,
+    SolveFailure,
+    best_converged,
+    enough_starts,
+    multistart,
+    solve,
+)
 from .config import ExperimentConfig, Report
 
 
@@ -78,6 +84,8 @@ def _ground_state(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext
     for i, r in enumerate(runs):
         rep.add_line(f"- start {i}: status={r.status}, iterations={r.iterations}, "
                      f"energy={float(r.energy_trace[-1])!r}, residual={r.residual_trace[-1]:.3e}")
+    rep.add_line(f"- ran {len(runs)} of {ecfg.multistarts} starts, stopped by "
+                 + ("the stopping rule" if enough_starts(runs) else "the cap"))
     rep.add_check("best run converged", best.status == "converged",
                   f"energy={float(best.energy_trace[-1])!r}")
     rep.add_check("ground level positive", best.energy_trace[-1] > 0)
@@ -333,9 +341,7 @@ def _verify(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
 def _fiber_scan(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
                 rep: Report) -> None:
     u = gaussian_field(ctx.grid, np.zeros(ctx.grid.N), width=max(1.0, ctx.grid.L / 8.0))
-    triple = qdg(ctx, u)
-    t_star = nehari_t_from_qdg(*triple, ctx.params.p, ctx.params.q)
-    scan = fiber_scan(ctx, triple, np.geomspace(t_star / 4.0, 4.0 * t_star, 41))
+    scan = fiber_scan(ctx, qdg(ctx, u), 4.0, 41)
     rep.add_check("single rise-then-fall pattern", scan.slope_sign_ok)
     rep.add_check("scan maximum brackets the projection point",
                   scan.max_bracket_contains_t_star(),

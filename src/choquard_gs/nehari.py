@@ -101,14 +101,15 @@ class FiberScan:
         return bool(lo <= self.t_star <= hi) or i in (0, len(self.t_values) - 1)
 
 
-def fiber_scan(ctx: EnergyContext, triple, t_grid) -> FiberScan:
+def fiber_scan(ctx: EnergyContext, triple, spread: float, num: int) -> FiberScan:
     """Sample the fiber energy along t -> t*u from the triple (Q, D, G) = qdg(ctx, u)
-    and certify the single rise-then-fall pattern."""
-    t_grid = np.asarray(sorted(float(t) for t in t_grid))
-    if np.any(t_grid <= 0):
-        raise ValueError("fiber scan requires positive scalings")
+    at num scalings geometrically spaced from t*/spread to spread*t*, t* the
+    projection point, and certify the single rise-then-fall pattern."""
+    if not spread > 1.0:
+        raise ValueError(f"fiber scan needs a spread above 1, got {spread}")
     q, d, g = triple
     t_star = nehari_t_from_qdg(q, d, g, ctx.params.p, ctx.params.q)
+    t_grid = np.geomspace(t_star / spread, spread * t_star, num)
     e_vals = np.array([energy_from_qdg(ctx, q, d, g, t) for t in t_grid])
     resids = np.array([fiber_residual_from_qdg(ctx, q, d, g, t) for t in t_grid])
     # the fiber slope, residual / t, keeps the sign test exact in t; samples
@@ -176,11 +177,11 @@ def check_J_conditions(ctx: EnergyContext, sample_fields: list[Field],
         if not (vals[2] > vals[1] > vals[0]):
             j2_ok = False
         # fiber slope sign pattern around the projection point
-        t_star = nehari_t_from_qdg(q, d, g, p, qe)
-        scan = fiber_scan(ctx, (q, d, g), np.geomspace(t_star / 8.0, t_star * 8.0, 33))
+        scan = fiber_scan(ctx, (q, d, g), 8.0, 33)
         if not scan.slope_sign_ok:
             j3_violations += 1
         # coercivity on the manifold
+        t_star = scan.t_star
         e_star = energy_from_qdg(ctx, q, d, g, t_star)
         floor = (0.5 - 1.0 / qe) * t_star**2 * q
         j4_margin = min(j4_margin, e_star - floor)

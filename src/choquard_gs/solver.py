@@ -35,6 +35,7 @@ SUFFICIENT_DECREASE = 1e-4  # Armijo's delta
 MAX_BACKTRACKS = 60
 RECENTER_EVERY = 25         # iterations between translation checkpoints
 INIT_NOISE = 1e-3           # amplitude of random_initial's second bump
+MINIMA_RTOL = 1e-10         # converged levels closer than this, relative, are one minimum
 
 
 class SolveFailure(RuntimeError):
@@ -338,12 +339,41 @@ def best_converged(results: list[SolverResult]) -> SolverResult:
     return min(converged, key=lambda r: r.energy_trace[-1])
 
 
+def enough_starts(results: list[SolverResult]) -> bool:
+    """The Boender-Rinnooy Kan stopping rule (Math. Program. 37 (1987) 59) after
+    the starts in results.
+
+    With j starts run and w distinct minima among the converged ones, the
+    posterior estimate of the number of minima is w(j - 1)/(j - w - 2); the
+    rule holds once j > w + 2 and the estimate falls below w + 1/2. A level is
+    a new minimum when it differs from every kept one by more than MINIMA_RTOL
+    relative. A start that did not converge counts in j and finds no minimum;
+    with none found the rule never holds. One minimum takes j = 8, two j = 17.
+    """
+    minima: list[float] = []
+    for e in (float(r.energy_trace[-1]) for r in results if r.status == "converged"):
+        if all(abs(e - m) > MINIMA_RTOL * abs(m) for m in minima):
+            minima.append(e)
+    j, w = len(results), len(minima)
+    # w(j-1)/(j-w-2) < w + 1/2, times 2(j-w-2) > 0
+    return w > 0 and j > w + 2 and 2 * w * (j - 1) < (2 * w + 1) * (j - w - 2)
+
+
 def multistart(ctx: EnergyContext, k: int,
                cfg: SolverConfig | None = None) -> tuple[SolverResult, list[SolverResult]]:
-    """k independent seeded runs, one after another; best converged final energy wins."""
+    """Seeded runs, one after another, until enough_starts holds or k have run;
+    best converged final energy wins.
+
+    Start i runs from random_initial(ctx, default_rng([cfg.seed, i])), so the
+    starts that run are the first ones of a k-start batch. A cap of 7 or less
+    runs every start.
+    """
     if k < 1:
         raise ValueError("need at least one start")
     cfg = cfg or SolverConfig()
-    results = [solve(ctx, random_initial(ctx, np.random.default_rng([cfg.seed, i])), cfg)
-               for i in range(k)]
+    results: list[SolverResult] = []
+    for i in range(k):
+        results.append(solve(ctx, random_initial(ctx, np.random.default_rng([cfg.seed, i])), cfg))
+        if enough_starts(results):
+            break
     return best_converged(results), results

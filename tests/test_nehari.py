@@ -106,7 +106,7 @@ def test_fiber_scan_reference_maximum(ctx_const, rng):
     u = random_smooth_field(ctx_const.grid, rng)
     q, d, _ = qdg(ctx_const, u)
     t_star, _ = project_to_nehari(ctx_const, u)
-    scan = fiber_scan(ctx_const, qdg(ctx_const, u), np.geomspace(t_star / 4, 4 * t_star, 41))
+    scan = fiber_scan(ctx_const, qdg(ctx_const, u), 4.0, 41)
     assert np.max(scan.e_values) <= q * q / (4 * d) + 1e-12
     peak = energy_value(ctx_const, Field(ctx_const.grid, t_star * u.values))
     assert peak == pytest.approx(q * q / (4 * d), rel=1e-11)
@@ -115,8 +115,8 @@ def test_fiber_scan_reference_maximum(ctx_const, rng):
 def test_fiber_scan_sign_pattern(ctx_gamma, rng):
     for _ in range(10):
         u = random_smooth_field(ctx_gamma.grid, rng)
-        t_star, u_star = project_to_nehari(ctx_gamma, u)
-        scan = fiber_scan(ctx_gamma, qdg(ctx_gamma, u), np.geomspace(t_star / 8, 8 * t_star, 33))
+        _, u_star = project_to_nehari(ctx_gamma, u)
+        scan = fiber_scan(ctx_gamma, qdg(ctx_gamma, u), 8.0, 33)
         assert scan.slope_sign_ok
         assert scan.max_bracket_contains_t_star()
         peak = energy_value(ctx_gamma, u_star)
@@ -125,13 +125,14 @@ def test_fiber_scan_sign_pattern(ctx_gamma, rng):
 
 def test_fiber_scan_rejects_nonpositive_grid(ctx_const, rng):
     u = random_smooth_field(ctx_const.grid, rng)
-    with pytest.raises(ValueError):
-        fiber_scan(ctx_const, qdg(ctx_const, u), [-1.0, 1.0])
+    for spread in (-1.0, 1.0):    # negative scalings, an empty bracket
+        with pytest.raises(ValueError):
+            fiber_scan(ctx_const, qdg(ctx_const, u), spread, 3)
 
 
 def test_fiber_scan_csv_format(ctx_gamma, rng):
     u = random_smooth_field(ctx_gamma.grid, rng)
-    scan = fiber_scan(ctx_gamma, qdg(ctx_gamma, u), [0.5, 1.0, 2.0])
+    scan = fiber_scan(ctx_gamma, qdg(ctx_gamma, u), 2.0, 3)
     text = fiber_scan_csv(scan)
     lines = text.strip().splitlines()
     assert lines[0] == "t,energy,residual"
@@ -217,7 +218,7 @@ def test_fiber_scan_csv_holds_the_scan_numbers(tmp_path, monkeypatch):
 def test_fiber_scan_csv_needs_only_the_scan(ctx_gamma, rng):
     u = random_smooth_field(ctx_gamma.grid, rng)
     q, d, g = qdg(ctx_gamma, u)
-    scan = fiber_scan(ctx_gamma, (q, d, g), [0.5, 1.0, 2.0])
+    scan = fiber_scan(ctx_gamma, (q, d, g), 2.0, 3)
     want = [fiber_residual_from_qdg(ctx_gamma, q, d, g, t) for t in scan.t_values]
     assert list(scan.residuals) == want
 
@@ -241,9 +242,8 @@ def test_j_conditions_reject_zero_sample(ctx_gamma):
 def test_projection_unique_slope_sign_change(ctx_gamma, rng):
     # discrete fiber slope changes sign exactly once on refinements of the grid
     u = random_smooth_field(ctx_gamma.grid, rng)
-    t_star, _ = project_to_nehari(ctx_gamma, u)
     for n_pts in (17, 65, 257):
-        scan = fiber_scan(ctx_gamma, qdg(ctx_gamma, u), np.geomspace(t_star / 5, 5 * t_star, n_pts))
+        scan = fiber_scan(ctx_gamma, qdg(ctx_gamma, u), 5.0, n_pts)
         d = np.diff(scan.e_values)
         signs = np.sign(d[d != 0])
         flips = np.sum(signs[1:] != signs[:-1])

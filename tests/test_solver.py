@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from choquard_gs.solver import (
     SUFFICIENT_DECREASE,
     SolveFailure,
     SolverConfig,
+    enough_starts,
     multistart,
     random_initial,
     solve,
@@ -191,6 +194,62 @@ def test_multistart_failure_path(ctx_solver):
         multistart(ctx_solver, 2, SolverConfig(max_iters=1, seed=0))
     with pytest.raises(ValueError):
         multistart(ctx_solver, 0)
+
+
+def _stub_starts(monkeypatch, outcomes):
+    """solve returns the next (status, level) of outcomes; the number of calls."""
+    calls = []
+
+    def fake_solve(ctx, init, cfg):
+        status, level = outcomes[len(calls)]
+        calls.append(init)
+        return SimpleNamespace(status=status, energy_trace=np.array([level]))
+
+    monkeypatch.setattr(solver_module, "random_initial", lambda ctx, rng: rng)
+    monkeypatch.setattr(solver_module, "solve", fake_solve)
+    return calls
+
+
+def test_multistart_stops_at_eight_on_one_level(monkeypatch):
+    # w = 1: the estimate 1*(j-1)/(j-3) is 1.5 at j = 7, below it at j = 8
+    calls = _stub_starts(monkeypatch, [("converged", 0.5 * (1.0 + 1e-12 * i)) for i in range(16)])
+    best, runs = multistart(None, 16)
+    assert len(runs) == len(calls) == 8
+    assert best is runs[0]
+
+
+def test_multistart_runs_the_cap_on_two_levels(monkeypatch):
+    # w = 2 holds the rule off until j = 17
+    levels = [0.5, 0.5 * (1.0 + 1e-9)] * 8
+    calls = _stub_starts(monkeypatch, [("converged", e) for e in levels])
+    best, runs = multistart(None, 16)
+    assert len(runs) == len(calls) == 16
+    assert best.energy_trace[-1] == 0.5
+
+
+def test_multistart_runs_every_start_when_none_converges(monkeypatch):
+    calls = _stub_starts(monkeypatch, [("max_iters", 0.5)] * 12)
+    with pytest.raises(SolveFailure, match="none of 12 starts"):
+        multistart(None, 12)
+    assert len(calls) == 12
+
+
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_multistart_below_eight_runs_every_start(monkeypatch, k):
+    calls = _stub_starts(monkeypatch, [("converged", 0.5)] * k)
+    _, runs = multistart(None, k)
+    assert len(runs) == len(calls) == k
+
+
+def test_multistart_counts_starts_that_did_not_converge(monkeypatch):
+    # two failed starts still count: the one level stops the run at j = 8
+    outcomes = [("stalled", 0.7), ("converged", 0.5), ("max_iters", 0.6)] + [("converged", 0.5)] * 13
+    calls = _stub_starts(monkeypatch, outcomes)
+    best, runs = multistart(None, 16)
+    assert len(runs) == len(calls) == 8
+    assert best is runs[1]
+    # counting only the converged starts would run two more
+    assert not enough_starts(runs[:7]) and enough_starts(runs)
 
 
 def test_solve_best_skips_failed_starts(ctx_solver):
@@ -469,24 +528,53 @@ def test_lbfgs_gamma_sweep_iterations():
     # with the same P = (A - m + min V)^-1; L-BFGS with H0 = P takes 422. The
     # level is that of the zeta-corrected Riesz weights
     ctx = config_context("gamma_sweep.ini")
-    _, runs = multistart(ctx, 16, SolverConfig(seed=5))
+    runs = _seeded_starts(ctx, 5, 16)
     assert [r.status for r in runs] == ["converged"] * 16
     assert sum(r.iterations for r in runs) <= 500
     for r in runs:
         assert r.energy_trace[-1] == pytest.approx(0.26825264473330296, rel=1e-10)
 
 
-def test_solve_2d_multistart_iterations():
+def test_solve_2d_multistart_iterations(solve_2d_starts):
     # the N=2, n=128, Gamma=0 problem of the solve-2d benchmark: 469 iterations
     # under CG with the preconditioner (A + min V)^-1, which damps the lowest
     # frequencies twice as much as (A - m + min V)^-1 at V = m = 1; 365 under
     # CG and 227 under L-BFGS with the latter
-    ctx = build_context(make_params(N=2, alpha=1.0, L=8.0, n=128), const_potential())
-    _, runs = multistart(ctx, 16, SolverConfig(seed=9))
+    _, runs = solve_2d_starts
     assert [r.status for r in runs] == ["converged"] * 16
     assert sum(r.iterations for r in runs) <= 260
     for r in runs:
         assert r.energy_trace[-1] == pytest.approx(0.3624162245614877, rel=1e-10)
+
+
+def test_multistart_on_solve_2d_runs_the_first_eight_starts(solve_2d_starts):
+    # one level among the starts: the stopping rule holds at the eighth, and
+    # the runs are those of the direct solves, bit for bit
+    ctx, starts = solve_2d_starts
+    best, runs = multistart(ctx, 16, SolverConfig(seed=9))
+    assert len(runs) == 8
+    for r, direct in zip(runs, starts):
+        assert (r.status, r.iterations) == (direct.status, direct.iterations)
+        assert np.array_equal(r.u_final.values, direct.u_final.values)
+        for name in ("energy_trace", "t_star_trace", "step_trace", "residual_trace"):
+            assert np.array_equal(getattr(r, name), getattr(direct, name))
+    assert best.energy_trace[-1] == min(r.energy_trace[-1] for r in starts[:8])
+    assert best.energy_trace[-1] == pytest.approx(min(r.energy_trace[-1] for r in starts),
+                                                  rel=1e-10)
+
+
+def _seeded_starts(ctx, seed, k):
+    """The first k starts of a multistart batch with this seed, every one run."""
+    cfg = SolverConfig(seed=seed)
+    return [solve(ctx, random_initial(ctx, np.random.default_rng([seed, i])), cfg)
+            for i in range(k)]
+
+
+@pytest.fixture(scope="module")
+def solve_2d_starts():
+    """The context of the solve-2d benchmark problem and its 16 seed-9 starts."""
+    ctx = build_context(make_params(N=2, alpha=1.0, L=8.0, n=128), const_potential())
+    return ctx, _seeded_starts(ctx, 9, 16)
 
 
 def _full_fft_precondition(ctx, values):
@@ -659,7 +747,7 @@ def test_every_direction_is_a_descent_direction(monkeypatch):
         return d, bd, slope, n_pairs
 
     monkeypatch.setattr(solver_module, "_quasi_newton", checked)
-    _, runs = multistart(config_context("gamma_sweep.ini"), 16, SolverConfig(seed=5))
+    runs = _seeded_starts(config_context("gamma_sweep.ini"), 5, 16)
     ctx = config_context("vl_sign.ini")
     runs += [solve(ctx, random_initial(ctx, np.random.default_rng([0, i])), SolverConfig())
              for i in range(4)]

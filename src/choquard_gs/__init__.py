@@ -30,6 +30,7 @@ from .grid import (
     l2_norm2,
     load_field,
     random_smooth_field,
+    random_smooth_fields,
     save_field,
     shift,
 )

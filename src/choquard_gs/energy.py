@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .grid import Field, Grid, apply_multiplier, l2_norm, random_smooth_field, shift
+from .grid import Field, Grid, apply_multiplier, l2_norm, random_smooth_fields, row_dots, shift
 from .operators import RieszKernel, SqrtOp, build_riesz, build_sqrt_op
 from .problem import PotentialSpec, ProblemParams, validate
 
@@ -128,9 +128,22 @@ def gamma_integral(ctx: EnergyContext, u: Field) -> float:
     return gamma_values(ctx, u.values)
 
 
+def qdg_rows(ctx: EnergyContext, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q, D and G of each row of a stack of raw grid values (k, *grid.shape),
+    each an array of k values."""
+    N, cv = ctx.grid.N, ctx.grid.cell_volume
+    q = cv * row_dots(b_values(ctx, vals), vals, N)
+    up = np.abs(vals) ** ctx.params.p
+    d = cv * row_dots(apply_multiplier(ctx.kernel.conv_multiplier, up), up, N)
+    if not ctx.has_gamma:
+        return q, d, np.zeros(q.shape)
+    return q, d, cv * row_dots(ctx.Gamma.values, np.abs(vals) ** ctx.params.q, N)
+
+
 def qdg(ctx: EnergyContext, u: Field) -> tuple[float, float, float]:
     """The scalar triple (Q, D, G) from which every fiber quantity recombines."""
-    return q_boundary(ctx, u), d_value(ctx, u), gamma_integral(ctx, u)
+    q, d, g = qdg_rows(ctx, u.values[None])
+    return float(q[0]), float(d[0]), float(g[0])
 
 
 def energy_value(ctx: EnergyContext, u: Field) -> float:
@@ -211,14 +224,13 @@ def estimate_d_bound(ctx: EnergyContext) -> float:
     """
     rng = np.random.default_rng(D_BOUND_SEED)
     p = ctx.params.p
+    qs, ds, _ = qdg_rows(ctx, random_smooth_fields(ctx.grid, rng, D_BOUND_SAMPLES))
     best = 0.0
-    for _ in range(D_BOUND_SAMPLES):
-        u = random_smooth_field(ctx.grid, rng)
-        q = q_boundary(ctx, u)
+    # Python floats: numpy's array ** differs from float ** in the last bit
+    for q, d in zip(qs.tolist(), ds.tolist()):
         if q <= 0:
             continue
-        ratio = d_value(ctx, u) / (2.0 * p * q**p)
-        best = max(best, ratio)
+        best = max(best, d / (2.0 * p * q**p))
     return D_BOUND_SAFETY * best
 
 

@@ -36,6 +36,7 @@ from ..grid import (
     l2_norm,
     l2_norm2,
     random_smooth_field,
+    random_smooth_fields,
     save_field,
     shift,
 )
@@ -207,8 +208,8 @@ def _suite_operator(ctx: EnergyContext, wall: WallGrid, rep: Report, scale: floa
     rep.section("Operator realization")
     g = ctx.grid
     m = ctx.params.m
-    u = random_smooth_field(g, rng)
-    w = random_smooth_field(g, rng)
+    # u and w, then five fields for the boundary-derivative check
+    u, w, *others = (Field(g, vals) for vals in random_smooth_fields(g, rng, 2 + 5))
     au = apply_sqrt(ctx.sqrt_op, u)
     aw = apply_sqrt(ctx.sqrt_op, w)
     sym = abs(l2_inner(au, w) - l2_inner(u, aw))
@@ -218,8 +219,7 @@ def _suite_operator(ctx: EnergyContext, wall: WallGrid, rep: Report, scale: floa
     rep.add_check("square-root operator bounded below by the mass",
                   pos >= -1e-12 * scale * max(l2_norm2(u), 1.0), f"margin {pos:.3e}")
     rel_errs = []
-    for _ in range(5):
-        v = random_smooth_field(g, rng)
+    for v in others:
         via_wall = dtn_apply(v, wall)
         via_symbol = apply_sqrt(ctx.sqrt_op, v)
         rel_errs.append(l2_norm(Field(g, via_wall.values - via_symbol.values))
@@ -243,16 +243,9 @@ def _suite_trace(ctx: EnergyContext, wall: WallGrid, rep: Report, scale: float,
     g = ctx.grid
     p = ctx.params.p
     V = Field(g, ctx.Vp.values + ctx.Vl.values)
-    worst1 = worst2 = np.inf
-    sandwich_ok = True
-    for _ in range(TRACE_FIELDS):
-        u = random_smooth_field(g, rng)
-        v = harmonic_extend(u, wall)
-        ineq = check_trace_inequalities(v, p)
-        m1, m2 = ineq.margins()
-        worst1, worst2 = min(worst1, m1), min(worst2, m2)
-        ok, _, _, _ = check_norm_equivalence(v, V, tol=1e-9 * scale)
-        sandwich_ok = sandwich_ok and ok
+    v = harmonic_extend(random_smooth_fields(g, rng, TRACE_FIELDS), wall)
+    worst1, worst2 = (float(np.min(m)) for m in check_trace_inequalities(v, p).margins())
+    sandwich_ok = bool(np.all(check_norm_equivalence(v, V, tol=1e-9 * scale)[0]))
     tol = 1e-8 * scale
     rep.add_check("p-power trace inequality on random extensions",
                   worst1 >= -tol, f"worst margin {worst1:.3e}")
@@ -307,8 +300,8 @@ def _suite_brezis_lieb(ctx: EnergyContext, rep: Report, scale: float) -> None:
 def _suite_j_conditions(ctx: EnergyContext, rep: Report, scale: float,
                         rng: np.random.Generator) -> None:
     rep.section("Manifold geometry conditions")
-    fields = [random_smooth_field(ctx.grid, rng) for _ in range(J_FIELDS)]
-    jrep = check_J_conditions(ctx, fields, tol=1e-9 * scale)
+    jrep = check_J_conditions(ctx, random_smooth_fields(ctx.grid, rng, J_FIELDS),
+                              tol=1e-9 * scale)
     rep.add_check("energy floor on the small sphere", jrep.j1_ok,
                   f"min ratio {jrep.j1_min_ratio:.6f} at radius {jrep.radius:.3e}")
     rep.add_check("super-q growth of the nonlinear part", jrep.j2_ok)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, Grid, _read_only, apply_multiplier, dft, idft_real
+from .grid import Field, Grid, _read_only, apply_multiplier, dft, idft_real, row_dots
 
 
 def _solve_ratio(nx: int, x_max: float, delta0: float) -> float:
@@ -112,8 +112,10 @@ def build_wall(grid: Grid, m: float, nx: int = 384) -> WallGrid:
 
 @dataclass(eq=False)
 class ExtendedField:
-    """Half-space extension of the boundary values trace; uhat is their half
-    spectrum, from which every slab integral comes."""
+    """Half-space extension of the boundary values trace, one grid array or a
+    (k, *grid.shape) stack of them; uhat is their half spectrum, from which
+    every slab integral comes. Each slab integral and check returns one value
+    per trace: a float for one, an array of k for a stack."""
 
     wall: WallGrid
     trace: np.ndarray
@@ -121,9 +123,11 @@ class ExtendedField:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """Extension values, one row per wall node (row 0 the trace), built on
-        first read by one batched inverse of u-hat times the decay table."""
-        return idft_real(self.uhat * self.wall.decay, self.wall.grid.shape)
+        """Extension values, one row per wall node (row 0 the trace) after the
+        stack axis, built on first read by one batched inverse of u-hat times
+        the decay table."""
+        uhat = np.expand_dims(self.uhat, -self.wall.grid.N - 1)
+        return idft_real(uhat * self.wall.decay, self.wall.grid.shape)
 
     @cached_property
     def slab(self) -> np.ndarray:
@@ -134,16 +138,22 @@ class ExtendedField:
         return (g.cell_volume / g.size) * g.half_weights * self.wall.slab_weights * power
 
 
-def harmonic_extend(u: Field, wall: WallGrid) -> ExtendedField:
-    """Solve -Laplacian v + m^2 v = 0 on the half-space with trace u.
+def harmonic_extend(u: Field | np.ndarray, wall: WallGrid) -> ExtendedField:
+    """Solve -Laplacian v + m^2 v = 0 on the half-space with trace u, a field
+    or a (k, *grid.shape) stack of trace values.
 
     Per boundary mode the solution is exp(-x*sqrt(|xi|^2 + m^2)) times the
-    mode amplitude; one forward transform gives every amplitude, and the
-    wall rows are synthesized only when read.
+    mode amplitude; one forward transform gives every amplitude of every
+    trace, and the wall rows are synthesized only when read.
     """
-    if u.grid != wall.grid:
-        raise ValueError("field grid does not match wall grid")
-    return ExtendedField(wall, u.values, dft(u.values))
+    if isinstance(u, Field):
+        if u.grid != wall.grid:
+            raise ValueError("field grid does not match wall grid")
+        return ExtendedField(wall, u.values, dft(u.values))
+    g = wall.grid
+    if u.shape[1:] != g.shape:
+        raise ValueError(f"trace stack shape {u.shape} is not (k, *{g.shape})")
+    return ExtendedField(wall, u, dft(u, g.N))
 
 
 def _diff_weights(nodes: np.ndarray) -> np.ndarray:
@@ -169,53 +179,66 @@ def dtn_apply(u: Field, wall: WallGrid) -> Field:
     return Field(u.grid, apply_multiplier(-symbol, u.values))
 
 
-def _row_integrals(g: Grid, rows: np.ndarray) -> np.ndarray:
-    """Box integral (weight h^N) over the trailing N axes, for each row of a stack."""
-    return g.cell_volume * np.sum(rows, axis=tuple(range(1, g.N + 1)))
+def _scalars(x):
+    """One value per trace: a float for a single trace, else the array."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def volume_integrals(v: ExtendedField) -> tuple[float, float]:
+def _sums(g: Grid, rows: np.ndarray) -> np.ndarray:
+    """Plain sum over the trailing N axes, for each row of a stack."""
+    return np.sum(rows.reshape(rows.shape[:rows.ndim - g.N] + (-1,)), axis=-1)
+
+
+def volume_integrals(v: ExtendedField):
     """(integral of |grad v|^2, integral of v^2) over the half-space slab.
 
     Per mode |d_x v|^2 + |grad_y v|^2 is (s^2 + |xi|^2) times |v|^2.
     """
-    grad = float(np.vdot(v.slab, v.wall.grad))
-    return grad, float(np.sum(v.slab))
+    N = v.wall.grid.N
+    return _scalars(row_dots(v.slab, v.wall.grad, N)), _scalars(_sums(v.wall.grid, v.slab))
 
 
 @dataclass
 class InequalityReport:
-    """Both trace inequalities evaluated on one extension, with margins."""
+    """Both trace inequalities evaluated on an extension, with margins; one
+    value per trace."""
 
-    trace_p_lhs: float
-    trace_p_rhs: float
-    trace_2_lhs: float
-    trace_2_rhs: float
+    trace_p_lhs: float | np.ndarray
+    trace_p_rhs: float | np.ndarray
+    trace_2_lhs: float | np.ndarray
+    trace_2_rhs: float | np.ndarray
 
-    def margins(self) -> tuple[float, float]:
+    def margins(self):
         def rel(lhs, rhs):
-            scale = max(abs(lhs), abs(rhs), 1e-300)
-            return (rhs - lhs) / scale
+            scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+            return _scalars((rhs - lhs) / scale)
 
         return rel(self.trace_p_lhs, self.trace_p_rhs), rel(self.trace_2_lhs, self.trace_2_rhs)
+
+
+def _power_integral(v: ExtendedField, e: float):
+    """Integral of |v|^e over the slab, from the wall rows. A stack's rows are
+    built one trace at a time: all at once they would take nx times its size."""
+    g = v.wall.grid
+    if v.trace.ndim > g.N:
+        return np.array([_power_integral(ExtendedField(v.wall, t, uhat), e)
+                         for t, uhat in zip(v.trace, v.uhat)])
+    return float(np.vecdot(g.cell_volume * _sums(g, np.abs(v.values) ** e), v.wall.weights))
 
 
 def check_trace_inequalities(v: ExtendedField, p: float) -> InequalityReport:
     """Evaluate the L^p trace bound and its L^2 consequence on an extension."""
     g, m = v.wall.grid, v.wall.m
     u0 = v.trace
-    lhs_p = float(g.cell_volume * np.sum(np.abs(u0) ** p))
-    dx2 = float(np.vdot(v.slab, v.wall.s2))
+    lhs_p = g.cell_volume * _sums(g, np.abs(u0) ** p)
+    dx2 = row_dots(v.slab, v.wall.s2, g.N)
     grad, mass = volume_integrals(v)
     # L^{2(p-1)} norm of v over the volume, raised to 2(p-1): the mass at p = 2
-    if p == 2:
-        vol_2p2 = mass
-    else:
-        vol_2p2 = float(v.wall.weights @ _row_integrals(g, np.abs(v.values) ** (2.0 * (p - 1.0))))
+    vol_2p2 = mass if p == 2 else _power_integral(v, 2.0 * (p - 1.0))
     rhs_p = p * np.sqrt(vol_2p2 * dx2)
-    lhs_2 = g.cell_volume * float(np.vdot(u0, u0))
+    lhs_2 = g.cell_volume * row_dots(u0, u0, g.N)
     rhs_2 = m * grad + mass / m
-    return InequalityReport(lhs_p, float(rhs_p), lhs_2, float(rhs_2))
+    return InequalityReport(*(_scalars(x) for x in (lhs_p, rhs_p, lhs_2, rhs_2)))
 
 
 def norm_equivalence_constants(m: float, v_min: float, v_max: float) -> tuple[float, float]:
@@ -234,9 +257,9 @@ def norm_equivalence_constants(m: float, v_min: float, v_max: float) -> tuple[fl
     return c_low, c_high
 
 
-def check_norm_equivalence(v: ExtendedField, V_field: Field,
-                           tol: float = 1e-9) -> tuple[bool, float, float, float]:
-    """Sandwich Q between the equivalence constants times the squared H^1 norm.
+def check_norm_equivalence(v: ExtendedField, V_field: Field, tol: float = 1e-9):
+    """Sandwich Q between the equivalence constants times the squared H^1 norm;
+    returns (ok, Q, lower, upper), one value each per trace.
 
     Q(v) is the volume Dirichlet and mass terms (trapezoid in the wall
     direction, spectral in the boundary variables) plus the boundary (V - m)
@@ -249,9 +272,7 @@ def check_norm_equivalence(v: ExtendedField, V_field: Field,
                                                float(np.max(V_field.values)))
     grad, mass = volume_integrals(v)
     u0 = v.trace
-    q = grad + m * m * mass + g.cell_volume * float(np.vdot((V_field.values - m) * u0, u0))
+    q = grad + m * m * mass + g.cell_volume * row_dots((V_field.values - m) * u0, u0, g.N)
     h1 = grad + mass
-    lower_ok = q >= c_low * h1 * (1.0 - tol)
-    upper_ok = q <= c_high * h1 * (1.0 + tol)
-    return bool(lower_ok and upper_ok), q, c_low * h1, c_high * h1
-
+    ok = (q >= c_low * h1 * (1.0 - tol)) & (q <= c_high * h1 * (1.0 + tol))
+    return (bool(ok) if np.ndim(ok) == 0 else ok), _scalars(q), c_low * h1, c_high * h1

@@ -10,7 +10,8 @@ last; sums over the full spectrum weight it by ``Grid.half_weights``. No other
 module calls ``np.fft``.
 
 Every inner product of grid values is ``float(np.vdot(a, b))``: one BLAS call,
-with no grid-sized temporary.
+with no grid-sized temporary. A stack of them is ``row_dots``: ``np.vecdot``
+over the flattened trailing N axes, the same BLAS dot for each row.
 """
 
 from __future__ import annotations
@@ -184,6 +185,13 @@ def apply_multiplier(multiplier: np.ndarray, values: np.ndarray,
     return _idft_consuming(spec, values.shape[-N:])
 
 
+def row_dots(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
+    """Inner products over the trailing N axes, one per row of a stack; either
+    side may be a single grid array that every row shares."""
+    return np.vecdot(a.reshape(a.shape[:a.ndim - N] + (-1,)),
+                     b.reshape(b.shape[:b.ndim - N] + (-1,)))
+
+
 def l2_inner(f: Field, g: Field) -> float:
     """Box inner product, Riemann sum with weight h^N."""
     _check_same_grid(f, g)
@@ -275,16 +283,44 @@ def gaussian_field(grid: Grid, center=None, width: float = 1.0, amplitude: float
     return Field(grid, amplitude * np.exp(-grid.r2(center) / width**2))
 
 
+def random_smooth_fields(grid: Grid, rng: np.random.Generator, k: int,
+                         n_bumps: int = 3) -> np.ndarray:
+    """k random superpositions of n_bumps signed Gaussian bumps, generic smooth
+    test fields, as one (k, *grid.shape) stack of values.
+
+    Row i takes the draws the i-th of k calls of random_smooth_field takes,
+    and all k * n_bumps bumps are evaluated in one broadcast exp."""
+    N, L = grid.N, grid.L
+    # per bump: N centre coordinates in [-L, L), the width, the amplitude's size
+    lo = np.array([-L] * N + [0.5, 0.2])
+    span = np.array([L] * N + [max(1.0, L / 4), 1.0]) - lo
+    rows, signs = [], []
+    for _ in range(k * n_bumps):
+        # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(): the same
+        # values and stream, one call per bump
+        rows.append(lo + span * rng.random(N + 2))
+        # the same draw as rng.choice([-1.0, 1.0]), without its argument handling
+        signs.append((-1.0, 1.0)[int(rng.integers(0, 2))])
+    draws = np.array(rows).reshape(-1, N + 2)
+    # Python's float ** (C pow), not numpy's square: they differ in the last
+    # bit for about one width in a thousand
+    width2 = np.array([w**2 for w in draws[:, N].tolist()])
+    d2 = min_image(grid, grid.axis_coords - draws[:, :N, None]) ** 2
+    r2 = d2[:, 0]
+    for i in range(1, N):
+        r2 = r2[..., None] + d2[:, i].reshape((-1,) + (1,) * i + (grid.n,))
+    shape = (k, n_bumps) + (1,) * N
+    bumps = (draws[:, N + 1] * signs).reshape(shape) * np.exp(
+        -r2.reshape((k, n_bumps) + grid.shape) / width2.reshape(shape))
+    vals = np.zeros((k,) + grid.shape)
+    for j in range(n_bumps):
+        vals += bumps[:, j]
+    return vals
+
+
 def random_smooth_field(grid: Grid, rng: np.random.Generator, n_bumps: int = 3) -> Field:
     """Random superposition of signed Gaussian bumps; generic smooth test field."""
-    vals = np.zeros(grid.shape)
-    for _ in range(n_bumps):
-        center = rng.uniform(-grid.L, grid.L, size=grid.N)
-        width = rng.uniform(0.5, max(1.0, grid.L / 4))
-        # the same draw as rng.choice([-1.0, 1.0]), without its argument handling
-        amp = rng.uniform(0.2, 1.0) * (-1.0, 1.0)[int(rng.integers(0, 2))]
-        vals += amp * np.exp(-grid.r2(center) / width**2)
-    return Field(grid, vals)
+    return Field(grid, random_smooth_fields(grid, rng, 1, n_bumps)[0])
 
 
 def save_field(f: Field, path, metadata: dict | None = None) -> None:

@@ -13,6 +13,7 @@ from .energy import (
     estimate_d_bound,
     fiber_residual_from_qdg,
     qdg,
+    qdg_rows,
 )
 from .grid import Field
 
@@ -145,12 +146,18 @@ class JConditionReport:
     j4_min_margin: float
 
 
-def check_J_conditions(ctx: EnergyContext, sample_fields: list[Field],
+def check_J_conditions(ctx: EnergyContext, sample_fields: list[Field] | np.ndarray,
                        tol: float = 1e-9) -> JConditionReport:
     """Certify, on the sample set: positive energy on a small sphere, super-q
     growth of the nonlinear part, the fiber slope sign pattern, and coercivity
-    on the manifold."""
+    on the manifold. The samples are fields or a (k, *grid.shape) stack of
+    their values; their triples (Q, D, G) come from one stacked evaluation."""
     p, qe = ctx.params.p, ctx.params.q
+    vals = (sample_fields if isinstance(sample_fields, np.ndarray)
+            else np.stack([u.values for u in sample_fields]))
+    if not np.all(np.any(vals.reshape(len(vals), -1), axis=1)):
+        raise ValueError("sample fields must be nonzero")
+    triples = zip(*(x.tolist() for x in qdg_rows(ctx, vals)))
     C = estimate_d_bound(ctx)
     r = (1.0 / (4.0 * C)) ** (1.0 / (2.0 * p - 2.0))
 
@@ -160,10 +167,7 @@ def check_J_conditions(ctx: EnergyContext, sample_fields: list[Field],
     j3_violations = 0
     j4_ok = True
     j4_margin = np.inf
-    for u in sample_fields:
-        if not np.any(u.values):
-            raise ValueError("sample fields must be nonzero")
-        q, d, g = qdg(ctx, u)
+    for q, d, g in triples:
         norm = np.sqrt(q)
         # sphere of radius r: energy at least r^2/4
         ts = r / norm

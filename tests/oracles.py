@@ -3,9 +3,9 @@ itself never calls them."""
 
 import numpy as np
 
-from choquard_gs.energy import energy_value
-from choquard_gs.extension import volume_integrals
-from choquard_gs.grid import Field, apply_multiplier, gaussian_field
+from choquard_gs.energy import b_values, energy_value
+from choquard_gs.extension import norm_equivalence_constants, volume_integrals
+from choquard_gs.grid import Field, apply_multiplier, dft, gaussian_field, idft_real
 from choquard_gs.nehari import NehariProjectionError, project_to_nehari
 
 
@@ -69,3 +69,42 @@ def random_smooth_field_per_bump(grid, rng, n_bumps=3):
         amp = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
         vals += gaussian_field(grid, center, width, amp).values
     return Field(grid, vals)
+
+
+def qdg_per_field(ctx, u):
+    """(Q, D, G) of one field with one np.vdot per term: the reference for the
+    stacked evaluation, which must match it bit for bit."""
+    cv, vals = ctx.grid.cell_volume, u.values
+    q = cv * float(np.vdot(b_values(ctx, vals), vals))
+    up = np.abs(vals) ** ctx.params.p
+    d = cv * float(np.vdot(apply_multiplier(ctx.kernel.conv_multiplier, up), up))
+    if not ctx.has_gamma:
+        return q, d, 0.0
+    return q, d, cv * float(np.vdot(ctx.Gamma.values, np.abs(vals) ** ctx.params.q))
+
+
+def trace_checks_per_field(u, wall, p, V_field, tol=1e-9):
+    """For one trace u: the four sides of the two trace inequalities (L^p lhs,
+    rhs, then L^2), the two volume integrals, and the norm sandwich
+    (ok, Q, lower, upper), each reduced over the whole grid with np.vdot or
+    np.sum and the wall rows built from this trace alone: the reference for the
+    stacked checks, which must match it bit for bit."""
+    g, m, cv = wall.grid, wall.m, wall.grid.cell_volume
+    u0 = u.values
+    uhat = dft(u0)
+    slab = (cv / g.size) * g.half_weights * wall.slab_weights * (uhat.real**2 + uhat.imag**2)
+    grad, mass = float(np.vdot(slab, wall.grad)), float(np.sum(slab))
+    dx2 = float(np.vdot(slab, wall.s2))
+    if p == 2:
+        vol = mass
+    else:
+        rows = np.abs(idft_real(uhat * wall.decay, g.shape)) ** (2.0 * (p - 1.0))
+        vol = float(wall.weights @ (cv * np.sum(rows, axis=tuple(range(1, g.N + 1)))))
+    sides = (float(cv * np.sum(np.abs(u0) ** p)), float(p * np.sqrt(vol * dx2)),
+             cv * float(np.vdot(u0, u0)), m * grad + mass / m)
+    c_low, c_high = norm_equivalence_constants(m, float(np.min(V_field.values)),
+                                               float(np.max(V_field.values)))
+    q = grad + m * m * mass + cv * float(np.vdot((V_field.values - m) * u0, u0))
+    h1 = grad + mass
+    ok = c_low * h1 * (1.0 - tol) <= q <= c_high * h1 * (1.0 + tol)
+    return sides, (grad, mass), (ok, q, c_low * h1, c_high * h1)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from choquard_gs.energy import (
+    D_BOUND_SAFETY,
+    D_BOUND_SAMPLES,
+    D_BOUND_SEED,
     EnergyContext,
     b_values,
     brezis_lieb_check,
@@ -17,10 +20,19 @@ from choquard_gs.energy import (
     grad_energy,
     q_boundary,
     qdg,
+    qdg_rows,
 )
-from choquard_gs.grid import Field, gaussian_field, l2_inner, l2_norm2, random_smooth_field, shift
+from choquard_gs.grid import (
+    Field,
+    gaussian_field,
+    l2_inner,
+    l2_norm2,
+    random_smooth_field,
+    random_smooth_fields,
+    shift,
+)
 from conftest import config_context, const_potential, count_calls, gamma_potential, make_params
-from oracles import directional_derivative_fd
+from oracles import directional_derivative_fd, qdg_per_field, random_smooth_field_per_bump
 
 
 def zero_field(ctx):
@@ -174,6 +186,36 @@ def test_d_bound_regression(ctx_const, rng):
         u = random_smooth_field(ctx_const.grid, rng)
         q = q_boundary(ctx_const, u)
         assert d_value(ctx_const, u) / (2 * p) <= C * q**p
+
+
+@pytest.mark.parametrize("N, n, p, alpha, q", [(1, 64, 2.0, 0.5, 3.0), (1, 64, 3.0, 0.5, 3.0),
+                                             (2, 16, 2.0, 1.5, 3.0), (2, 16, 3.0, 1.5, 3.0),
+                                             (3, 8, 2.0, 1.5, 2.5)])
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_stacked_qdg_matches_the_per_field_oracle(N, n, p, alpha, q, gamma):
+    params = make_params(N=N, n=n, L=4.0, p=p, alpha=alpha, q=q)
+    ctx = build_context(params, gamma_potential(gamma) if gamma else const_potential())
+    assert ctx.has_gamma == bool(gamma)
+    stack = random_smooth_fields(ctx.grid, np.random.default_rng(3), 6)
+    got = np.array(qdg_rows(ctx, stack))
+    fields = [Field(ctx.grid, row) for row in stack]
+    want = np.array([qdg_per_field(ctx, u) for u in fields]).T
+    assert got.shape == (3, 6)
+    assert got.tobytes() == want.tobytes()
+    # qdg is the one-row case, Python floats
+    assert [qdg(ctx, u) for u in fields] == [qdg_per_field(ctx, u) for u in fields]
+    assert all(type(x) is float for x in qdg(ctx, fields[0]))
+
+
+@pytest.mark.parametrize("name", ["ctx_const", "ctx_gamma"])
+def test_d_bound_matches_the_per_field_estimate(name, request):
+    # the largest per-field ratio D/(2p Q^p), Python floats throughout
+    ctx = request.getfixturevalue(name)
+    rng, p, best = np.random.default_rng(D_BOUND_SEED), ctx.params.p, 0.0
+    for _ in range(D_BOUND_SAMPLES):
+        q, d, _ = qdg_per_field(ctx, random_smooth_field_per_bump(ctx.grid, rng))
+        best = max(best, d / (2.0 * p * q**p))
+    assert estimate_d_bound(ctx) == D_BOUND_SAFETY * best
 
 
 def test_brezis_lieb_trivial_cases(ctx_const):

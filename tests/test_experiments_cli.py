@@ -12,7 +12,15 @@ import pytest
 from choquard_gs.cli import main
 from choquard_gs.energy import EnergyContext, build_context
 from choquard_gs.experiments.config import ExperimentConfig, Report, blob_hash
-from choquard_gs.experiments.drivers import KINDS, TRACE_FIELDS, _embed, _run_all_suites, run
+from choquard_gs.experiments.drivers import (
+    KINDS,
+    TRACE_FIELDS,
+    _embed,
+    _run_all_suites,
+    _suite_trace,
+    run,
+)
+from choquard_gs.extension import build_wall
 from choquard_gs.grid import Field, dft, gaussian_field, load_field
 from choquard_gs.problem import ConfigError
 from conftest import config_context, const_potential, count_calls, make_params
@@ -457,10 +465,53 @@ def test_verify_builds_one_wall(monkeypatch):
     rep = Report("verify suites")
     _run_all_suites(ctx, rep, 1.0, 0)
     assert all(ok for _, ok, _ in rep.checks)
-    assert len(extends) == TRACE_FIELDS
     assert sum(g is ctx.grid for g, in grid_builds) == 1
     assert walls == [(ctx.grid, ctx.params.m)]
-    wall = extends[0][1]
-    assert wall.m == ctx.params.m and all(w is wall for _, w in extends)
-    assert len(checked) == TRACE_FIELDS
-    assert not any("values" in v.__dict__ for v, _ in checked)  # no wall rows built
+    # one extension of all the trace suite's fields, checked once
+    (traces, wall), = extends
+    assert wall.m == ctx.params.m
+    assert traces.shape == (TRACE_FIELDS,) + ctx.grid.shape
+    (v, p), = checked
+    assert v.wall is wall and v.trace is traces and p == ctx.params.p
+    assert "values" not in v.__dict__  # no wall rows built
+
+
+@pytest.mark.parametrize("N, stages", [(1, {"rfft": 1}), (2, {"rfft": 1, "fft": 1})])
+def test_trace_suite_costs_one_forward_transform(monkeypatch, N, stages):
+    # the trace suite's fields are extended as one stack: one forward transform
+    # call (its per-axis stages in 2-D) for all of them, and no inverse
+    if N == 1:
+        ctx = config_context("verify.ini")
+    else:
+        ctx = build_context(make_params(N=2, n=16, L=4.0, alpha=1.5), const_potential())
+    wall = build_wall(ctx.grid, ctx.params.m)
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    rep = Report("trace suite")
+    _suite_trace(ctx, wall, rep, 1.0, np.random.default_rng(0))
+    assert len(rep.checks) == 3 and rep.all_passed
+    assert calls == stages
+
+
+CONFIGS = sorted(p.name for p in (Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_verify_passes_and_reruns_byte_identically(name, tmp_path):
+    assert len(CONFIGS) == 5
+    config = Path(__file__).resolve().parents[1] / "configs" / name
+    reports = []
+    for run_dir in ("a", "b"):
+        out = tmp_path / run_dir
+        args = ["verify", "--config", str(config), "--out", str(out), "--seed", "7"]
+        assert main(args + (["--tol-scale", "10"] if name == "smoke.ini" else [])) == 0
+        reports.append((out / "report.md").read_bytes())
+    assert reports[0] == reports[1]

@@ -21,10 +21,11 @@ from choquard_gs.grid import (
     idft_real,
     l2_norm,
     random_smooth_field,
+    random_smooth_fields,
 )
 from choquard_gs.operators import apply_sqrt, build_sqrt_op
 from conftest import refined_wall
-from oracles import pde_residual, q_form_volume
+from oracles import pde_residual, q_form_volume, trace_checks_per_field
 
 
 @pytest.fixture(scope="module")
@@ -396,3 +397,50 @@ def test_each_wall_follows_its_own_mass(grid, rng):
         assert v.values.tobytes() == idft_real(v.uhat * decay, grid.shape).tobytes()
         assert volume_integrals(v) == (float(np.vdot(v.slab, tables["grad"])),
                                        float(np.sum(v.slab)))
+
+
+@pytest.mark.parametrize("N, n", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_stacked_trace_checks_match_the_per_field_oracle(N, n, p):
+    # one extension of a stack gives, row by row, the bits one extension per
+    # trace gives, and the single-trace path still returns Python scalars
+    g = Grid(N, 4.0, n)
+    wall = build_wall(g, 1.0)
+    stack = random_smooth_fields(g, np.random.default_rng(8), 5)
+    V = Field(g, 1.0 + 0.25 * np.cos(np.sqrt(g.r2())))
+    v = harmonic_extend(stack, wall)
+    rep = check_trace_inequalities(v, p)
+    got_sides = np.array([rep.trace_p_lhs, rep.trace_p_rhs, rep.trace_2_lhs, rep.trace_2_rhs])
+    got_volume = np.array(volume_integrals(v))
+    ok, q, low, high = check_norm_equivalence(v, V)
+    want_sides, want_volume, want_norm = (np.array(x).T for x in zip(
+        *(trace_checks_per_field(Field(g, row), wall, p, V) for row in stack)))
+    assert got_sides.shape == (4, 5)
+    assert got_sides.tobytes() == want_sides.tobytes()
+    assert got_volume.tobytes() == want_volume.tobytes()
+    assert np.array([ok, q, low, high]).tobytes() == want_norm.tobytes()
+    assert ok.all()
+    margins = np.array(rep.margins())
+    for i, row in enumerate(stack):
+        one = harmonic_extend(Field(g, row), wall)
+        single = check_trace_inequalities(one, p)
+        sides = (single.trace_p_lhs, single.trace_p_rhs, single.trace_2_lhs, single.trace_2_rhs)
+        assert all(type(x) is float for x in sides + single.margins() + volume_integrals(one))
+        assert np.array(sides).tobytes() == want_sides[:, i].tobytes()
+        assert np.array(single.margins()).tobytes() == margins[:, i].tobytes()
+        norm = check_norm_equivalence(one, V)
+        assert type(norm[0]) is bool and type(norm[1]) is float
+        assert np.array(norm).tobytes() == want_norm[:, i].tobytes()
+    # p != 2 builds the wall rows one trace at a time, never the stack's
+    assert "values" not in v.__dict__
+    assert v.values.shape == (5, wall.nx) + g.shape
+    for row, row_values in zip(stack, v.values):
+        assert row_values.tobytes() == harmonic_extend(Field(g, row), wall).values.tobytes()
+
+
+def test_harmonic_extend_checks_the_stack_shape(grid, wall):
+    stack = np.zeros((3,) + grid.shape)
+    assert harmonic_extend(stack, wall).uhat.shape == (3, grid.n // 2 + 1)
+    for bad in (stack[0], stack[:, :-2], stack[None]):
+        with pytest.raises(ValueError):
+            harmonic_extend(bad, wall)

@@ -16,6 +16,8 @@ from choquard_gs.grid import (
     l2_norm2,
     load_field,
     random_smooth_field,
+    random_smooth_fields,
+    row_dots,
     save_field,
     shift,
 )
@@ -367,3 +369,29 @@ def test_random_smooth_field_matches_the_per_bump_oracle(N, n, n_bumps):
         want = random_smooth_field_per_bump(g, ref, n_bumps)
         assert got.values.tobytes() == want.values.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("N, n", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("n_bumps", [3, 12])
+def test_random_smooth_fields_match_k_per_bump_oracle_draws(N, n, n_bumps):
+    # one stack, every row and the generator state after it as k oracle draws
+    g = Grid(N, 4.0, n)
+    for seed, k in [(0, 1), (1, 2), (2, 7), (3, 20)]:
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_smooth_fields(g, rng, k, n_bumps)
+        want = np.stack([random_smooth_field_per_bump(g, ref, n_bumps).values
+                         for _ in range(k)])
+        assert got.shape == (k,) + g.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("N, n", [(1, 64), (2, 16), (3, 8)])
+def test_row_dots_match_vdot_row_by_row(N, n):
+    g = Grid(N, 4.0, n)
+    a, b = (random_smooth_fields(g, np.random.default_rng(seed), 5) for seed in (0, 1))
+    want = [float(np.vdot(x, y)) for x, y in zip(a, b)]
+    assert row_dots(a, b, N).tobytes() == np.array(want).tobytes()
+    shared = [float(np.vdot(b[0], y)) for y in a]
+    assert row_dots(b[0], a, N).tobytes() == np.array(shared).tobytes()
+    assert row_dots(a[0], b[0], N) == want[0]

@@ -3,7 +3,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choquard_gs.energy import energy_value, fiber_residual_from_qdg, q_boundary, qdg
+from choquard_gs.energy import (
+    D_BOUND_SAMPLES,
+    energy_value,
+    fiber_residual_from_qdg,
+    q_boundary,
+    qdg,
+    qdg_rows,
+)
 from choquard_gs.grid import Field, gaussian_field, random_smooth_field, shift
 from conftest import count_calls
 from oracles import ground_level
@@ -180,10 +187,24 @@ def test_j_conditions_on_random_fields(ctx_gamma, rng):
 
 
 def test_j_conditions_evaluate_each_field_once(ctx_gamma, rng, monkeypatch):
+    # one stacked (Q, D, G) evaluation for the samples, one for the D bound's
+    # fields, and no per-field qdg
     fields = [random_smooth_field(ctx_gamma.grid, rng) for _ in range(5)]
-    calls = count_calls(monkeypatch, qdg)
+    per_field = count_calls(monkeypatch, qdg)
+    stacked = count_calls(monkeypatch, qdg_rows)
     assert check_J_conditions(ctx_gamma, fields).j3_ok
-    assert len(calls) == len(fields)
+    assert per_field == []
+    assert sorted(len(vals) for _, vals in stacked) == [len(fields), D_BOUND_SAMPLES]
+    samples, = [vals for _, vals in stacked if len(vals) == len(fields)]
+    assert samples.tobytes() == np.stack([u.values for u in fields]).tobytes()
+
+
+def test_j_conditions_take_a_stack_or_its_fields(ctx_gamma, rng):
+    fields = [random_smooth_field(ctx_gamma.grid, rng) for _ in range(5)]
+    assert (check_J_conditions(ctx_gamma, np.stack([u.values for u in fields]))
+            == check_J_conditions(ctx_gamma, fields))
+    with pytest.raises(ValueError):
+        check_J_conditions(ctx_gamma, np.stack([fields[0].values, 0.0 * fields[1].values]))
 
 
 def test_fiber_scan_driver_evaluates_its_field_once(tmp_path, monkeypatch):

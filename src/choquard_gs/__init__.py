@@ -48,7 +48,6 @@ from .operators import (
     build_riesz,
     build_sqrt_op,
     epstein_zeta,
-    phi_u,
     riesz_convolve,
 )
 from .problem import (

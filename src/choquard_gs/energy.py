@@ -124,10 +124,6 @@ def d_value(ctx: EnergyContext, u: Field) -> float:
     return nonlocal_terms(ctx, u.values)[1]
 
 
-def gamma_integral(ctx: EnergyContext, u: Field) -> float:
-    return gamma_values(ctx, u.values)
-
-
 def qdg_rows(ctx: EnergyContext, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Q, D and G of each row of a stack of raw grid values (k, *grid.shape),
     each an array of k values."""

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, Grid, _read_only, apply_multiplier, dft, idft_real, row_dots
+from .grid import Field, Grid, _read_only, apply_multiplier, check_stack, dft, idft_real, row_dots
 
 
 def _solve_ratio(nx: int, x_max: float, delta0: float) -> float:
@@ -110,12 +110,18 @@ def build_wall(grid: Grid, m: float, nx: int = 384) -> WallGrid:
     return WallGrid(grid, m, x)
 
 
+def _rows(wall: WallGrid, uhat: np.ndarray) -> np.ndarray:
+    """Extension values of the traces with half spectrum uhat, one row per wall
+    node (row 0 the trace) after uhat's leading axes: one batched inverse of
+    u-hat times the decay table."""
+    return idft_real(np.expand_dims(uhat, -wall.grid.N - 1) * wall.decay, wall.grid.shape)
+
+
 @dataclass(eq=False)
 class ExtendedField:
-    """Half-space extension of the boundary values trace, one grid array or a
-    (k, *grid.shape) stack of them; uhat is their half spectrum, from which
-    every slab integral comes. Each slab integral and check returns one value
-    per trace: a float for one, an array of k for a stack."""
+    """Half-space extension of a (k, *grid.shape) stack of boundary traces;
+    uhat is their half spectrum, from which every slab integral comes. Each
+    slab integral and check returns an array of k values, one per trace."""
 
     wall: WallGrid
     trace: np.ndarray
@@ -123,11 +129,8 @@ class ExtendedField:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """Extension values, one row per wall node (row 0 the trace) after the
-        stack axis, built on first read by one batched inverse of u-hat times
-        the decay table."""
-        uhat = np.expand_dims(self.uhat, -self.wall.grid.N - 1)
-        return idft_real(uhat * self.wall.decay, self.wall.grid.shape)
+        """Extension values, shape (k, nx, *grid.shape), built on first read."""
+        return _rows(self.wall, self.uhat)
 
     @cached_property
     def slab(self) -> np.ndarray:
@@ -138,22 +141,16 @@ class ExtendedField:
         return (g.cell_volume / g.size) * g.half_weights * self.wall.slab_weights * power
 
 
-def harmonic_extend(u: Field | np.ndarray, wall: WallGrid) -> ExtendedField:
-    """Solve -Laplacian v + m^2 v = 0 on the half-space with trace u, a field
-    or a (k, *grid.shape) stack of trace values.
+def harmonic_extend(u: np.ndarray, wall: WallGrid) -> ExtendedField:
+    """Solve -Laplacian v + m^2 v = 0 on the half-space for each trace of u, a
+    (k, *grid.shape) stack of trace values.
 
     Per boundary mode the solution is exp(-x*sqrt(|xi|^2 + m^2)) times the
     mode amplitude; one forward transform gives every amplitude of every
     trace, and the wall rows are synthesized only when read.
     """
-    if isinstance(u, Field):
-        if u.grid != wall.grid:
-            raise ValueError("field grid does not match wall grid")
-        return ExtendedField(wall, u.values, dft(u.values))
-    g = wall.grid
-    if u.shape[1:] != g.shape:
-        raise ValueError(f"trace stack shape {u.shape} is not (k, *{g.shape})")
-    return ExtendedField(wall, u, dft(u, g.N))
+    check_stack(wall.grid, u)
+    return ExtendedField(wall, u, dft(u, wall.grid.N))
 
 
 def _diff_weights(nodes: np.ndarray) -> np.ndarray:
@@ -179,23 +176,19 @@ def dtn_apply(u: Field, wall: WallGrid) -> Field:
     return Field(u.grid, apply_multiplier(-symbol, u.values))
 
 
-def _scalars(x):
-    """One value per trace: a float for a single trace, else the array."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def _sums(g: Grid, rows: np.ndarray) -> np.ndarray:
     """Plain sum over the trailing N axes, for each row of a stack."""
     return np.sum(rows.reshape(rows.shape[:rows.ndim - g.N] + (-1,)), axis=-1)
 
 
-def volume_integrals(v: ExtendedField):
-    """(integral of |grad v|^2, integral of v^2) over the half-space slab.
+def volume_integrals(v: ExtendedField) -> tuple[np.ndarray, np.ndarray]:
+    """(integral of |grad v|^2, integral of v^2) over the half-space slab, one
+    value each per trace.
 
     Per mode |d_x v|^2 + |grad_y v|^2 is (s^2 + |xi|^2) times |v|^2.
     """
-    N = v.wall.grid.N
-    return _scalars(row_dots(v.slab, v.wall.grad, N)), _scalars(_sums(v.wall.grid, v.slab))
+    g = v.wall.grid
+    return row_dots(v.slab, v.wall.grad, g.N), _sums(g, v.slab)
 
 
 @dataclass
@@ -203,27 +196,26 @@ class InequalityReport:
     """Both trace inequalities evaluated on an extension, with margins; one
     value per trace."""
 
-    trace_p_lhs: float | np.ndarray
-    trace_p_rhs: float | np.ndarray
-    trace_2_lhs: float | np.ndarray
-    trace_2_rhs: float | np.ndarray
+    trace_p_lhs: np.ndarray
+    trace_p_rhs: np.ndarray
+    trace_2_lhs: np.ndarray
+    trace_2_rhs: np.ndarray
 
-    def margins(self):
+    def margins(self) -> tuple[np.ndarray, np.ndarray]:
         def rel(lhs, rhs):
             scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-            return _scalars((rhs - lhs) / scale)
+            return (rhs - lhs) / scale
 
         return rel(self.trace_p_lhs, self.trace_p_rhs), rel(self.trace_2_lhs, self.trace_2_rhs)
 
 
-def _power_integral(v: ExtendedField, e: float):
-    """Integral of |v|^e over the slab, from the wall rows. A stack's rows are
-    built one trace at a time: all at once they would take nx times its size."""
-    g = v.wall.grid
-    if v.trace.ndim > g.N:
-        return np.array([_power_integral(ExtendedField(v.wall, t, uhat), e)
-                         for t, uhat in zip(v.trace, v.uhat)])
-    return float(np.vecdot(g.cell_volume * _sums(g, np.abs(v.values) ** e), v.wall.weights))
+def _power_integral(v: ExtendedField, e: float) -> np.ndarray:
+    """Integral of |v|^e over the slab, per trace, from the wall rows; each
+    trace's rows are built and dropped in turn: all at once they would take
+    nx times the stack's size."""
+    g, w = v.wall.grid, v.wall.weights
+    return np.array([np.vecdot(g.cell_volume * _sums(g, np.abs(_rows(v.wall, uhat)) ** e), w)
+                     for uhat in v.uhat])
 
 
 def check_trace_inequalities(v: ExtendedField, p: float) -> InequalityReport:
@@ -238,7 +230,7 @@ def check_trace_inequalities(v: ExtendedField, p: float) -> InequalityReport:
     rhs_p = p * np.sqrt(vol_2p2 * dx2)
     lhs_2 = g.cell_volume * row_dots(u0, u0, g.N)
     rhs_2 = m * grad + mass / m
-    return InequalityReport(*(_scalars(x) for x in (lhs_p, rhs_p, lhs_2, rhs_2)))
+    return InequalityReport(lhs_p, rhs_p, lhs_2, rhs_2)
 
 
 def norm_equivalence_constants(m: float, v_min: float, v_max: float) -> tuple[float, float]:
@@ -257,7 +249,8 @@ def norm_equivalence_constants(m: float, v_min: float, v_max: float) -> tuple[fl
     return c_low, c_high
 
 
-def check_norm_equivalence(v: ExtendedField, V_field: Field, tol: float = 1e-9):
+def check_norm_equivalence(v: ExtendedField, V_field: Field, tol: float = 1e-9
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sandwich Q between the equivalence constants times the squared H^1 norm;
     returns (ok, Q, lower, upper), one value each per trace.
 
@@ -275,4 +268,4 @@ def check_norm_equivalence(v: ExtendedField, V_field: Field, tol: float = 1e-9):
     q = grad + m * m * mass + g.cell_volume * row_dots((V_field.values - m) * u0, u0, g.N)
     h1 = grad + mass
     ok = (q >= c_low * h1 * (1.0 - tol)) & (q <= c_high * h1 * (1.0 + tol))
-    return (bool(ok) if np.ndim(ok) == 0 else ok), _scalars(q), c_low * h1, c_high * h1
+    return ok, q, c_low * h1, c_high * h1

@@ -185,6 +185,13 @@ def apply_multiplier(multiplier: np.ndarray, values: np.ndarray,
     return _idft_consuming(spec, values.shape[-N:])
 
 
+def check_stack(grid: Grid, vals) -> None:
+    """Raise ValueError unless vals is a (k, *grid.shape) stack of grid values."""
+    if getattr(vals, "shape", ())[1:] != grid.shape:
+        raise ValueError(f"expected a (k, *{grid.shape}) stack of values, "
+                         f"got {type(vals).__name__} of shape {np.shape(vals)}")
+
+
 def row_dots(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
     """Inner products over the trailing N axes, one per row of a stack; either
     side may be a single grid array that every row shares."""

@@ -15,7 +15,7 @@ from .energy import (
     qdg,
     qdg_rows,
 )
-from .grid import Field
+from .grid import Field, check_stack
 
 
 class NehariProjectionError(ValueError):
@@ -146,18 +146,17 @@ class JConditionReport:
     j4_min_margin: float
 
 
-def check_J_conditions(ctx: EnergyContext, sample_fields: list[Field] | np.ndarray,
+def check_J_conditions(ctx: EnergyContext, samples: np.ndarray,
                        tol: float = 1e-9) -> JConditionReport:
-    """Certify, on the sample set: positive energy on a small sphere, super-q
-    growth of the nonlinear part, the fiber slope sign pattern, and coercivity
-    on the manifold. The samples are fields or a (k, *grid.shape) stack of
-    their values; their triples (Q, D, G) come from one stacked evaluation."""
+    """Certify, on the samples, a (k, *grid.shape) stack of field values:
+    positive energy on a small sphere, super-q growth of the nonlinear part,
+    the fiber slope sign pattern, and coercivity on the manifold. Their
+    triples (Q, D, G) come from one stacked evaluation."""
     p, qe = ctx.params.p, ctx.params.q
-    vals = (sample_fields if isinstance(sample_fields, np.ndarray)
-            else np.stack([u.values for u in sample_fields]))
-    if not np.all(np.any(vals.reshape(len(vals), -1), axis=1)):
+    check_stack(ctx.grid, samples)
+    if not np.all(np.any(samples.reshape(len(samples), -1), axis=1)):
         raise ValueError("sample fields must be nonzero")
-    triples = zip(*(x.tolist() for x in qdg_rows(ctx, vals)))
+    triples = zip(*(x.tolist() for x in qdg_rows(ctx, samples)))
     C = estimate_d_bound(ctx)
     r = (1.0 / (4.0 * C)) ** (1.0 / (2.0 * p - 2.0))
 
@@ -177,8 +176,8 @@ def check_J_conditions(ctx: EnergyContext, sample_fields: list[Field] | np.ndarr
         if e_sphere < (r * r / 4.0) * (1.0 - tol):
             j1_ok = False
         # growth of I(t u)/t^q along t = 10, 100, 1000
-        vals = [t ** (2.0 * p - qe) * d / (2.0 * p) - g / qe for t in (10.0, 100.0, 1000.0)]
-        if not (vals[2] > vals[1] > vals[0]):
+        growth = [t ** (2.0 * p - qe) * d / (2.0 * p) - g / qe for t in (10.0, 100.0, 1000.0)]
+        if not (growth[2] > growth[1] > growth[0]):
             j2_ok = False
         # fiber slope sign pattern around the projection point
         scan = fiber_scan(ctx, (q, d, g), 8.0, 33)

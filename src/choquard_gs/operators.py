@@ -114,14 +114,3 @@ def riesz_convolve(kernel: RieszKernel, f: Field) -> Field:
     if f.grid != kernel.grid:
         raise ValueError("field grid does not match kernel grid")
     return Field(f.grid, apply_multiplier(kernel.conv_multiplier, f.values))
-
-
-def phi_u(kernel: RieszKernel, u: Field, p: float) -> Field:
-    """Auxiliary potential: Riesz convolution of |u|^p.
-
-    Homogeneous of degree p in u, equivariant under lattice shifts, and
-    non-negative up to round-off.
-    """
-    if p < 2:
-        raise ValueError("convolution exponent must satisfy p >= 2")
-    return riesz_convolve(kernel, Field(u.grid, np.abs(u.values) ** p))

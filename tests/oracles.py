@@ -35,21 +35,22 @@ def ground_level(ctx, candidates):
 
 
 def q_form_volume(v, V_field, m):
-    """Quadratic form on the half-space: volume Dirichlet and mass terms plus
-    the boundary (V - m) term."""
+    """Quadratic form on the half-space of a one-trace extension: volume
+    Dirichlet and mass terms plus the boundary (V - m) term."""
     g = v.wall.grid
-    grad, mass = volume_integrals(v)
-    u0 = v.values[0]
+    (grad,), (mass,) = volume_integrals(v)
+    u0 = v.trace[0]
     return grad + m * m * mass + g.cell_volume * float(np.vdot((V_field.values - m) * u0, u0))
 
 
 def pde_residual(v, m):
-    """Interior residual of the extension equation: finite differences in x,
-    spectral in y; decays at second order under wall refinement."""
+    """Interior residual of the extension equation of a one-trace extension:
+    finite differences in x, spectral in y; decays at second order under wall
+    refinement."""
     g = v.wall.grid
     w = v.wall.weights
     dx = np.diff(v.wall.x).reshape((-1,) + (1,) * g.N)
-    hm, hp, vals = dx[:-1], dx[1:], v.values
+    hm, hp, vals = dx[:-1], dx[1:], v.values[0]
     d2 = 2.0 * (hm * vals[2:] - (hm + hp) * vals[1:-1] + hp * vals[:-2]) / (hm * hp * (hm + hp))
     r = -d2 + apply_multiplier(g.freq2 + m * m, vals[1:-1])
     axes = tuple(range(1, g.N + 1))

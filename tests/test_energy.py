@@ -16,8 +16,9 @@ from choquard_gs.energy import (
     energy_value,
     estimate_d_bound,
     fiber_residual_from_qdg,
-    gamma_integral,
+    gamma_values,
     grad_energy,
+    nonlocal_terms,
     q_boundary,
     qdg,
     qdg_rows,
@@ -236,7 +237,7 @@ def test_brezis_lieb_separating_bumps(ctx_const):
 
 
 def test_gamma_integral_zero_without_gamma(ctx_const, rng):
-    assert gamma_integral(ctx_const, random_smooth_field(ctx_const.grid, rng)) == 0.0
+    assert gamma_values(ctx_const, random_smooth_field(ctx_const.grid, rng).values) == 0.0
 
 
 def test_fiber_scalar_helpers(ctx_gamma, rng):
@@ -263,20 +264,18 @@ def test_context_variants(rng):
     u = random_smooth_field(ctx.grid, rng)
     assert energy_value(per, u) == pytest.approx(energy_report(ctx, u).e_per_val, rel=1e-12)
     half = ctx.with_gamma_scaled(0.5)
-    assert gamma_integral(half, u) == pytest.approx(0.5 * gamma_integral(ctx, u), rel=1e-12)
+    assert gamma_values(half, u.values) == pytest.approx(0.5 * gamma_values(ctx, u.values),
+                                                         rel=1e-12)
 
 
 def test_nonlocal_derivative_pairing_continuous(ctx_const, rng):
     # pairing of the nonlocal-term derivative converges as the base point
     # does (finite-dimensional shadow of its sequential continuity)
     p = ctx_const.params.p
-    kern = ctx_const.kernel
 
     def d_prime_pairing(u, w):
-        from choquard_gs.operators import phi_u
-
-        phi = phi_u(kern, u, p)
-        integrand = phi.values * np.abs(u.values) ** (p - 2.0) * u.values * w.values
+        phi = nonlocal_terms(ctx_const, u.values)[0]
+        integrand = phi * np.abs(u.values) ** (p - 2.0) * u.values * w.values
         return 2.0 * p * ctx_const.grid.cell_volume * np.sum(integrand)
 
     u = random_smooth_field(ctx_const.grid, rng)

@@ -69,16 +69,16 @@ def test_wall_rejects_tiny(grid):
 def test_extend_constant_decays_at_mass_rate(grid, wall):
     m = 1.0
     c = 2.0
-    v = harmonic_extend(Field(grid, np.full(grid.n, c)), wall)
+    v = harmonic_extend(np.full((1, grid.n), c), wall)
     for i in (0, wall.nx // 2, wall.nx - 1):
-        assert np.allclose(v.values[i], c * np.exp(-m * wall.x[i]), rtol=1e-12)
-    assert np.allclose(v.values[0], c, atol=1e-12)
+        assert np.allclose(v.values[0, i], c * np.exp(-m * wall.x[i]), rtol=1e-12)
+    assert np.allclose(v.values[0, 0], c, atol=1e-12)
 
 
 def test_extend_trace_reproduces_boundary(grid, wall, rng):
-    u = random_smooth_field(grid, rng)
+    u = random_smooth_fields(grid, rng, 1)
     v = harmonic_extend(u, wall)
-    assert np.max(np.abs(v.values[0] - u.values)) <= 1e-12 * np.max(np.abs(u.values))
+    assert np.max(np.abs(v.values[:, 0] - u)) <= 1e-12 * np.max(np.abs(u))
 
 
 def test_pde_residual_second_order(grid):
@@ -87,7 +87,7 @@ def test_pde_residual_second_order(grid):
     errs = []
     for factor in (1, 2, 4):
         w = build_wall(grid, m, nx=96 * factor)
-        errs.append(pde_residual(harmonic_extend(u, w), m))
+        errs.append(pde_residual(harmonic_extend(u.values[None], w), m))
     assert errs[1] < errs[0] / 3.0
     assert errs[2] < errs[1] / 3.0
 
@@ -96,10 +96,10 @@ def test_energy_stable_under_wall_extension(grid, wall):
     # truncation already below round-off once exp(-m x_max) < 1e-8
     m = 1.0
     u = gaussian_field(grid, [0.0], 2.0)
-    base = harmonic_extend(u, wall)
-    taller = harmonic_extend(u, extended_wall(wall, 2.0))
-    g0, m0 = volume_integrals(base)
-    g1, m1 = volume_integrals(taller)
+    base = harmonic_extend(u.values[None], wall)
+    taller = harmonic_extend(u.values[None], extended_wall(wall, 2.0))
+    (g0,), (m0,) = volume_integrals(base)
+    (g1,), (m1,) = volume_integrals(taller)
     e0 = g0 + m**2 * m0
     e1 = g1 + m**2 * m1
     assert np.isfinite(e0)
@@ -168,33 +168,34 @@ def test_q_form_volume_matches_boundary_form(grid, wall, ctx_const, rng):
     gaps = []
     for _ in range(5):
         u = random_smooth_field(grid, rng)
-        v = harmonic_extend(u, wall)
+        v = harmonic_extend(u.values[None], wall)
         qv = q_form_volume(v, V, m)
-        assert check_norm_equivalence(v, V)[1] == qv  # the form the sandwich checks
+        assert check_norm_equivalence(v, V)[1].tolist() == [qv]  # the form the sandwich checks
         qb = q_boundary(ctx_const, u)
         gaps.append(abs(qv - qb) / abs(qb))
     assert max(gaps) <= 1e-4
     # gap shrinks under wall refinement
     u = random_smooth_field(grid, rng)
-    coarse = abs(q_form_volume(harmonic_extend(u, wall), V, m) - q_boundary(ctx_const, u))
+    coarse = abs(q_form_volume(harmonic_extend(u.values[None], wall), V, m)
+                 - q_boundary(ctx_const, u))
     fine_wall = refined_wall(wall, 2)
-    fine = abs(q_form_volume(harmonic_extend(u, fine_wall), V, m) - q_boundary(ctx_const, u))
+    fine = abs(q_form_volume(harmonic_extend(u.values[None], fine_wall), V, m)
+               - q_boundary(ctx_const, u))
     assert fine < coarse
 
 
 def test_q_form_zero_field(grid, wall):
     V = Field(grid, np.ones(grid.n))
-    v = harmonic_extend(Field(grid, np.zeros(grid.n)), wall)
+    v = harmonic_extend(np.zeros((1, grid.n)), wall)
     assert q_form_volume(v, V, 1.0) == 0.0
 
 
 def test_q_form_reduces_to_dirichlet_energy_when_v_equals_m(grid, wall, rng):
     m = 1.0
-    u = random_smooth_field(grid, rng)
-    v = harmonic_extend(u, wall)
+    v = harmonic_extend(random_smooth_fields(grid, rng, 1), wall)
     V = Field(grid, np.full(grid.n, m))
     q = q_form_volume(v, V, m)
-    grad, mass = volume_integrals(v)
+    (grad,), (mass,) = volume_integrals(v)
     assert q == pytest.approx(grad + m**2 * mass)
     assert q >= 0
 
@@ -211,31 +212,30 @@ def test_volume_integrals_on_single_modes(N, n):
     x = np.meshgrid(*([g.axis_coords] * N), indexing="ij")
     for k in (n // 2, 1):
         xi = np.pi * k / g.L
-        u = Field(g, np.cos(xi * x[-1]))
-        grad, mass = volume_integrals(harmonic_extend(u, w))
+        (grad,), (mass,) = volume_integrals(harmonic_extend(np.cos(xi * x[-1])[None], w))
         assert grad == pytest.approx((2 * xi**2 + m * m) * mass, rel=1e-12)
 
 
 def test_trace_inequalities_on_gaussian(grid, wall):
     u = gaussian_field(grid, [0.0], 2.0)
-    v = harmonic_extend(u, wall)
+    v = harmonic_extend(u.values[None], wall)
     rep = check_trace_inequalities(v, 2.0)
-    m1, m2 = rep.margins()
+    (m1,), (m2,) = rep.margins()
     assert m1 > 0 and m2 > 0
 
 
 def test_trace_inequalities_zero_field(grid, wall):
-    v = harmonic_extend(Field(grid, np.zeros(grid.n)), wall)
+    v = harmonic_extend(np.zeros((1, grid.n)), wall)
     rep = check_trace_inequalities(v, 2.0)
-    assert rep.trace_p_lhs == 0.0 and rep.trace_2_lhs == 0.0
-    assert min(rep.margins()) >= -1e-8
+    assert rep.trace_p_lhs.tolist() == rep.trace_2_lhs.tolist() == [0.0]
+    assert np.min(rep.margins()) >= -1e-8
 
 
 def test_trace_inequalities_random_sweep(grid, wall, rng):
     for _ in range(100):
-        u = random_smooth_field(grid, rng)
-        rep = check_trace_inequalities(harmonic_extend(u, wall), 2.0)
-        assert min(rep.margins()) >= -1e-8
+        v = harmonic_extend(random_smooth_fields(grid, rng, 1), wall)
+        rep = check_trace_inequalities(v, 2.0)
+        assert np.min(rep.margins()) >= -1e-8
 
 
 def test_norm_equivalence_constants_reference():
@@ -253,16 +253,15 @@ def test_norm_equivalence_constants_reference():
 def test_norm_equivalence_sandwich(grid, wall, rng):
     V = Field(grid, 1.0 + 0.25 * np.cos(2 * np.pi * grid.axis_coords))
     for _ in range(20):
-        u = random_smooth_field(grid, rng)
-        v = harmonic_extend(u, wall)
-        ok, q, low, high = check_norm_equivalence(v, V)
+        v = harmonic_extend(random_smooth_fields(grid, rng, 1), wall)
+        (ok,), (q,), (low,), (high,) = check_norm_equivalence(v, V)
         assert ok
         assert low <= q <= high
 
 
 def test_h1_norm_positive(grid, wall, rng):
-    u = random_smooth_field(grid, rng)
-    assert sum(volume_integrals(harmonic_extend(u, wall))) > 0
+    (grad,), (mass,) = volume_integrals(harmonic_extend(random_smooth_fields(grid, rng, 1), wall))
+    assert grad + mass > 0
 
 
 def _slab_oracle(u, wall_x, m, p):
@@ -312,17 +311,18 @@ def test_slab_integrals_match_real_space_oracle(N, n, L, variant, p, rng):
             "extended": extended_wall(wall, 2.0)}[variant]
     for _ in range(3):
         u = random_smooth_field(g, rng)
-        v = harmonic_extend(u, wall)
+        v = harmonic_extend(u.values[None], wall)
         grad, mass, trace = _slab_oracle(u, wall.x, m, p)
-        assert volume_integrals(v) == pytest.approx((grad, mass), rel=1e-12)
+        assert np.concatenate(volume_integrals(v)) == pytest.approx([grad, mass], rel=1e-12)
         rep = check_trace_inequalities(v, p)
-        got = (rep.trace_p_lhs, rep.trace_p_rhs, rep.trace_2_lhs, rep.trace_2_rhs)
+        got = np.concatenate([rep.trace_p_lhs, rep.trace_p_rhs, rep.trace_2_lhs, rep.trace_2_rhs])
         assert got == pytest.approx(trace, rel=1e-12)
-        assert ("values" in v.__dict__) == (p != 2)
+        # p != 2 builds the rows of each trace in turn, never the cached stack's
+        assert "values" not in v.__dict__
         # the per-wall table reproduces the sum over every row's spectrum
-        rows = np.tensordot(wall.weights, np.abs(v.uhat * wall.decay) ** 2, axes=1)
+        rows = np.tensordot(wall.weights, np.abs(v.uhat[0] * wall.decay) ** 2, axes=1)
         old = (g.cell_volume / g.size) * g.half_weights * rows
-        assert np.max(np.abs(v.slab - old)) <= 1e-13 * np.max(old)
+        assert np.max(np.abs(v.slab[0] - old)) <= 1e-13 * np.max(old)
 
 
 @pytest.mark.parametrize("N,names", [(1, (("rfft",), ("irfft",))),
@@ -344,7 +344,7 @@ def test_transforms_per_extended_field(monkeypatch, rng, N, names):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     g = Grid(N, 4.0, 16)
     wall = build_wall(g, 1.0)
-    u = random_smooth_field(g, rng)
+    u = random_smooth_fields(g, rng, 1)
     V = Field(g, np.full(g.shape, 1.25))
     forward, inverse = names
     one_forward = dict.fromkeys(forward, 1)
@@ -385,25 +385,25 @@ def test_each_wall_follows_its_own_mass(grid, rng):
             assert got.tobytes() == want.tobytes()
             with pytest.raises(ValueError):
                 got[0] = 0.0
-        v = harmonic_extend(Field(grid, np.full(grid.n, 2.0)), wall)
-        assert np.allclose(v.values[:, 0], 2.0 * np.exp(-m * wall.x), rtol=1e-12)
+        v = harmonic_extend(np.full((1, grid.n), 2.0), wall)
+        assert np.allclose(v.values[0, :, 0], 2.0 * np.exp(-m * wall.x), rtol=1e-12)
         u = random_smooth_field(grid, rng)
         w = np.linalg.solve(np.vander(wall.x[:3], 3, increasing=True).T, [0.0, 1.0, 0.0])
         symbol = np.tensordot(w, tables["decay"][:3], axes=1)
         want = apply_multiplier(-symbol, u.values)
         assert dtn_apply(u, wall).values.tobytes() == want.tobytes()
-        v = harmonic_extend(u, wall)
+        v = harmonic_extend(u.values[None], wall)
         assert v.uhat.tobytes() == dft(u.values).tobytes()
-        assert v.values.tobytes() == idft_real(v.uhat * decay, grid.shape).tobytes()
-        assert volume_integrals(v) == (float(np.vdot(v.slab, tables["grad"])),
-                                       float(np.sum(v.slab)))
+        assert v.values[0].tobytes() == idft_real(v.uhat[0] * decay, grid.shape).tobytes()
+        assert [x.tolist() for x in volume_integrals(v)] == [
+            [float(np.vdot(v.slab, tables["grad"]))], [float(np.sum(v.slab))]]
 
 
 @pytest.mark.parametrize("N, n", [(1, 64), (2, 16), (3, 8)])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_stacked_trace_checks_match_the_per_field_oracle(N, n, p):
     # one extension of a stack gives, row by row, the bits one extension per
-    # trace gives, and the single-trace path still returns Python scalars
+    # trace gives, and a one-trace stack gives arrays of one value
     g = Grid(N, 4.0, n)
     wall = build_wall(g, 1.0)
     stack = random_smooth_fields(g, np.random.default_rng(8), 5)
@@ -422,25 +422,27 @@ def test_stacked_trace_checks_match_the_per_field_oracle(N, n, p):
     assert ok.all()
     margins = np.array(rep.margins())
     for i, row in enumerate(stack):
-        one = harmonic_extend(Field(g, row), wall)
+        one = harmonic_extend(row[None], wall)
         single = check_trace_inequalities(one, p)
         sides = (single.trace_p_lhs, single.trace_p_rhs, single.trace_2_lhs, single.trace_2_rhs)
-        assert all(type(x) is float for x in sides + single.margins() + volume_integrals(one))
-        assert np.array(sides).tobytes() == want_sides[:, i].tobytes()
-        assert np.array(single.margins()).tobytes() == margins[:, i].tobytes()
-        norm = check_norm_equivalence(one, V)
-        assert type(norm[0]) is bool and type(norm[1]) is float
-        assert np.array(norm).tobytes() == want_norm[:, i].tobytes()
+        for got, want in ((sides, want_sides), (single.margins(), margins),
+                          (volume_integrals(one), want_volume),
+                          (check_norm_equivalence(one, V), want_norm)):
+            assert all(type(x) is np.ndarray and x.shape == (1,) for x in got)
+            assert np.array(got)[:, 0].tobytes() == want[:, i].tobytes()
     # p != 2 builds the wall rows one trace at a time, never the stack's
     assert "values" not in v.__dict__
     assert v.values.shape == (5, wall.nx) + g.shape
     for row, row_values in zip(stack, v.values):
-        assert row_values.tobytes() == harmonic_extend(Field(g, row), wall).values.tobytes()
+        assert row_values.tobytes() == harmonic_extend(row[None], wall).values[0].tobytes()
 
 
 def test_harmonic_extend_checks_the_stack_shape(grid, wall):
+    # a field, a list of fields or a bare grid array is no stack: the error
+    # names the shape a stack must have
     stack = np.zeros((3,) + grid.shape)
     assert harmonic_extend(stack, wall).uhat.shape == (3, grid.n // 2 + 1)
-    for bad in (stack[0], stack[:, :-2], stack[None]):
-        with pytest.raises(ValueError):
+    field = Field(grid, stack[0])
+    for bad in (field, [field, field], list(stack), stack[0], stack[:, :-2], stack[None]):
+        with pytest.raises(ValueError, match=r"\(k, \*\(128,\)\)"):
             harmonic_extend(bad, wall)

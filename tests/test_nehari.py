@@ -11,7 +11,13 @@ from choquard_gs.energy import (
     qdg,
     qdg_rows,
 )
-from choquard_gs.grid import Field, gaussian_field, random_smooth_field, shift
+from choquard_gs.grid import (
+    Field,
+    gaussian_field,
+    random_smooth_field,
+    random_smooth_fields,
+    shift,
+)
 from conftest import count_calls
 from oracles import ground_level
 from choquard_gs.nehari import (
@@ -178,8 +184,7 @@ def test_ground_level_empty_and_degenerate(ctx_const):
 
 
 def test_j_conditions_on_random_fields(ctx_gamma, rng):
-    fields = [random_smooth_field(ctx_gamma.grid, rng) for _ in range(50)]
-    rep = check_J_conditions(ctx_gamma, fields)
+    rep = check_J_conditions(ctx_gamma, random_smooth_fields(ctx_gamma.grid, rng, 50))
     assert rep.j1_ok and rep.j2_ok and rep.j3_ok and rep.j4_ok
     assert rep.j3_violations == 0
     assert rep.radius > 0
@@ -189,22 +194,28 @@ def test_j_conditions_on_random_fields(ctx_gamma, rng):
 def test_j_conditions_evaluate_each_field_once(ctx_gamma, rng, monkeypatch):
     # one stacked (Q, D, G) evaluation for the samples, one for the D bound's
     # fields, and no per-field qdg
-    fields = [random_smooth_field(ctx_gamma.grid, rng) for _ in range(5)]
+    fields = random_smooth_fields(ctx_gamma.grid, rng, 5)
     per_field = count_calls(monkeypatch, qdg)
     stacked = count_calls(monkeypatch, qdg_rows)
     assert check_J_conditions(ctx_gamma, fields).j3_ok
     assert per_field == []
     assert sorted(len(vals) for _, vals in stacked) == [len(fields), D_BOUND_SAMPLES]
     samples, = [vals for _, vals in stacked if len(vals) == len(fields)]
-    assert samples.tobytes() == np.stack([u.values for u in fields]).tobytes()
+    assert samples.tobytes() == fields.tobytes()
 
 
-def test_j_conditions_take_a_stack_or_its_fields(ctx_gamma, rng):
-    fields = [random_smooth_field(ctx_gamma.grid, rng) for _ in range(5)]
-    assert (check_J_conditions(ctx_gamma, np.stack([u.values for u in fields]))
-            == check_J_conditions(ctx_gamma, fields))
-    with pytest.raises(ValueError):
-        check_J_conditions(ctx_gamma, np.stack([fields[0].values, 0.0 * fields[1].values]))
+def test_j_conditions_take_only_a_stack(ctx_gamma, rng):
+    # a field, a list of fields or the wrong trailing shape is no stack: the
+    # error names the shape a stack must have, before any evaluation
+    stack = random_smooth_fields(ctx_gamma.grid, rng, 5)
+    one = check_J_conditions(ctx_gamma, stack[:1])
+    assert one.j1_ok and one.j2_ok and one.j3_ok and one.j4_ok
+    field = Field(ctx_gamma.grid, stack[0])
+    for bad in (field, [field], list(stack), stack[0], stack[:, :-2], stack[None]):
+        with pytest.raises(ValueError, match=r"\(k, \*\(128,\)\)"):
+            check_J_conditions(ctx_gamma, bad)
+    with pytest.raises(ValueError, match="nonzero"):
+        check_J_conditions(ctx_gamma, np.stack([stack[0], 0.0 * stack[1]]))
 
 
 def test_fiber_scan_driver_evaluates_its_field_once(tmp_path, monkeypatch):
@@ -255,9 +266,8 @@ def test_j2_growth_is_monotone(ctx_gamma, rng):
 
 
 def test_j_conditions_reject_zero_sample(ctx_gamma):
-    zero = Field(ctx_gamma.grid, np.zeros(ctx_gamma.grid.shape))
     with pytest.raises(ValueError):
-        check_J_conditions(ctx_gamma, [zero])
+        check_J_conditions(ctx_gamma, np.zeros((1,) + ctx_gamma.grid.shape))
 
 
 def test_projection_unique_slope_sign_change(ctx_gamma, rng):

@@ -3,13 +3,13 @@ import pytest
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
+from choquard_gs.energy import nonlocal_terms
 from choquard_gs.grid import Field, Grid, l2_inner, l2_norm2, random_smooth_field, shift
 from choquard_gs.operators import (
     apply_sqrt,
     build_riesz,
     build_sqrt_op,
     epstein_zeta,
-    phi_u,
     riesz_convolve,
     sample_riesz_kernel,
 )
@@ -266,41 +266,30 @@ def test_uncorrected_kernel_biased_low():
 
 
 # --- auxiliary potential ----------------------------------------------------
+# phi = I_alpha * |u|^p as the solver computes it, in energy.nonlocal_terms
 
-def test_phi_homogeneity(rng):
-    g = Grid(1, 8.0, 64)
-    k = build_riesz(g, 0.5)
-    u = random_smooth_field(g, rng)
-    p = 2.0
-    base = phi_u(k, u, p)
-    scaled = phi_u(k, Field(g, 2.0 * u.values), p)
-    scale = np.max(np.abs(base.values))
-    assert np.max(np.abs(scaled.values - 2.0**p * base.values)) <= 1e-12 * 2.0**p * scale
+def test_phi_homogeneity(ctx_const, rng):
+    u = random_smooth_field(ctx_const.grid, rng)
+    p = ctx_const.params.p
+    base = nonlocal_terms(ctx_const, u.values)[0]
+    scaled = nonlocal_terms(ctx_const, 2.0 * u.values)[0]
+    scale = np.max(np.abs(base))
+    assert np.max(np.abs(scaled - 2.0**p * base)) <= 1e-12 * 2.0**p * scale
 
 
-def test_phi_shift_equivariance(rng):
-    g = Grid(1, 8.0, 64)
-    k = build_riesz(g, 0.5)
+def test_phi_shift_equivariance(ctx_const, rng):
+    g = ctx_const.grid
     u = random_smooth_field(g, rng)
     z = [3.0]
-    a = phi_u(k, shift(u, z), 2.0)
-    b = shift(phi_u(k, u, 2.0), z)
-    assert np.max(np.abs(a.values - b.values)) <= 1e-12 * np.max(np.abs(b.values))
+    a = nonlocal_terms(ctx_const, shift(u, z).values)[0]
+    b = shift(Field(g, nonlocal_terms(ctx_const, u.values)[0]), z).values
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
-def test_phi_nonnegative(rng):
-    g = Grid(1, 8.0, 64)
-    k = build_riesz(g, 0.5)
-    u = random_smooth_field(g, rng)  # sign-changing input
-    out = phi_u(k, u, 2.0)
-    assert np.min(out.values) >= -1e-10 * np.max(out.values)
-
-
-def test_phi_rejects_small_p():
-    g = Grid(1, 8.0, 64)
-    k = build_riesz(g, 0.5)
-    with pytest.raises(ValueError):
-        phi_u(k, Field(g, np.ones(64)), 1.5)
+def test_phi_nonnegative(ctx_const, rng):
+    u = random_smooth_field(ctx_const.grid, rng)  # sign-changing input
+    out = nonlocal_terms(ctx_const, u.values)[0]
+    assert np.min(out) >= -1e-10 * np.max(out)
 
 
 def test_sqrt_agrees_with_fine_wall_extension(rng):

@@ -41,6 +41,8 @@ class ExperimentConfig:
             raise ConfigError(f"need at least one start, got {self.multistarts}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be at least 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.tolerance_scale > 0:
             raise ConfigError(f"tolerance scale must be positive, got {self.tolerance_scale}")
 

@@ -85,7 +85,7 @@ def _ground_state(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext
     rep.section("Runs")
     for i, r in enumerate(runs):
         rep.add_line(f"- start {i}: status={r.status}, iterations={r.iterations}, "
-                     f"energy={float(r.energy_trace[-1])!r}, residual={r.residual_trace[-1]:.3e}")
+                     f"energy={float(r.energy_trace[-1])!r}, residual={r.history[-1]['residual']:.3e}")
     rep.add_line(f"- ran {len(runs)} of {ecfg.multistarts} starts, stopped by "
                  + ("the stopping rule" if enough_starts(runs) else "the cap"))
     rep.add_check("best run converged", best.status == "converged",
@@ -98,18 +98,10 @@ def _ground_state(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext
     (out / "energy.json").write_text(er.to_json() + "\n", encoding="utf-8")
     save_field(best.u_final, out / "u_final.cgsf",
                {"experiment": "solve", "seed": ecfg.seed, "energy": er.e_val})
-    # shift_iters holds the index of the first iterate after each translation move
-    shifts = dict(zip(best.shift_iters, best.shifts_applied))
     with open(out / "trace.ndjson", "w", encoding="utf-8") as fh:
-        for it, (e, res, t, tau, trials, n_pairs, accept, t_s) in enumerate(zip(
-                best.energy_trace, best.residual_trace, best.t_star_trace, best.step_trace,
-                best.trials_trace, best.pairs_trace, best.accept_trace, best.time_trace)):
-            rep.add_metric(iter=it, energy=e, residual=res)
-            z = shifts.get(it)
-            fh.write(json.dumps({"iter": it, "energy": float(e), "residual": float(res),
-                                 "t_star": float(t), "step": float(tau), "trials": int(trials),
-                                 "pairs": int(n_pairs), "accept": accept, "t_s": float(t_s),
-                                 "shift": None if z is None else [float(c) for c in z]}) + "\n")
+        for row in best.history:
+            rep.add_metric(iter=row["iter"], energy=row["energy"], residual=row["residual"])
+            fh.write(json.dumps(row) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -186,9 +186,9 @@ def apply_multiplier(multiplier: np.ndarray, values: np.ndarray,
 
 
 def check_stack(grid: Grid, vals) -> None:
-    """Raise ValueError unless vals is a (k, *grid.shape) stack of grid values."""
-    if getattr(vals, "shape", ())[1:] != grid.shape:
-        raise ValueError(f"expected a (k, *{grid.shape}) stack of values, "
+    """Raise ValueError unless vals is a (k, *grid.shape) stack of grid values, k >= 1."""
+    if getattr(vals, "shape", ())[1:] != grid.shape or len(vals) == 0:
+        raise ValueError(f"expected a non-empty (k, *{grid.shape}) stack of values, "
                          f"got {type(vals).__name__} of shape {np.shape(vals)}")
 
 

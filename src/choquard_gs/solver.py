@@ -50,11 +50,22 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(eq=False)
 class SolverResult:
-    """Converged state plus the full iterate history needed for diagnostics.
+    """Converged state plus one record per iterate.
+
+    history holds one dict per iterate, the row trace.ndjson writes, keyed in
+    this order: iter; energy; residual, the gradient's norm; t_star, the Nehari
+    scaling; step, the accepted tau; trials, the line-search trials; pairs, the
+    L-BFGS pairs behind the direction (0: the plain Pg); accept, 'armijo' or
+    'derivative' (None, with step, trials and pairs 0, at the start); t_s,
+    seconds since solve started; shift, the displacement in cells, a list of
+    floats, of the translation move behind the iterate or, on the last row, of
+    the roll home at exit (else None); qnorm, sqrt(Q).
 
     status is 'converged' (the last residual met the threshold), 'max_iters'
     (the iteration budget ran out), 'stalled' (a line search accepted no
@@ -62,20 +73,18 @@ class SolverResult:
     """
 
     u_final: Field
-    energy_trace: np.ndarray
-    t_star_trace: np.ndarray         # Nehari scaling that produced each iterate
-    step_trace: np.ndarray           # accepted step tau that produced each iterate (0 at the start)
-    trials_trace: np.ndarray         # line-search trials evaluated for each iterate (0 at the start)
-    pairs_trace: np.ndarray          # L-BFGS pairs behind each iterate's direction (0: plain Pg)
-    accept_trace: list[str | None]   # 'armijo' or 'derivative' acceptance of each iterate (None at the start)
-    time_trace: np.ndarray           # perf_counter seconds from the start of solve to each iterate
-    residual_trace: np.ndarray
-    qnorm_trace: np.ndarray
-    shifts_applied: list[np.ndarray]  # displacement, in cells, of each translation move
-    shift_iters: list[int]            # index of the first iterate after each move
+    history: list[dict]
     status: str
     iterations: int
     threshold: float                 # max(GRAD_TOL * res_0, ROUND_OFF * |Bu_0|) at the projected start
+
+    @property
+    def energy_trace(self) -> np.ndarray:
+        return np.array([row["energy"] for row in self.history])
+
+    @property
+    def shifts_applied(self) -> list[np.ndarray]:
+        return [np.array(row["shift"]) for row in self.history if row["shift"] is not None]
 
 
 def _onto_manifold(ctx: EnergyContext, u: np.ndarray, spec: np.ndarray | None = None):
@@ -221,25 +230,14 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     p, qe = ctx.params.p, ctx.params.q
     delta = SUFFICIENT_DECREASE
     tr = Translations(g)
-    # one row per iterate, in SolverResult's order: energy, t*, step, trials,
-    # pairs, accept, seconds, residual, sqrt(Q)
-    rows: list[tuple] = []
-    shifts_applied: list[np.ndarray] = []
-    shift_iters: list[int] = []
-
-    def result(u, status, iterations, threshold):
-        e, t, tau, n, k, acc, secs, res, qn = zip(*rows) if rows else [()] * 9
-        return SolverResult(u, np.asarray(e), np.asarray(t), np.asarray(tau),
-                            np.asarray(n, dtype=int), np.asarray(k, dtype=int), list(acc),
-                            np.asarray(secs), np.asarray(res), np.asarray(qn),
-                            shifts_applied, shift_iters, status, iterations, threshold)
+    history: list[dict] = []
 
     try:
         t_star, u, bu, grad, q, e = _onto_manifold(ctx, init.values)
     except NehariProjectionError:
-        return result(init, "projection_failed", 0, 0.0)
+        return SolverResult(init, history, "projection_failed", 0, 0.0)
 
-    step, n_trials, n_pairs, accept = 0.0, 0, 0, None
+    step, n_trials, n_pairs, accept, shift = 0.0, 0, 0, None, None
     pairs: list[tuple] = []
     threshold = max(GRAD_TOL * float(np.sqrt(cv * np.vdot(grad, grad))),
                     ROUND_OFF * float(np.sqrt(cv * np.vdot(bu, bu))))
@@ -247,8 +245,11 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     it = 0
     for it in range(cfg.max_iters + 1):
         res = float(np.sqrt(cv * np.vdot(grad, grad)))
-        rows.append((e, t_star, step, n_trials, n_pairs, accept, time.perf_counter() - t_start,
-                     res, np.sqrt(max(q, 0.0))))
+        history.append({"iter": it, "energy": float(e), "residual": res, "t_star": float(t_star),
+                        "step": float(step), "trials": n_trials, "pairs": n_pairs,
+                        "accept": accept, "t_s": time.perf_counter() - t_start,
+                        "shift": shift, "qnorm": float(np.sqrt(max(q, 0.0)))})
+        shift = None
         if res <= threshold:
             status = "converged"
             break
@@ -308,17 +309,15 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
                 del move    # it would keep these arrays alive past the next step
                 t_star *= t
                 pairs.clear()
-                shifts_applied.append(a)
-                shift_iters.append(it + 1)
+                shift = a.tolist()
     if not ctx.has_vl:
         # a start that stops between checkpoints ends home too; without V_l
         # the roll leaves the energy and the residual unchanged
         r = tr.home(u)
         if np.any(r):
             u = np.roll(u, r.astype(int), axis=tuple(range(g.N)))
-            shifts_applied.append(r)
-            shift_iters.append(it)
-    return result(Field(g, u), status, it, threshold)
+            history[-1]["shift"] = r.tolist()
+    return SolverResult(Field(g, u), history, status, it, threshold)
 
 
 def random_initial(ctx: EnergyContext, rng: np.random.Generator) -> Field:

@@ -51,6 +51,16 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+def column(result, key: str) -> np.ndarray:
+    """One key of a SolverResult's history, one entry per iterate."""
+    return np.array([row[key] for row in result.history])
+
+
+def moves(result) -> dict:
+    """iter -> shift of the rows of a SolverResult's history that record one."""
+    return {row["iter"]: row["shift"] for row in result.history if row["shift"] is not None}
+
+
 def refined_wall(wall, factor: int = 2):
     """The same wall span and clustering profile with factor-times more nodes."""
     return build_wall(wall.grid, wall.m, nx=factor * wall.nx)

@@ -191,7 +191,7 @@ def test_criterion_7_ground_state_solve():
     for r in runs:
         assert r.status == "converged"
         assert r.iterations <= 2000
-        assert r.residual_trace[-1] <= 1e-8 * r.residual_trace[0]
+        assert r.history[-1]["residual"] <= 1e-8 * r.history[0]["residual"]
         finals.append(r.energy_trace[-1])
     spread = max(finals) - min(finals)
     assert spread <= 1e-6

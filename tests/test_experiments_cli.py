@@ -154,6 +154,8 @@ def test_cli_missing_config_is_config_error(tmp_path):
     ["solve", "--multistarts", "0"],
     ["solve", "--multistarts", "-3"],
     ["solve", "--max-iters", "0"],
+    ["solve", "--seed", "-1"],
+    ["verify", "--seed", "-3"],
     ["gamma-sweep", "--max-iters", "0"],
     ["verify", "--tol-scale", "-1"],
     ["verify", "--tol-scale", "0"],
@@ -168,7 +170,7 @@ def test_cli_missing_config_is_config_error(tmp_path):
     ["vl-sign", "--box-list", "8,16,8"],
 ])
 def test_cli_bad_counts_are_config_errors(config_path, tmp_path, args, capsys):
-    # sweep lists are checked before any solve; vl-sign needs a localized part
+    # a negative seed and the sweep lists are checked before any solve; vl-sign needs a localized part
     # to get that far, and a box sweep two distinct boxes to difference
     if args[0] == "vl-sign":
         config_path.write_text(VL_CONFIG, encoding="utf-8")

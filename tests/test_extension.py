@@ -438,11 +438,13 @@ def test_stacked_trace_checks_match_the_per_field_oracle(N, n, p):
 
 
 def test_harmonic_extend_checks_the_stack_shape(grid, wall):
-    # a field, a list of fields or a bare grid array is no stack: the error
-    # names the shape a stack must have
+    # a field, a list of fields, a bare grid array or an empty stack is no
+    # stack: the error names the shape a stack must have
     stack = np.zeros((3,) + grid.shape)
     assert harmonic_extend(stack, wall).uhat.shape == (3, grid.n // 2 + 1)
     field = Field(grid, stack[0])
     for bad in (field, [field, field], list(stack), stack[0], stack[:, :-2], stack[None]):
         with pytest.raises(ValueError, match=r"\(k, \*\(128,\)\)"):
             harmonic_extend(bad, wall)
+    with pytest.raises(ValueError, match=r"non-empty \(k, \*\(128,\)\) .* shape \(0, 128\)"):
+        harmonic_extend(np.zeros((0,) + grid.shape), wall)

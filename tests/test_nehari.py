@@ -205,8 +205,8 @@ def test_j_conditions_evaluate_each_field_once(ctx_gamma, rng, monkeypatch):
 
 
 def test_j_conditions_take_only_a_stack(ctx_gamma, rng):
-    # a field, a list of fields or the wrong trailing shape is no stack: the
-    # error names the shape a stack must have, before any evaluation
+    # a field, a list of fields, the wrong trailing shape or an empty stack is
+    # no stack: the error names the shape a stack must have, before any evaluation
     stack = random_smooth_fields(ctx_gamma.grid, rng, 5)
     one = check_J_conditions(ctx_gamma, stack[:1])
     assert one.j1_ok and one.j2_ok and one.j3_ok and one.j4_ok
@@ -214,6 +214,8 @@ def test_j_conditions_take_only_a_stack(ctx_gamma, rng):
     for bad in (field, [field], list(stack), stack[0], stack[:, :-2], stack[None]):
         with pytest.raises(ValueError, match=r"\(k, \*\(128,\)\)"):
             check_J_conditions(ctx_gamma, bad)
+    with pytest.raises(ValueError, match=r"non-empty \(k, \*\(128,\)\) .* shape \(0, 128\)"):
+        check_J_conditions(ctx_gamma, stack[:0])
     with pytest.raises(ValueError, match="nonzero"):
         check_J_conditions(ctx_gamma, np.stack([stack[0], 0.0 * stack[1]]))
 

@@ -17,7 +17,7 @@ from choquard_gs.solver import (
     random_initial,
     solve,
 )
-from conftest import config_context, const_potential, make_params
+from conftest import column, config_context, const_potential, make_params, moves
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +30,8 @@ def test_solve_converges_on_default_problem(converged):
     r = converged
     assert r.status == "converged"
     assert r.iterations <= 2000
-    assert r.residual_trace[-1] <= r.threshold
-    assert r.threshold == pytest.approx(1e-8 * r.residual_trace[0])
+    assert r.history[-1]["residual"] <= r.threshold
+    assert r.threshold == pytest.approx(1e-8 * r.history[0]["residual"])
     assert r.energy_trace[-1] > 0
 
 
@@ -52,7 +52,7 @@ def test_iterates_stay_on_manifold(ctx_solver, converged):
 def test_qnorm_bounded_by_coercivity(ctx_solver, converged):
     qe = ctx_solver.params.q
     bound = np.sqrt(converged.energy_trace[0] / (0.5 - 1.0 / qe)) + 1.0
-    assert np.all(converged.qnorm_trace <= bound)
+    assert np.all(column(converged, "qnorm") <= bound)
 
 
 def test_final_state_even_about_center(converged):
@@ -74,8 +74,7 @@ def test_recentering_moves_peak_to_origin(ctx_solver, converged):
     g = r.u_final.grid
     peak = np.argmax(np.abs(r.u_final.values))
     assert abs(g.axis_coords[peak]) <= g.h
-    assert r.shift_iters == [r.iterations]
-    assert [z.tolist() for z in r.shifts_applied] == [[-8.0]]
+    assert moves(r) == {r.iterations: [-8.0]}
     assert r.energy_trace[-1] == pytest.approx(energy_value(ctx_solver, r.u_final), rel=1e-12)
 
 
@@ -99,14 +98,14 @@ def test_recentering_guarded_by_localized_potential(amplitude, home, monkeypatch
     g = ctx.grid
     init = gaussian_field(g, [6.0], 2.0)
     still = solve(ctx, init, SolverConfig(max_iters=1))    # no checkpoint, and V_l: no exit roll
-    assert still.shift_iters == []
+    assert moves(still) == {}
     monkeypatch.setattr(solver_module, "RECENTER_EVERY", 1)
     r = solve(ctx, init, SolverConfig(max_iters=1))
-    assert r.shift_iters == [1]
-    (a,) = r.shifts_applied
+    ((it, a),) = moves(r).items()
+    assert it == 1
     x_peak = g.axis_coords[np.argmax(np.abs(r.u_final.values))]
     if home:
-        assert a.tolist() == [-24.0] and x_peak == 0.0
+        assert a == [-24.0] and x_peak == 0.0
     else:
         assert a[0] > 0.0 and x_peak > 6.0
     assert r.energy_trace[-1] < still.energy_trace[-1]
@@ -150,11 +149,10 @@ def test_solve_shift_equivariant(ctx_solver):
     a = solve(ctx_solver, init, cfg)
     b = solve(ctx_solver, shift(init, [4.0]), cfg)
     assert a.status == b.status == "converged" and a.iterations == b.iterations == 12
-    assert a.shift_iters == [] and b.shift_iters == [12]
-    assert [z.tolist() for z in b.shifts_applied] == [[-32.0]]
+    assert moves(a) == {} and moves(b) == {12: [-32.0]}
     assert np.allclose(a.energy_trace, b.energy_trace, rtol=1e-12, atol=1e-14)
-    assert np.allclose(a.residual_trace, b.residual_trace, rtol=0, atol=a.threshold)
-    assert np.array_equal(a.step_trace, b.step_trace)
+    assert np.allclose(column(a, "residual"), column(b, "residual"), rtol=0, atol=a.threshold)
+    assert np.array_equal(column(a, "step"), column(b, "step"))
     diff = np.max(np.abs(b.u_final.values - a.u_final.values))
     assert diff <= 1e-12 * np.max(np.abs(a.u_final.values))
 
@@ -187,6 +185,13 @@ def test_multistart_basin_agreement(ctx_solver):
     finals = [r.energy_trace[-1] for r in runs if r.status == "converged"]
     assert len(finals) == 4
     assert max(finals) - min(finals) <= 1e-6
+
+
+def test_solver_config_rejects_bad_fields():
+    with pytest.raises(ValueError, match="max_iters must be at least 1"):
+        SolverConfig(max_iters=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SolverConfig(seed=-1)
 
 
 def test_multistart_failure_path(ctx_solver):
@@ -266,13 +271,22 @@ def test_solve_best_skips_failed_starts(ctx_solver):
         _solve_best(ctx_solver, inits, SolverConfig(max_iters=1))
 
 
-def test_trace_file(ctx_solver, tmp_path):
+def test_trace_file(ctx_solver, tmp_path, monkeypatch):
     """The solve driver writes trace.ndjson from the winning run's own records."""
     import json
     from pathlib import Path
 
     from choquard_gs.cli import main
+    from choquard_gs.experiments import drivers
 
+    winners = []
+
+    def recorded(*args):
+        best, runs = multistart(*args)
+        winners.append(best)
+        return best, runs
+
+    monkeypatch.setattr(drivers, "multistart", recorded)
     config = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
     out = tmp_path / "out"
     assert main(["solve", "--config", str(config), "--out", str(out),
@@ -281,18 +295,19 @@ def test_trace_file(ctx_solver, tmp_path):
     recs = [json.loads(line) for line in lines]
     assert len(recs) >= 2
     assert all(set(rec) == {"iter", "energy", "residual", "t_star", "step", "trials", "pairs",
-                            "accept", "t_s", "shift"} for rec in recs)
-    # the same start solved directly: configs/default.ini is the ctx_solver problem
+                            "accept", "t_s", "shift", "qnorm"} for rec in recs)
+    # each line is the winning run's record of its iterate, written as it is,
+    # and metrics.csv holds three of its keys
+    (best,) = winners
+    assert recs == [json.loads(json.dumps(row)) for row in best.history]
+    # the same start solved directly, configs/default.ini being the ctx_solver
+    # problem, gives the same rows but for the wall times
     r = solve(ctx_solver, random_initial(ctx_solver, np.random.default_rng([0, 0])),
               SolverConfig(seed=0))
-    assert [rec["iter"] for rec in recs] == list(range(len(r.energy_trace)))
-    assert [rec["energy"] for rec in recs] == r.energy_trace.tolist()
-    assert [rec["residual"] for rec in recs] == r.residual_trace.tolist()
-    assert [rec["t_star"] for rec in recs] == r.t_star_trace.tolist()
-    assert [rec["step"] for rec in recs] == r.step_trace.tolist()
-    assert [rec["trials"] for rec in recs] == r.trials_trace.tolist()
-    assert [rec["pairs"] for rec in recs] == r.pairs_trace.tolist()
-    assert [rec["accept"] for rec in recs] == r.accept_trace
+    assert [{**row, "t_s": 0.0} for row in r.history] == [{**rec, "t_s": 0.0} for rec in recs]
+    csv = (out / "metrics.csv").read_text().splitlines()
+    assert csv == ["iter,energy,residual"] + [f"{r['iter']},{r['energy']!r},{r['residual']!r}"
+                                              for r in best.history]
     # the start takes no step; every later iterate comes from an accepted trial
     assert recs[0]["step"] == 0.0 and recs[0]["trials"] == 0
     assert recs[0]["pairs"] == 0 and recs[0]["accept"] is None
@@ -304,15 +319,29 @@ def test_trace_file(ctx_solver, tmp_path):
     # wall time since the solve started, one reading per iterate
     times = [rec["t_s"] for rec in recs]
     assert times[0] >= 0.0 and all(b >= a for a, b in zip(times, times[1:]))
-    assert len(r.time_trace) == len(r.energy_trace)
-    shifts = {it: z.tolist() for it, z in zip(r.shift_iters, r.shifts_applied)}
-    assert [rec["shift"] for rec in recs] == [shifts.get(i) for i in range(len(recs))]
+
+
+def test_history_keys_and_views(monkeypatch, converged):
+    # one record per iterate, its keys in the documented order; energy_trace
+    # and shifts_applied are columns of it, the moves' and the exit roll's
+    keys = ["iter", "energy", "residual", "t_star", "step", "trials", "pairs", "accept",
+            "t_s", "shift", "qnorm"]
+    monkeypatch.setattr(solver_module, "RECENTER_EVERY", 1)
+    ctx = _vl_context(-0.5, 1.0)
+    moved = solve(ctx, gaussian_field(ctx.grid, [6.0], 2.0), SolverConfig(max_iters=3))
+    for r in (converged, moved):
+        assert [list(row) for row in r.history] == [keys] * (r.iterations + 1)
+        assert [row["iter"] for row in r.history] == list(range(r.iterations + 1))
+        assert r.energy_trace.tolist() == [row["energy"] for row in r.history]
+        assert [a.tolist() for a in r.shifts_applied] == [row["shift"] for row in r.history
+                                                          if row["shift"] is not None]
+    assert len(converged.shifts_applied) == 1 and len(moved.shifts_applied) == 3
 
 
 def test_iterate_energies_dominated_by_coercivity_form(ctx_solver, converged):
     # on-manifold iterates keep energy at least the coercive quadratic floor
     qe = ctx_solver.params.q
-    floor = (0.5 - 1.0 / qe) * converged.qnorm_trace**2
+    floor = (0.5 - 1.0 / qe) * column(converged, "qnorm")**2
     assert np.all(converged.energy_trace >= floor - 1e-10)
 
 
@@ -418,11 +447,11 @@ def test_cached_terms_do_not_drift(monkeypatch):
     r = solve(ctx, random_initial(ctx, np.random.default_rng([1, 1])),
               SolverConfig(max_iters=310))
     assert r.iterations == 310
-    assert r.shift_iters and r.shift_iters[-1] <= 100
+    assert moves(r) and max(moves(r)) <= 100
     fresh = energy_value(ctx, r.u_final)
     assert r.energy_trace[-1] == pytest.approx(fresh, rel=1e-12)
     q, _, _ = qdg(ctx, r.u_final)
-    assert r.qnorm_trace[-1] ** 2 == pytest.approx(q, rel=1e-12)
+    assert r.history[-1]["qnorm"] ** 2 == pytest.approx(q, rel=1e-12)
 
 
 @pytest.mark.parametrize("max_iters", [5, 10])
@@ -437,13 +466,13 @@ def test_cached_terms_exact_between_checkpoints(max_iters):
     r = solve(ctx, init, SolverConfig(max_iters=max_iters))
     assert r.iterations == max_iters
     start = project_to_nehari(ctx, init)[1]
-    assert r.residual_trace[0] == pytest.approx(np.sqrt(l2_norm2(grad_energy(ctx, start))),
-                                                rel=1e-12)
+    assert r.history[0]["residual"] == pytest.approx(np.sqrt(l2_norm2(grad_energy(ctx, start))),
+                                                     rel=1e-12)
     assert r.energy_trace[-1] == pytest.approx(energy_value(ctx, r.u_final), rel=1e-12)
     q, _, _ = qdg(ctx, r.u_final)
-    assert r.qnorm_trace[-1] ** 2 == pytest.approx(q, rel=1e-12)
+    assert r.history[-1]["qnorm"] ** 2 == pytest.approx(q, rel=1e-12)
     fresh_residual = np.sqrt(l2_norm2(grad_energy(ctx, r.u_final)))
-    assert r.residual_trace[-1] == pytest.approx(fresh_residual, rel=1e-9)
+    assert r.history[-1]["residual"] == pytest.approx(fresh_residual, rel=1e-9)
 
 
 def test_overflowing_trial_backtracks(monkeypatch):
@@ -483,8 +512,9 @@ def test_recentering_every_iteration_into_well_converges(monkeypatch):
     ctx = _vl_context(-0.5, 1.0)
     r = solve(ctx, gaussian_field(ctx.grid, [6.0], 2.0), SolverConfig())
     assert r.status == "converged"
-    assert r.shift_iters[0] == 1 and r.shifts_applied[0].tolist() == [-24.0]
-    assert all(abs(a[0]) < 1.0 for a in r.shifts_applied[1:])
+    shifts = list(moves(r).items())
+    assert shifts[0] == (1, [-24.0])
+    assert all(abs(a[0]) < 1.0 for _, a in shifts[1:])
     assert np.argmax(np.abs(r.u_final.values)) == ctx.grid.n // 2
 
 
@@ -556,8 +586,8 @@ def test_multistart_on_solve_2d_runs_the_first_eight_starts(solve_2d_starts):
     for r, direct in zip(runs, starts):
         assert (r.status, r.iterations) == (direct.status, direct.iterations)
         assert np.array_equal(r.u_final.values, direct.u_final.values)
-        for name in ("energy_trace", "t_star_trace", "step_trace", "residual_trace"):
-            assert np.array_equal(getattr(r, name), getattr(direct, name))
+        for key in ("energy", "t_star", "step", "residual"):
+            assert np.array_equal(column(r, key), column(direct, key))
     assert best.energy_trace[-1] == min(r.energy_trace[-1] for r in starts[:8])
     assert best.energy_trace[-1] == pytest.approx(min(r.energy_trace[-1] for r in starts),
                                                   rel=1e-10)
@@ -613,17 +643,17 @@ def test_restart_steps_are_preconditioned_gradient(monkeypatch):
         m.setattr(solver_module, "RECENTER_EVERY", 1)    # a checkpoint at every iterate
         one = solve(ctx, init, SolverConfig(max_iters=1))
         two = solve(ctx, init, SolverConfig(max_iters=2))
-    assert one.shift_iters == [1] and two.shift_iters == [1, 2]
-    assert one.pairs_trace.tolist() == [0, 0] and two.pairs_trace[2] == 0
+    assert list(moves(one)) == [1] and list(moves(two)) == [1, 2]
+    assert column(one, "pairs").tolist() == [0, 0] and two.history[2]["pairs"] == 0
     # the move after step 1 is the lattice roll into the well, 24 cells
     (a1,) = one.shifts_applied
     assert a1.tolist() == [-24.0]
-    after_start = plain_step(ctx, start, one.step_trace[1])
+    after_start = plain_step(ctx, start, one.history[1]["step"])
     assert close(one.u_final, project_to_nehari(ctx, shift(after_start, a1 * ctx.grid.h))[1])
     # the move after step 2 finds the peak home and translates by a part of a cell
     a2 = two.shifts_applied[1][0]
     assert 0.0 < abs(a2) < 1.0
-    after_one = plain_step(ctx, one.u_final, two.step_trace[2])
+    after_one = plain_step(ctx, one.u_final, two.history[2]["step"])
     assert close(two.u_final, project_to_nehari(ctx, translated(after_one, a2))[1])
 
     # away from resets some step uses the stored curvature pairs
@@ -631,8 +661,8 @@ def test_restart_steps_are_preconditioned_gradient(monkeypatch):
     init = gaussian_field(ctx.grid, [0.0], 2.0)
     runs = [solve(ctx, init, SolverConfig(max_iters=k)) for k in range(1, 13)]
     assert close(runs[0].u_final, plain_step(ctx, project_to_nehari(ctx, init)[1],
-                                             runs[0].step_trace[1]))
-    assert any(not close(b.u_final, plain_step(ctx, a.u_final, b.step_trace[-1]), rtol=1e-8)
+                                             runs[0].history[1]["step"]))
+    assert any(not close(b.u_final, plain_step(ctx, a.u_final, b.history[-1]["step"]), rtol=1e-8)
                for a, b in zip(runs, runs[1:]))
 
     # every accepted step meets Armijo or, with the energy within round-off, the
@@ -642,7 +672,7 @@ def test_restart_steps_are_preconditioned_gradient(monkeypatch):
     # run ends with the roll home at exit, which is undone first; no checkpoint
     # on the way moves the bump
     def unrolled(run):
-        assert set(run.shift_iters) <= {run.iterations}
+        assert set(moves(run)) <= {run.iterations}
         u = run.u_final.values
         for a in run.shifts_applied:
             u = np.roll(u, -a.astype(int), axis=tuple(range(ctx.grid.N)))
@@ -652,14 +682,14 @@ def test_restart_steps_are_preconditioned_gradient(monkeypatch):
     init = random_initial(ctx, np.random.default_rng([0, 0]))
     r = solve(ctx, init, SolverConfig())
     assert r.status == "converged"
-    assert "derivative" in r.accept_trace
+    assert "derivative" in column(r, "accept")
     iterates = [project_to_nehari(ctx, init)[1]]
     iterates += [unrolled(solve(ctx, init, SolverConfig(max_iters=k)))
                  for k in range(1, r.iterations + 1)]
     grads = [grad_energy(ctx, u) for u in iterates]
     pairs = []    # (s, y) of the accepted steps with <s, y> > 0, oldest first
     for k, (u0, u1) in enumerate(zip(iterates, iterates[1:]), start=1):
-        t, tau = r.t_star_trace[k], r.step_trace[k]
+        t, tau = r.history[k]["t_star"], r.history[k]["step"]
         d = Field(ctx.grid, (u0.values - u1.values / t) / tau)
         slope = l2_inner(grads[k - 1], d)
         dphi = -t * l2_inner(grads[k], d)
@@ -668,11 +698,11 @@ def test_restart_steps_are_preconditioned_gradient(monkeypatch):
         derivative = (e1 <= e0 + 1e-13 * (1.0 + abs(e0))
                       and dphi <= (1.0 - 2.0 * delta) * slope + 1e-8 * abs(slope))
         assert armijo or derivative, k
-        assert r.accept_trace[k] == "armijo" or derivative, k
+        assert r.history[k]["accept"] == "armijo" or derivative, k
         # the recorded pair count and the two-loop recursion over the last
         # MEMORY pairs, with H0 = P, rebuild the direction while d is well resolved
         if k <= 10:
-            assert r.pairs_trace[k] == min(len(pairs), MEMORY), k
+            assert r.history[k]["pairs"] == min(len(pairs), MEMORY), k
             q, alphas = grads[k - 1].values.copy(), []
             for s_i, y_i in reversed(pairs[-MEMORY:]):
                 alphas.append(l2_inner(s_i, Field(ctx.grid, q)) / l2_inner(s_i, y_i))
@@ -753,7 +783,7 @@ def test_every_direction_is_a_descent_direction(monkeypatch):
              for i in range(4)]
     assert len(slopes) == sum(r.iterations for r in runs) > 0
     assert min(slopes) > 0.0
-    assert max(max(r.pairs_trace) for r in runs) == MEMORY
+    assert max(row["pairs"] for r in runs for row in r.history) == MEMORY
 
 
 def test_off_node_starts_converge_at_node_level():

@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import Field, Grid, apply_multiplier, l2_norm, random_smooth_fields, row_dots, shift
 from .operators import RieszKernel, SqrtOp, build_riesz, build_sqrt_op
-from .problem import PotentialSpec, ProblemParams, validate
+from .problem import ConfigError, PotentialSpec, ProblemParams, validate
 
 
 @dataclass(eq=False)
@@ -54,12 +54,12 @@ class EnergyContext:
 
 
 def build_context(params: ProblemParams, pot: PotentialSpec) -> EnergyContext:
-    """Validate the problem and assemble operators and kernel around the
-    potentials the validation sampled."""
+    """Validate the problem, a failed check being a ConfigError, and assemble
+    operators and kernel around the potentials the validation sampled."""
     report = validate(params, pot)
     if not report.all_passed:
         failed = "; ".join(f"{c.name} ({c.witness})" for c in report.failures())
-        raise ValueError(f"problem validation failed: {failed}")
+        raise ConfigError(f"problem validation failed: {failed}")
     vp, vl, gam = report.potentials
     grid = vp.grid
     sqrt_op = build_sqrt_op(grid, params.m)

@@ -67,14 +67,6 @@ from ..solver import (
 from .config import ExperimentConfig, Report
 
 
-def _build(params: ProblemParams, pot: PotentialSpec) -> EnergyContext:
-    """The context of one problem, validated once; a failed check is a ConfigError."""
-    try:
-        return build_context(params, pot)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # plain solve
 
@@ -454,7 +446,7 @@ def _vl_sign(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
     u_per = best0.u_final
 
     neg = _vl_spec(pot, -amp)
-    ctx_neg = ctx if neg == pot else _build(params, neg)
+    ctx_neg = ctx if neg == pot else build_context(params, neg)
     best_neg = _solve_best(ctx_neg, [u_per], cfg)
     c_neg = best_neg.energy_trace[-1]
 
@@ -472,7 +464,7 @@ def _vl_sign(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
     overlaps = []
     for L in sorted(float(v) for v in ecfg.box_list):
         par_L = _with_box(params, L, h)
-        ctx_pos = _build(par_L, _vl_spec(pot, amp))
+        ctx_pos = build_context(par_L, _vl_spec(pot, amp))
         # same solver, same box, localized part stripped: the common-mode
         # discretization bias cancels in the gap
         ctx_per = ctx_pos.periodic_variant()
@@ -529,7 +521,7 @@ def _box_sweep(ecfg: ExperimentConfig, pot: PotentialSpec, ctx_base: EnergyConte
     prev = None
     for L in Ls:
         par_L = _with_box(params, L, h)
-        ctx = _build(par_L, pot)
+        ctx = build_context(par_L, pot)
         inits = [_box_start(ctx.grid)]
         if prev is not None:
             inits.insert(0, _embed(prev, ctx.grid))
@@ -552,7 +544,7 @@ def _box_sweep(ecfg: ExperimentConfig, pot: PotentialSpec, ctx_base: EnergyConte
     # resolution study at the largest box: halving h must move the level by
     # less than the truncation gap being resolved (the largest one in the
     # sweep; smaller gaps share the h bias, which cancels in differences)
-    ctx_fine = _build(_with_box(params, Ls[-1], h / 2.0), pot)
+    ctx_fine = build_context(_with_box(params, Ls[-1], h / 2.0), pot)
     r_fine = _solve_best(ctx_fine, [_box_start(ctx_fine.grid)], cfg)
     h_shift = abs(r_fine.energy_trace[-1] - cs[-1])
     rep.add_check("spacing refinement moves the level less than the truncation gap",
@@ -586,7 +578,7 @@ def run(ecfg: ExperimentConfig) -> int:
         raise ConfigError(f"unknown experiment kind '{ecfg.kind}'")
     title, body = KINDS[ecfg.kind]
     params, pot = load_problem_config(ecfg.problem_path)
-    ctx = _build(params, pot)
+    ctx = build_context(params, pot)
     rep = Report(title)
     rep.embed_inputs(resolved_config_text(params, pot), {"kind": ecfg.kind, "seed": ecfg.seed})
     try:

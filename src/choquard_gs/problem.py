@@ -10,8 +10,8 @@ import numpy as np
 from .grid import Field, Grid
 
 
-class ConfigError(Exception):
-    """Malformed problem or experiment configuration."""
+class ConfigError(ValueError):
+    """Malformed problem or experiment configuration; a bad value, so a ValueError."""
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,10 @@ class Descriptor:
     tag: str
     params: dict = field(default_factory=dict)
 
-    def get(self, key: str, default: float | None = None) -> float:
-        if key in self.params:
-            return float(self.params[key])
-        if default is None:
-            raise ConfigError(f"descriptor '{self.tag}' missing parameter '{key}'")
-        return default
+    def get(self, key: str) -> float:
+        if key not in self.params:
+            raise ConfigError(f"missing key '{key}'")
+        return float(self.params[key])
 
 
 @dataclass(frozen=True)
@@ -73,72 +71,91 @@ class PotentialSpec:
 SIGN_MODES = ("zero", "negative", "positive")
 
 
-def _tile_unit_cell(grid: Grid, cell_of) -> np.ndarray:
-    """Sample cell_of(coords) on one unit cell and tile it over the box.
-
-    coords holds one broadcastable coordinate array per axis. Tiling makes box
-    periodicity and unit-lattice equivariance bitwise exact.
-    """
-    cpu = grid.cells_per_unit()
-    x1 = grid.axis_coords[:cpu]
-    coords = [x1] if grid.N == 1 else np.meshgrid(*([x1] * grid.N), indexing="ij", sparse=True)
-    return np.tile(cell_of(coords), (grid.n // cpu,) * grid.N)
+def _constant(grid, value=0.0):
+    return np.full(grid.shape, value)
 
 
-def _sample_periodic(desc: Descriptor, grid: Grid) -> np.ndarray:
-    """Sample a 1-periodic closed form on the grid."""
-    if desc.tag == "zero":
-        return np.zeros(grid.shape)
-    if desc.tag == "constant":
-        return np.full(grid.shape, desc.get("value"))
-    if desc.tag == "cosine":
-        offset = desc.get("offset", 0.0)
-        amp = desc.get("amplitude")
+def _tiled(cell):
+    """The profile that samples cell(coords, **par) on one unit cell, coords one
+    broadcastable array per axis, and tiles it over the box, which makes box
+    periodicity and unit-lattice equivariance bitwise exact."""
+    def profile(grid, **par):
+        cpu = grid.cells_per_unit()
+        coords = np.meshgrid(*([grid.axis_coords[:cpu]] * grid.N), indexing="ij", sparse=True)
+        return np.tile(cell(coords, **par), (grid.n // cpu,) * grid.N)
 
-        def cell(coords):
-            return offset + (amp / grid.N) * sum(np.cos(2.0 * np.pi * c) for c in coords)
-
-        return _tile_unit_cell(grid, cell)
-    raise ConfigError(f"unknown periodic potential tag '{desc.tag}'")
+    return profile
 
 
-def _sample_localized(desc: Descriptor, grid: Grid) -> np.ndarray:
-    if desc.tag == "zero":
-        return np.zeros(grid.shape)
-    r2 = grid.r2(np.full(grid.N, desc.get("center", 0.0)))
-    if desc.tag == "gaussian-bump":
-        amp = desc.get("amplitude")
-        width = desc.get("width", 1.0)
-        return amp * np.exp(-r2 / width**2)
-    if desc.tag == "inverse-power":
-        amp = desc.get("amplitude")
-        width = desc.get("width", 1.0)
-        power = desc.get("power", 2.0)
-        return amp / (1.0 + (r2 / width**2) ** (power / 2.0))
-    raise ConfigError(f"unknown localized potential tag '{desc.tag}'")
+@_tiled
+def _vp_cosine(coords, amplitude, offset):
+    return offset + (amplitude / len(coords)) * sum(np.cos(2.0 * np.pi * c) for c in coords)
+
+
+@_tiled
+def _gamma_cosine(coords, amplitude):
+    prod = 1.0
+    for c in coords:
+        prod = prod * (1.0 + np.cos(2.0 * np.pi * c)) / 2.0
+    return amplitude * prod
+
+
+def _gaussian_bump(grid, amplitude, width, center):
+    return amplitude * np.exp(-grid.r2(np.full(grid.N, center)) / width**2)
+
+
+def _inverse_power(grid, amplitude, width, power, center):
+    r2 = grid.r2(np.full(grid.N, center))
+    return amplitude / (1.0 + (r2 / width**2) ** (power / 2.0))
+
+
+# section -> tag -> (the keys the tag reads, each with its default or REQUIRED, and
+# the profile that samples the tag: profile(grid, **keys)). Tag zero is the constant 0.
+REQUIRED = None  # the default of a key its tag cannot do without
+PROFILES = {
+    "potential.Vp": {
+        "constant": ({"value": REQUIRED}, _constant),
+        "cosine": ({"amplitude": REQUIRED, "offset": 0.0}, _vp_cosine),
+    },
+    "potential.Vl": {
+        "zero": ({}, _constant),
+        "gaussian-bump": ({"amplitude": REQUIRED, "width": 1.0, "center": 0.0}, _gaussian_bump),
+        "inverse-power": ({"amplitude": REQUIRED, "width": 1.0, "power": 2.0, "center": 0.0},
+                          _inverse_power),
+    },
+    "potential.Gamma": {
+        "zero": ({}, _constant),
+        "constant": ({"value": REQUIRED}, _constant),
+        "cosine": ({"amplitude": REQUIRED}, _gamma_cosine),
+    },
+}
+
+
+def _entry(section: str, tag: str):
+    tags = PROFILES[section]
+    if tag not in tags:
+        raise ConfigError(f"[{section}] unknown tag '{tag}' (allowed: {', '.join(tags)})")
+    return tags[tag]
+
+
+@np.errstate(all="ignore")
+def _sample(section: str, desc: Descriptor, grid: Grid) -> Field:
+    """desc's profile at the grid nodes, defaults filling the keys desc leaves out;
+    a missing key or a non-finite value is a ConfigError naming section and tag."""
+    keys, profile = _entry(section, desc.tag)
+    try:
+        par = {key: desc.get(key) if key in desc.params or default is REQUIRED else default
+               for key, default in keys.items()}
+        return Field(grid, profile(grid, **par))
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] tag '{desc.tag}': {exc}") from exc
 
 
 def sample_potentials(pot: PotentialSpec, grid: Grid):
     """Sample (Vp, Vl, Gamma) at the grid nodes; Vp and Gamma exactly box-periodic."""
-    vp = Field(grid, _sample_periodic(pot.Vp, grid))
-    if pot.Vl_sign == "zero":
-        vl = Field(grid, np.zeros(grid.shape))
-    else:
-        vl = Field(grid, _sample_localized(pot.Vl, grid))
-    if pot.Gamma.tag == "cosine":
-        # non-negative periodic profile: amplitude * prod_i (1 + cos 2 pi x_i)/2
-        amp = pot.Gamma.get("amplitude")
-
-        def cell(coords):
-            prod = 1.0
-            for c in coords:
-                prod = prod * (1.0 + np.cos(2.0 * np.pi * c)) / 2.0
-            return amp * prod
-
-        gam = Field(grid, _tile_unit_cell(grid, cell))
-    else:
-        gam = Field(grid, _sample_periodic(pot.Gamma, grid))
-    return vp, vl, gam
+    vp = _sample("potential.Vp", pot.Vp, grid)
+    vl = _sample("potential.Vl", Descriptor("zero") if pot.Vl_sign == "zero" else pot.Vl, grid)
+    return vp, vl, _sample("potential.Gamma", pot.Gamma, grid)
 
 
 @dataclass
@@ -195,20 +212,16 @@ def validate(params: ProblemParams, pot: PotentialSpec) -> ValidationReport:
         0 < params.L < np.inf and abs(params.L - round(params.L)) < 1e-12,
         f"L={params.L}")
     add("grid points even and >= 8", params.n % 2 == 0 and params.n >= 8, f"n={params.n}")
-    grid_ok = True
     try:
         grid = params.make_grid()
         cpu = grid.cells_per_unit()
         add("unit cell integral in grid cells", True, f"cells per unit={cpu}")
     except ValueError as exc:
-        grid_ok = False
+        grid = None
         add("unit cell integral in grid cells", False, str(exc))
 
-    if pot.Vl_sign not in SIGN_MODES:
-        add("Vl sign mode recognised", False, f"sign={pot.Vl_sign}")
-        return ValidationReport(checks)
-    add("Vl sign mode recognised", True, f"sign={pot.Vl_sign}")
-    if not grid_ok:
+    add("Vl sign mode recognised", pot.Vl_sign in SIGN_MODES, f"sign={pot.Vl_sign}")
+    if grid is None or pot.Vl_sign not in SIGN_MODES:
         return ValidationReport(checks)
 
     try:
@@ -218,13 +231,11 @@ def validate(params: ProblemParams, pot: PotentialSpec) -> ValidationReport:
         return ValidationReport(checks)
     add("potential descriptors sampled", True, "ok")
 
-    cpu = grid.cells_per_unit()
     roll = (cpu,) * grid.N
     axes = tuple(range(grid.N))
-    add("Vp unit-periodic on grid",
-        np.array_equal(np.roll(vp.values, roll, axis=axes), vp.values), "tiled sampling")
-    add("Gamma unit-periodic on grid",
-        np.array_equal(np.roll(gam.values, roll, axis=axes), gam.values), "tiled sampling")
+    for name, f in (("Vp", vp), ("Gamma", gam)):
+        add(f"{name} unit-periodic on grid",
+            np.array_equal(np.roll(f.values, roll, axis=axes), f.values), "tiled sampling")
     gmin_idx = int(np.argmin(gam.values))
     add("Gamma non-negative", gam.values.flat[gmin_idx] >= 0.0,
         _argwitness(grid, gam.values, gmin_idx))
@@ -238,35 +249,24 @@ def validate(params: ProblemParams, pot: PotentialSpec) -> ValidationReport:
         bad = int(np.argmin(vl.values))
         add("Vl strictly positive", vl.values.flat[bad] > 0.0, _argwitness(grid, vl.values, bad))
 
-    v_total = vp.values + vl.values
-    if pot.Vl_sign in ("zero", "negative"):
-        vmin_idx = int(np.argmin(v_total))
-        add("essinf V > 0", v_total.flat[vmin_idx] > 0.0, _argwitness(grid, v_total, vmin_idx))
-    else:
-        vmin_idx = int(np.argmin(vp.values))
-        add("essinf Vp > 0 (positive localized part)",
-            vp.values.flat[vmin_idx] > 0.0, _argwitness(grid, vp.values, vmin_idx))
+    name, v = (("essinf V > 0", vp.values + vl.values) if pot.Vl_sign in ("zero", "negative")
+               else ("essinf Vp > 0 (positive localized part)", vp.values))
+    vmin_idx = int(np.argmin(v))
+    add(name, v.flat[vmin_idx] > 0.0, _argwitness(grid, v, vmin_idx))
     return ValidationReport(checks, (vp, vl, gam))
 
 
 PARAM_KEYS = ("N", "m", "p", "q", "alpha", "L", "n")
-# the keys each tag of a potential section reads; [potential.Vl] also takes sign
-TAG_KEYS = {
-    "potential.Vp": {"constant": {"value"}, "cosine": {"offset", "amplitude"}},
-    "potential.Vl": {"zero": set(), "gaussian-bump": {"amplitude", "width", "center"},
-                     "inverse-power": {"amplitude", "width", "power", "center"}},
-    "potential.Gamma": {"zero": set(), "constant": {"value"}, "cosine": {"amplitude"}},
-}
 
 
 def _descriptor_from(section: dict, where: str) -> Descriptor:
-    tags = TAG_KEYS[where]
+    """The descriptor of one potential section, which takes only the keys its
+    tag reads in PROFILES ([potential.Vl]'s sign is popped before)."""
     tag = section.pop("tag", None)
     if tag is None:
         raise ConfigError(f"[{where}] missing 'tag'")
-    if tag not in tags:
-        raise ConfigError(f"[{where}] unknown tag '{tag}' (allowed: {', '.join(tags)})")
-    unknown = set(section) - tags[tag]
+    keys, _ = _entry(where, tag)
+    unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"[{where}] unknown keys for tag '{tag}': {sorted(unknown)}")
     params = {}
@@ -295,16 +295,10 @@ def load_problem_config(path) -> tuple[ProblemParams, PotentialSpec]:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
-    found = set(parser.sections())
-    expected = {"params", *TAG_KEYS}
-    if found != expected:
-        missing = expected - found
-        extra = found - expected
-        parts = []
-        if missing:
-            parts.append(f"missing sections: {sorted(missing)}")
-        if extra:
-            parts.append(f"unknown sections: {sorted(extra)}")
+    found, expected = set(parser.sections()), {"params", *PROFILES}
+    gaps = {"missing": expected - found, "unknown": found - expected}
+    parts = [f"{what} sections: {sorted(names)}" for what, names in gaps.items() if names]
+    if parts:
         raise ConfigError("; ".join(parts))
     unknown = set(parser["params"]) - set(PARAM_KEYS)
     if unknown:

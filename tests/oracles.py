@@ -109,3 +109,30 @@ def trace_checks_per_field(u, wall, p, V_field, tol=1e-9):
     h1 = grad + mass
     ok = c_low * h1 * (1.0 - tol) <= q <= c_high * h1 * (1.0 + tol)
     return sides, (grad, mass), (ok, q, c_low * h1, c_high * h1)
+
+
+def potential_profile(section, tag, params, grid):
+    """The closed form of a potential tag at every node of the box, with the
+    documented defaults for the keys params leaves out: evaluated pointwise on
+    the whole box, no unit cell tiled, the distance to center wrapped by the
+    remainder mod 2L."""
+    par = {"offset": 0.0, "width": 1.0, "power": 2.0, "center": 0.0, **params}
+    x = np.meshgrid(*([-grid.L + grid.h * np.arange(grid.n)] * grid.N), indexing="ij")
+    cosines = [np.cos(2.0 * np.pi * xi) for xi in x]
+    d = [np.mod(xi - par["center"] + grid.L, 2.0 * grid.L) - grid.L for xi in x]
+    r = np.sqrt(np.sum([di**2 for di in d], axis=0))
+    profiles = {
+        ("potential.Vp", "constant"): lambda: np.full(grid.shape, par["value"]),
+        ("potential.Vp", "cosine"):
+            lambda: par["offset"] + par["amplitude"] * np.mean(cosines, axis=0),
+        ("potential.Vl", "zero"): lambda: np.zeros(grid.shape),
+        ("potential.Vl", "gaussian-bump"):
+            lambda: par["amplitude"] * np.exp(-((r / par["width"]) ** 2)),
+        ("potential.Vl", "inverse-power"):
+            lambda: par["amplitude"] / (1.0 + (r / par["width"]) ** par["power"]),
+        ("potential.Gamma", "zero"): lambda: np.zeros(grid.shape),
+        ("potential.Gamma", "constant"): lambda: np.full(grid.shape, par["value"]),
+        ("potential.Gamma", "cosine"):
+            lambda: par["amplitude"] * np.prod([(1.0 + c) / 2.0 for c in cosines], axis=0),
+    }
+    return profiles[section, tag]()

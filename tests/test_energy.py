@@ -32,6 +32,7 @@ from choquard_gs.grid import (
     random_smooth_fields,
     shift,
 )
+from choquard_gs.problem import ConfigError
 from conftest import config_context, const_potential, count_calls, gamma_potential, make_params
 from oracles import directional_derivative_fd, qdg_per_field, random_smooth_field_per_bump
 
@@ -306,6 +307,13 @@ def test_energy_report_evaluates_bu_and_phi_once(ctx_gamma, rng, monkeypatch):
     phi_calls = count_calls(monkeypatch, energy.nonlocal_terms)
     assert energy_report(ctx_gamma, u) == want
     assert (len(b_calls), len(phi_calls)) == (1, 1)
+
+
+def test_build_context_refuses_an_invalid_problem_with_a_config_error():
+    message = r"^problem validation failed: mass positive \(m=-1.0\)$"
+    with pytest.raises(ConfigError, match=message):
+        build_context(make_params(m=-1.0), const_potential())
+    assert issubclass(ConfigError, ValueError)
 
 
 def test_build_context_validates_and_samples_once(monkeypatch):

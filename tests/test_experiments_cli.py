@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -262,6 +263,22 @@ def test_cli_runs_as_module(tmp_path):
                           cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.md").is_file()
+
+
+def test_cli_non_finite_potential_is_a_configuration_error(tmp_path, capsys):
+    # width = 0 puts 0/0 at the bump's centre
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "configs" / "vl_sign.ini").read_text(encoding="utf-8")
+    path = tmp_path / "vl.ini"
+    path.write_text(text.replace("width = 2.0", "width = 0"), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "potential descriptors sampled ([potential.Vl] tag 'inverse-power'" in err
+    assert "Warning" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_gamma_sweep_requires_zero_vl(tmp_path):

@@ -1,10 +1,14 @@
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from choquard_gs.grid import shift
+from choquard_gs.grid import Grid, shift
 from choquard_gs.problem import (
+    PROFILES,
+    REQUIRED,
     ConfigError,
     Descriptor,
     PotentialSpec,
@@ -15,6 +19,7 @@ from choquard_gs.problem import (
     validate,
 )
 from conftest import const_potential, make_params
+from oracles import potential_profile
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -152,6 +157,67 @@ def test_unknown_tag_raises():
                         Descriptor("zero"), "zero", Descriptor("zero"))
     with pytest.raises(ConfigError):
         sample_potentials(pot, make_params().make_grid())
+
+
+SECTION_INDEX = {"potential.Vp": 0, "potential.Vl": 1, "potential.Gamma": 2}
+# a value for every key any tag reads, none of them a default
+GIVEN = {"value": 1.25, "amplitude": 0.7, "offset": 1.5, "width": 1.3, "power": 3.0,
+         "center": 0.5}
+
+
+def spec_with(section, desc):
+    """A spec whose section holds desc, Vp a constant and the other parts zero."""
+    parts = [Descriptor("constant", {"value": 1.0}), Descriptor("zero"), Descriptor("zero")]
+    parts[SECTION_INDEX[section]] = desc
+    vp, vl, gamma = parts
+    return PotentialSpec(vp, vl, "positive", gamma)
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["defaults", "given"])
+@pytest.mark.parametrize("grid", [Grid(1, 4.0, 32), Grid(2, 2.0, 16), Grid(3, 2.0, 16)],
+                         ids=["N1", "N2", "N3"])
+@pytest.mark.parametrize("section, tag", [(s, t) for s, tags in PROFILES.items() for t in tags])
+def test_sampled_profile_matches_closed_form(section, tag, grid, given):
+    # "defaults" passes only the required keys, so every default is read once
+    keys, _ = PROFILES[section][tag]
+    params = {k: GIVEN[k] for k, default in keys.items() if given or default is REQUIRED}
+    pot = spec_with(section, Descriptor(tag, params))
+    sampled = sample_potentials(pot, grid)[SECTION_INDEX[section]].values
+    expected = potential_profile(section, tag, params, grid)
+    np.testing.assert_allclose(sampled, expected, rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("section, tag", [("potential.Vp", "zero"), ("potential.Vl", "sawtooth"),
+                                          ("potential.Gamma", "gaussian-bump")])
+def test_unknown_tag_names_its_section(section, tag):
+    # Vp has no tag zero; the loader never accepted one
+    with pytest.raises(ConfigError, match=rf"^\[{re.escape(section)}\] unknown tag '{tag}'"):
+        sample_potentials(spec_with(section, Descriptor(tag)), make_params().make_grid())
+
+
+def sampling_check(pot):
+    checks = {c.name: c for c in validate(make_params(), pot).checks}
+    return checks["potential descriptors sampled"]
+
+
+def test_missing_required_key_fails_sampling_and_names_the_key():
+    check = sampling_check(spec_with("potential.Vl", Descriptor("gaussian-bump", {"width": 1.0})))
+    assert not check.passed
+    assert check.witness == "[potential.Vl] tag 'gaussian-bump': missing key 'amplitude'"
+
+
+@pytest.mark.parametrize("section, desc", [
+    ("potential.Vp", Descriptor("constant", {"value": np.inf})),
+    ("potential.Vl", Descriptor("gaussian-bump", {"amplitude": 0.5, "width": 0.0})),
+    ("potential.Gamma", Descriptor("cosine", {"amplitude": np.nan})),
+], ids=["Vp-inf", "Vl-zero-width", "Gamma-nan"])
+def test_non_finite_potential_fails_sampling_check(section, desc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 0/0 at the bump's centre must not warn
+        check = sampling_check(spec_with(section, desc))
+    assert not check.passed
+    assert check.witness.startswith(f"[{section}] tag '{desc.tag}'")
+    assert "non-finite" in check.witness
 
 
 CONFIG_OK = """

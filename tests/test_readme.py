@@ -13,6 +13,7 @@ import re
 from pathlib import Path
 
 import choquard_gs
+from choquard_gs.problem import PROFILES, REQUIRED
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(\([^`]*\))?`")
@@ -51,3 +52,19 @@ def test_readme_code_references_resolve():
     for dotted, args in refs:
         obj = _resolve(dotted)
         assert not args or callable(obj), f"`{dotted}{args}` is not callable"
+
+
+def test_readme_tag_table_is_profiles():
+    # rows "| `[section]` | `tag` | `key` (default), ... | profile |"; a blank
+    # section cell continues the one above, a key without a default is required
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("| section | tag | keys | profile |")
+    table, section = {}, None
+    for line in text[start:].split("\n\n", 1)[0].splitlines()[2:]:
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        section = cells[0].strip("`[]") or section
+        keys = re.findall(r"`(\w+)`(?: \(([^)]*)\))?", cells[2])
+        table.setdefault(section, {})[cells[1].strip("`")] = {
+            key: float(default) if default else REQUIRED for key, default in keys}
+    assert table == {section: {tag: keys for tag, (keys, _) in tags.items()}
+                     for section, tags in PROFILES.items()}

@@ -148,14 +148,16 @@ def energy_value(ctx: EnergyContext, u: Field) -> float:
 
 
 def energy_from_qdg(ctx: EnergyContext, q: float, d: float, g: float, t: float = 1.0) -> float:
-    """Energy of t*u given the scalar triple of u."""
+    """Energy of t*u given the scalar triple of u; arrays of triples and
+    scalings broadcast."""
     p, qe = ctx.params.p, ctx.params.q
     return t**2 * q / 2.0 - t ** (2.0 * p) * d / (2.0 * p) + t**qe * g / qe
 
 
 def fiber_residual_from_qdg(ctx: EnergyContext, q: float, d: float, g: float,
                             t: float = 1.0) -> float:
-    """Derivative pairing of the energy at t*u with t*u itself."""
+    """Derivative pairing of the energy at t*u with t*u itself; arrays
+    broadcast as in energy_from_qdg."""
     p, qe = ctx.params.p, ctx.params.q
     return t**2 * q - t ** (2.0 * p) * d + t**qe * g
 

@@ -18,7 +18,7 @@ from ..energy import (
     gamma_values,
     nonlocal_terms,
     q_boundary,
-    qdg,
+    qdg_rows,
 )
 from ..extension import (
     WallGrid,
@@ -320,15 +320,14 @@ def _verify(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
 def _fiber_scan(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
                 rep: Report) -> None:
     u = gaussian_field(ctx.grid, np.zeros(ctx.grid.N), width=max(1.0, ctx.grid.L / 8.0))
-    scan = fiber_scan(ctx, qdg(ctx, u), 4.0, 41)
-    rep.add_check("single rise-then-fall pattern", scan.slope_sign_ok)
+    scan = fiber_scan(ctx, qdg_rows(ctx, u.values[None]), 4.0, 41)
+    (t_star,), (resid,) = scan.t_star.tolist(), scan.residual_at_t_star.tolist()
+    rep.add_check("single rise-then-fall pattern", scan.slope_sign_ok[0])
     rep.add_check("scan maximum brackets the projection point",
-                  scan.max_bracket_contains_t_star(),
-                  f"t* = {float(scan.t_star)!r}")
+                  scan.max_bracket_contains_t_star()[0], f"t* = {t_star!r}")
     rep.add_check("projection residual small",
-                  abs(scan.residual_at_t_star) <= 1e-10 * ecfg.tolerance_scale
-                  * max(scan.t_star**2, 1.0),
-                  f"residual {scan.residual_at_t_star:.3e}")
+                  abs(resid) <= 1e-10 * ecfg.tolerance_scale * max(t_star**2, 1.0),
+                  f"residual {resid:.3e}")
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "fiber_scan.csv").write_text(fiber_scan_csv(scan), encoding="utf-8")

@@ -86,48 +86,65 @@ def project_to_nehari(ctx: EnergyContext, u: Field) -> tuple[float, Field]:
 
 @dataclass
 class FiberScan:
-    """Energy and fiber residual along the ray t -> t*u, with the located maximizer."""
+    """Energy and fiber residual along the rays t -> t*u of k fields, (k, num)
+    arrays row by row, with each ray's located maximizer: k values each."""
 
     t_values: np.ndarray
     e_values: np.ndarray
     residuals: np.ndarray
-    t_star: float
-    residual_at_t_star: float
-    slope_sign_ok: bool
+    t_star: np.ndarray
+    residual_at_t_star: np.ndarray
+    slope_sign_ok: np.ndarray
 
-    def max_bracket_contains_t_star(self) -> bool:
-        i = int(np.argmax(self.e_values))
-        lo = self.t_values[max(i - 1, 0)]
-        hi = self.t_values[min(i + 1, len(self.t_values) - 1)]
-        return bool(lo <= self.t_star <= hi) or i in (0, len(self.t_values) - 1)
+    def max_bracket_contains_t_star(self) -> np.ndarray:
+        """Per ray: the samples beside the largest energy bracket t*, or that
+        largest energy sits at an end of the scan."""
+        k, num = self.t_values.shape
+        i = np.argmax(self.e_values, axis=1)
+        lo = self.t_values[np.arange(k), np.maximum(i - 1, 0)]
+        hi = self.t_values[np.arange(k), np.minimum(i + 1, num - 1)]
+        return (lo <= self.t_star) & (self.t_star <= hi) | (i == 0) | (i == num - 1)
 
 
-def fiber_scan(ctx: EnergyContext, triple, spread: float, num: int) -> FiberScan:
-    """Sample the fiber energy along t -> t*u from the triple (Q, D, G) = qdg(ctx, u)
-    at num scalings geometrically spaced from t*/spread to spread*t*, t* the
-    projection point, and certify the single rise-then-fall pattern."""
+def fiber_scan(ctx: EnergyContext, triples, spread: float, num: int) -> FiberScan:
+    """Sample the fiber energy along t -> t*u of k fields from their triples
+    (Q, D, G) = qdg_rows(ctx, stack), three arrays of k values, at num scalings
+    geometrically spaced from t*/spread to spread*t*, t* the projection point,
+    and certify each ray's single rise-then-fall pattern."""
     if not spread > 1.0:
         raise ValueError(f"fiber scan needs a spread above 1, got {spread}")
-    q, d, g = triple
-    t_star = nehari_t_from_qdg(q, d, g, ctx.params.p, ctx.params.q)
-    t_grid = np.geomspace(t_star / spread, spread * t_star, num)
-    e_vals = np.array([energy_from_qdg(ctx, q, d, g, t) for t in t_grid])
-    resids = np.array([fiber_residual_from_qdg(ctx, q, d, g, t) for t in t_grid])
+    q, d, g = (np.asarray(x, dtype=float) for x in triples)
+    if q.ndim != 1 or not q.shape == d.shape == g.shape:
+        raise ValueError(f"fiber scan needs three arrays of k values, got shapes "
+                         f"{q.shape}, {d.shape}, {g.shape}")
+    rows = list(zip(q.tolist(), d.tolist(), g.tolist()))
+    # t* and the residual there stay Python floats, one root solve per ray:
+    # numpy's array ** differs from float ** in the last bit
+    t_star = [nehari_t_from_qdg(*row, ctx.params.p, ctx.params.q) for row in rows]
+    resid = [fiber_residual_from_qdg(ctx, *row, t) for row, t in zip(rows, t_star)]
+    t_star, resid = np.array(t_star), np.array(resid)
+    t = np.geomspace(t_star / spread, spread * t_star, num, axis=-1)
+    q, d, g, ts = q[:, None], d[:, None], g[:, None], t_star[:, None]
+    e_vals = energy_from_qdg(ctx, q, d, g, t)
+    resids = fiber_residual_from_qdg(ctx, q, d, g, t)
     # the fiber slope, residual / t, keeps the sign test exact in t; samples
     # within round-off of the root itself carry slope of either sign
-    slopes = resids / t_grid
-    tol = 1e-12 * np.max(np.abs(slopes))
-    ok = bool(np.all(slopes[t_grid < t_star] > -tol) and np.all(slopes[t_grid > t_star] < tol))
-    resid = fiber_residual_from_qdg(ctx, q, d, g, t_star)
-    return FiberScan(t_grid, e_vals, resids, t_star, resid, ok)
+    slopes = resids / t
+    tol = 1e-12 * np.max(np.abs(slopes), axis=1, keepdims=True)
+    ok = np.all(((slopes > -tol) | (t >= ts)) & ((slopes < tol) | (t <= ts)), axis=1)
+    return FiberScan(t, e_vals, resids, t_star, resid, ok)
 
 
 def fiber_scan_csv(scan: FiberScan) -> str:
-    """CSV rows (t, energy, residual) for plotting, residual being the fiber
-    derivative pairing at each scaling; each cell is repr of the Python float,
-    which reads back bit for bit (repr of a numpy scalar names its type)."""
+    """CSV rows (t, energy, residual) of a scan of one ray, for plotting,
+    residual being the fiber derivative pairing at each scaling; each cell is
+    repr of the Python float, which reads back bit for bit (repr of a numpy
+    scalar names its type)."""
+    if scan.t_values.shape[0] != 1:
+        raise ValueError(f"fiber scan CSV takes a scan of one ray, got t_values of "
+                         f"shape {scan.t_values.shape}")
     lines = ["t,energy,residual"]
-    for row in zip(scan.t_values, scan.e_values, scan.residuals):
+    for row in zip(scan.t_values[0], scan.e_values[0], scan.residuals[0]):
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -151,44 +168,29 @@ def check_J_conditions(ctx: EnergyContext, samples: np.ndarray,
     """Certify, on the samples, a (k, *grid.shape) stack of field values:
     positive energy on a small sphere, super-q growth of the nonlinear part,
     the fiber slope sign pattern, and coercivity on the manifold. Their
-    triples (Q, D, G) come from one stacked evaluation."""
+    triples (Q, D, G) come from one stacked evaluation, their fibers from one
+    stacked scan, and each condition is one array expression over the k."""
     p, qe = ctx.params.p, ctx.params.q
     check_stack(ctx.grid, samples)
     if not np.all(np.any(samples.reshape(len(samples), -1), axis=1)):
         raise ValueError("sample fields must be nonzero")
-    triples = zip(*(x.tolist() for x in qdg_rows(ctx, samples)))
+    q, d, g = qdg_rows(ctx, samples)
     C = estimate_d_bound(ctx)
     r = (1.0 / (4.0 * C)) ** (1.0 / (2.0 * p - 2.0))
-
-    j1_ok = True
-    j1_min = np.inf
-    j2_ok = True
-    j3_violations = 0
-    j4_ok = True
-    j4_margin = np.inf
-    for q, d, g in triples:
-        norm = np.sqrt(q)
-        # sphere of radius r: energy at least r^2/4
-        ts = r / norm
-        e_sphere = energy_from_qdg(ctx, q, d, g, ts)
-        ratio = e_sphere / (r * r / 4.0)
-        j1_min = min(j1_min, ratio)
-        if e_sphere < (r * r / 4.0) * (1.0 - tol):
-            j1_ok = False
-        # growth of I(t u)/t^q along t = 10, 100, 1000
-        growth = [t ** (2.0 * p - qe) * d / (2.0 * p) - g / qe for t in (10.0, 100.0, 1000.0)]
-        if not (growth[2] > growth[1] > growth[0]):
-            j2_ok = False
-        # fiber slope sign pattern around the projection point
-        scan = fiber_scan(ctx, (q, d, g), 8.0, 33)
-        if not scan.slope_sign_ok:
-            j3_violations += 1
-        # coercivity on the manifold
-        t_star = scan.t_star
-        e_star = energy_from_qdg(ctx, q, d, g, t_star)
-        floor = (0.5 - 1.0 / qe) * t_star**2 * q
-        j4_margin = min(j4_margin, e_star - floor)
-        if e_star < floor * (1.0 - tol) - tol:
-            j4_ok = False
-    return JConditionReport(r, j1_ok, float(j1_min), j2_ok,
-                            j3_violations == 0, j3_violations, j4_ok, float(j4_margin))
+    # sphere of radius r: energy at least r^2/4
+    e_sphere = energy_from_qdg(ctx, q, d, g, r / np.sqrt(q))
+    j1_ok = not np.any(e_sphere < (r * r / 4.0) * (1.0 - tol))
+    # growth of I(t u)/t^q along t = 10, 100, 1000
+    growth = np.array([[10.0], [100.0], [1000.0]]) ** (2.0 * p - qe) * d / (2.0 * p) - g / qe
+    j2_ok = bool(np.all((growth[2] > growth[1]) & (growth[1] > growth[0])))
+    # fiber slope sign pattern around the projection point
+    scan = fiber_scan(ctx, (q, d, g), 8.0, 33)
+    j3_violations = int(np.sum(~scan.slope_sign_ok))
+    # coercivity on the manifold
+    t_star = scan.t_star
+    e_star = energy_from_qdg(ctx, q, d, g, t_star)
+    floor = (0.5 - 1.0 / qe) * t_star**2 * q
+    j4_ok = not np.any(e_star < floor * (1.0 - tol) - tol)
+    return JConditionReport(r, j1_ok, float(np.min(e_sphere / (r * r / 4.0))), j2_ok,
+                            j3_violations == 0, j3_violations, j4_ok,
+                            float(np.min(e_star - floor)))

@@ -154,7 +154,7 @@ def _sample(section: str, desc: Descriptor, grid: Grid) -> Field:
 def sample_potentials(pot: PotentialSpec, grid: Grid):
     """Sample (Vp, Vl, Gamma) at the grid nodes; Vp and Gamma exactly box-periodic."""
     vp = _sample("potential.Vp", pot.Vp, grid)
-    vl = _sample("potential.Vl", Descriptor("zero") if pot.Vl_sign == "zero" else pot.Vl, grid)
+    vl = _sample("potential.Vl", pot.Vl, grid)
     return vp, vl, _sample("potential.Gamma", pot.Gamma, grid)
 
 

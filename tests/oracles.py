@@ -3,10 +3,21 @@ itself never calls them."""
 
 import numpy as np
 
-from choquard_gs.energy import b_values, energy_value
+from choquard_gs.energy import (
+    b_values,
+    energy_from_qdg,
+    energy_value,
+    estimate_d_bound,
+    fiber_residual_from_qdg,
+)
 from choquard_gs.extension import norm_equivalence_constants, volume_integrals
 from choquard_gs.grid import Field, apply_multiplier, dft, gaussian_field, idft_real
-from choquard_gs.nehari import NehariProjectionError, project_to_nehari
+from choquard_gs.nehari import (
+    JConditionReport,
+    NehariProjectionError,
+    nehari_t_from_qdg,
+    project_to_nehari,
+)
 
 
 def directional_derivative_fd(ctx, u, w, eps=1e-5):
@@ -82,6 +93,38 @@ def qdg_per_field(ctx, u):
     if not ctx.has_gamma:
         return q, d, 0.0
     return q, d, cv * float(np.vdot(ctx.Gamma.values, np.abs(vals) ** ctx.params.q))
+
+
+def j_conditions_per_field(ctx, samples, tol=1e-9):
+    """The four manifold geometry conditions field by field, each fiber scanned
+    by its own geomspace and one scalar energy and residual per scaling in
+    Python floats: the reference for the stacked check_J_conditions."""
+    p, qe = ctx.params.p, ctx.params.q
+    C = estimate_d_bound(ctx)
+    r = (1.0 / (4.0 * C)) ** (1.0 / (2.0 * p - 2.0))
+    j1_ok = j2_ok = j4_ok = True
+    j1_min = j4_margin = np.inf
+    j3_violations = 0
+    for vals in samples:
+        q, d, g = qdg_per_field(ctx, Field(ctx.grid, vals))
+        e_sphere = energy_from_qdg(ctx, q, d, g, r / np.sqrt(q))
+        j1_min = min(j1_min, e_sphere / (r * r / 4.0))
+        j1_ok = j1_ok and not e_sphere < (r * r / 4.0) * (1.0 - tol)
+        growth = [t ** (2.0 * p - qe) * d / (2.0 * p) - g / qe for t in (10.0, 100.0, 1000.0)]
+        j2_ok = j2_ok and growth[2] > growth[1] > growth[0]
+        t_star = nehari_t_from_qdg(q, d, g, p, qe)
+        t_grid = np.geomspace(t_star / 8.0, 8.0 * t_star, 33)
+        slopes = np.array([fiber_residual_from_qdg(ctx, q, d, g, t) / t for t in t_grid])
+        tol_s = 1e-12 * np.max(np.abs(slopes))
+        if not (np.all(slopes[t_grid < t_star] > -tol_s)
+                and np.all(slopes[t_grid > t_star] < tol_s)):
+            j3_violations += 1
+        e_star = energy_from_qdg(ctx, q, d, g, t_star)
+        floor = (0.5 - 1.0 / qe) * t_star**2 * q
+        j4_margin = min(j4_margin, e_star - floor)
+        j4_ok = j4_ok and not e_star < floor * (1.0 - tol) - tol
+    return JConditionReport(r, j1_ok, float(j1_min), j2_ok, j3_violations == 0,
+                            j3_violations, j4_ok, float(j4_margin))
 
 
 def trace_checks_per_field(u, wall, p, V_field, tol=1e-9):

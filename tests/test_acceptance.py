@@ -35,6 +35,7 @@ from choquard_gs.energy import (
     fiber_residual_from_qdg,
     gamma_values,
     qdg,
+    qdg_rows,
 )
 from choquard_gs.grid import Grid, random_smooth_field
 from choquard_gs.nehari import fiber_scan
@@ -147,8 +148,8 @@ def test_criterion_5_nehari_geometry():
         assert abs(fiber_residual_from_qdg(ctx, q, d, g)) <= 1e-10 * q
         t_again, _ = project_to_nehari(ctx, u_star)
         assert 1 - 1e-8 <= t_again <= 1 + 1e-8
-        scan = fiber_scan(ctx, qdg(ctx, u), 8.0, 33)
-        if not scan.slope_sign_ok:
+        scan = fiber_scan(ctx, qdg_rows(ctx, u.values[None]), 8.0, 33)
+        if not scan.slope_sign_ok[0]:
             violations += 1
         if i < 10:
             q0, d0, g0 = qdg(ctx0, u)

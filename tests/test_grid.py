@@ -15,6 +15,7 @@ from choquard_gs.grid import (
     l2_inner,
     l2_norm2,
     load_field,
+    min_image,
     random_smooth_field,
     random_smooth_fields,
     row_dots,
@@ -384,6 +385,22 @@ def test_random_smooth_fields_match_k_per_bump_oracle_draws(N, n, n_bumps):
         assert got.shape == (k,) + g.shape
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("N, n, L", [(1, 64, 4.0), (2, 16, 3.0), (3, 8, 16.0)])
+def test_min_image_matches_the_float_remainder(N, n, L):
+    # bit for bit numpy's (x + L) % (2L) - L, on a grid's coordinate rows and
+    # on values below -L and above L, exact multiples of 2L, the box ends and -0.0
+    g = Grid(N, L, n)
+    rng = np.random.default_rng(N)
+    special = np.array([-0.0, 0.0, -L, L, 2 * L, -2 * L, 6 * L, -6 * L, 3 * L, -3 * L,
+                        np.nextafter(-L, 0), np.nextafter(L, 0), np.nextafter(-L, -np.inf),
+                        -1e-300, 1e-300, -5e-324, 7.5 * L, -7.5 * L])
+    values = np.concatenate([special, rng.uniform(-9 * L, 9 * L, 500)])
+    draws = values[: 6 * N].reshape(6, N, 1)
+    for x in (values, values.reshape(-1, 2), g.axis_coords - draws, g.axis_coords):
+        want = (x + L) % (2 * L) - L
+        assert min_image(g, x).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("N, n", [(1, 64), (2, 16), (3, 8)])

@@ -18,8 +18,8 @@ from choquard_gs.grid import (
     random_smooth_fields,
     shift,
 )
-from conftest import count_calls
-from oracles import ground_level
+from conftest import config_context, count_calls
+from oracles import ground_level, j_conditions_per_field
 from choquard_gs.nehari import (
     NehariProjectionError,
     check_J_conditions,
@@ -119,7 +119,7 @@ def test_fiber_scan_reference_maximum(ctx_const, rng):
     u = random_smooth_field(ctx_const.grid, rng)
     q, d, _ = qdg(ctx_const, u)
     t_star, _ = project_to_nehari(ctx_const, u)
-    scan = fiber_scan(ctx_const, qdg(ctx_const, u), 4.0, 41)
+    scan = fiber_scan(ctx_const, qdg_rows(ctx_const, u.values[None]), 4.0, 41)
     assert np.max(scan.e_values) <= q * q / (4 * d) + 1e-12
     peak = energy_value(ctx_const, Field(ctx_const.grid, t_star * u.values))
     assert peak == pytest.approx(q * q / (4 * d), rel=1e-11)
@@ -129,9 +129,9 @@ def test_fiber_scan_sign_pattern(ctx_gamma, rng):
     for _ in range(10):
         u = random_smooth_field(ctx_gamma.grid, rng)
         _, u_star = project_to_nehari(ctx_gamma, u)
-        scan = fiber_scan(ctx_gamma, qdg(ctx_gamma, u), 8.0, 33)
-        assert scan.slope_sign_ok
-        assert scan.max_bracket_contains_t_star()
+        scan = fiber_scan(ctx_gamma, qdg_rows(ctx_gamma, u.values[None]), 8.0, 33)
+        assert scan.slope_sign_ok.tolist() == [True]
+        assert scan.max_bracket_contains_t_star().tolist() == [True]
         peak = energy_value(ctx_gamma, u_star)
         assert np.all(scan.e_values <= peak * (1 + 1e-12))
 
@@ -140,12 +140,12 @@ def test_fiber_scan_rejects_nonpositive_grid(ctx_const, rng):
     u = random_smooth_field(ctx_const.grid, rng)
     for spread in (-1.0, 1.0):    # negative scalings, an empty bracket
         with pytest.raises(ValueError):
-            fiber_scan(ctx_const, qdg(ctx_const, u), spread, 3)
+            fiber_scan(ctx_const, qdg_rows(ctx_const, u.values[None]), spread, 3)
 
 
 def test_fiber_scan_csv_format(ctx_gamma, rng):
     u = random_smooth_field(ctx_gamma.grid, rng)
-    scan = fiber_scan(ctx_gamma, qdg(ctx_gamma, u), 2.0, 3)
+    scan = fiber_scan(ctx_gamma, qdg_rows(ctx_gamma, u.values[None]), 2.0, 3)
     text = fiber_scan_csv(scan)
     lines = text.strip().splitlines()
     assert lines[0] == "t,energy,residual"
@@ -225,11 +225,11 @@ def test_fiber_scan_driver_evaluates_its_field_once(tmp_path, monkeypatch):
     from choquard_gs.experiments.config import ExperimentConfig
 
     config = Path(__file__).resolve().parents[1] / "configs" / "smoke.ini"
-    calls = count_calls(monkeypatch, qdg)
+    calls = count_calls(monkeypatch, qdg_rows)
     ecfg = ExperimentConfig("fiber-scan", str(config), out_dir=str(tmp_path),
                             tolerance_scale=10.0)
     assert drivers.run(ecfg) == 0
-    assert len(calls) == 1
+    assert [vals.shape[0] for _, vals in calls] == [1]
     rows = (tmp_path / "fiber_scan.csv").read_text().splitlines()
     assert len(rows) == 42
 
@@ -244,17 +244,18 @@ def test_fiber_scan_csv_holds_the_scan_numbers(tmp_path, monkeypatch):
     (scan,), = calls
     rows = (tmp_path / "fiber_scan.csv").read_text().splitlines()[1:]
     cells = np.array([[float(c) for c in row.split(",")] for row in rows])
-    want = np.column_stack([scan.t_values, scan.e_values, scan.residuals])
+    want = np.column_stack([scan.t_values[0], scan.e_values[0], scan.residuals[0]])
     assert cells.shape == want.shape == (41, 3)
     assert cells.tobytes() == want.tobytes()
 
 
 def test_fiber_scan_csv_needs_only_the_scan(ctx_gamma, rng):
+    # the residual row is the fiber residual evaluated on the scan's t row
     u = random_smooth_field(ctx_gamma.grid, rng)
-    q, d, g = qdg(ctx_gamma, u)
+    q, d, g = qdg_rows(ctx_gamma, u.values[None])
     scan = fiber_scan(ctx_gamma, (q, d, g), 2.0, 3)
-    want = [fiber_residual_from_qdg(ctx_gamma, q, d, g, t) for t in scan.t_values]
-    assert list(scan.residuals) == want
+    want = fiber_residual_from_qdg(ctx_gamma, q[0], d[0], g[0], scan.t_values[0])
+    assert scan.residuals[0].tobytes() == want.tobytes()
 
 
 def test_j2_growth_is_monotone(ctx_gamma, rng):
@@ -276,8 +277,71 @@ def test_projection_unique_slope_sign_change(ctx_gamma, rng):
     # discrete fiber slope changes sign exactly once on refinements of the grid
     u = random_smooth_field(ctx_gamma.grid, rng)
     for n_pts in (17, 65, 257):
-        scan = fiber_scan(ctx_gamma, qdg(ctx_gamma, u), 5.0, n_pts)
-        d = np.diff(scan.e_values)
+        scan = fiber_scan(ctx_gamma, qdg_rows(ctx_gamma, u.values[None]), 5.0, n_pts)
+        d = np.diff(scan.e_values[0])
         signs = np.sign(d[d != 0])
         flips = np.sum(signs[1:] != signs[:-1])
         assert flips == 1
+
+
+CONFIG_NAMES = ["default.ini", "gamma_sweep.ini", "smoke.ini", "verify.ini", "vl_sign.ini"]
+
+
+@pytest.fixture(scope="module", params=CONFIG_NAMES)
+def config_ctx(request):
+    return config_context(request.param)
+
+
+def test_stacked_fiber_scan_rows_are_single_scans(config_ctx):
+    # row i of a k-stack scan is the scan of a stack of one, bit for bit
+    fields = random_smooth_fields(config_ctx.grid, np.random.default_rng(7), 50)
+    q, d, g = qdg_rows(config_ctx, fields)
+    scan = fiber_scan(config_ctx, (q, d, g), 8.0, 33)
+    assert scan.t_values.shape == scan.e_values.shape == scan.residuals.shape == (50, 33)
+    brackets = scan.max_bracket_contains_t_star()
+    for i in range(50):
+        one = fiber_scan(config_ctx, (q[i:i + 1], d[i:i + 1], g[i:i + 1]), 8.0, 33)
+        for name in ("t_values", "e_values", "residuals", "t_star", "residual_at_t_star",
+                     "slope_sign_ok"):
+            assert getattr(one, name).tobytes() == getattr(scan, name)[i:i + 1].tobytes(), name
+        assert one.max_bracket_contains_t_star().tolist() == [brackets[i]]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_j_conditions_match_the_per_field_oracle(config_ctx, seed):
+    fields = random_smooth_fields(config_ctx.grid, np.random.default_rng(seed), 50)
+    got = check_J_conditions(config_ctx, fields)
+    want = j_conditions_per_field(config_ctx, fields)
+    for name in ("radius", "j1_ok", "j2_ok", "j3_ok", "j3_violations", "j4_ok"):
+        assert getattr(got, name) == getattr(want, name), name
+    # array ** and float ** differ in the last bit; the margin, a difference,
+    # moves by up to 1.004e-15 relative (gamma_sweep.ini, seed 3, where the
+    # stacked value is the one within 1.3e-16 of the exact rational margin)
+    assert got.j1_min_ratio == pytest.approx(want.j1_min_ratio, rel=1e-15, abs=0.0)
+    assert got.j4_min_margin == pytest.approx(want.j4_min_margin, rel=2e-15, abs=0.0)
+
+
+def test_j_conditions_scan_every_fiber_at_once(ctx_gamma, rng, monkeypatch):
+    # one stacked scan for the k samples, and one root solve per sample
+    fields = random_smooth_fields(ctx_gamma.grid, rng, 9)
+    scans = count_calls(monkeypatch, fiber_scan)
+    roots = count_calls(monkeypatch, nehari_t_from_qdg)
+    assert check_J_conditions(ctx_gamma, fields).j3_ok
+    (_, triples, spread, num), = scans
+    assert [len(x) for x in triples] == [9, 9, 9] and (spread, num) == (8.0, 33)
+    assert len(roots) == 9
+
+
+def test_fiber_scan_takes_only_stacks(ctx_gamma, rng):
+    # scalar triples or rows of unequal length are no stack of triples
+    q, d, g = qdg_rows(ctx_gamma, random_smooth_fields(ctx_gamma.grid, rng, 2))
+    for bad in ((q[0], d[0], g[0]), (q, d, g[:1]), (q[None], d[None], g[None])):
+        with pytest.raises(ValueError, match="three arrays of k values"):
+            fiber_scan(ctx_gamma, bad, 2.0, 3)
+
+
+def test_fiber_scan_csv_takes_one_ray(ctx_gamma, rng):
+    triples = qdg_rows(ctx_gamma, random_smooth_fields(ctx_gamma.grid, rng, 2))
+    scan = fiber_scan(ctx_gamma, triples, 2.0, 3)
+    with pytest.raises(ValueError, match=r"one ray, got t_values of shape \(2, 3\)"):
+        fiber_scan_csv(scan)

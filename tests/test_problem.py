@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from choquard_gs.energy import build_context
 from choquard_gs.grid import Grid, shift
 from choquard_gs.problem import (
     PROFILES,
@@ -299,3 +300,37 @@ def test_config_rejects_sign_tag_mismatch(tmp_path):
     path.write_text(CONFIG_OK.replace("sign = negative", "sign = flat"), encoding="utf-8")
     with pytest.raises(ConfigError, match="sign"):
         load_problem_config(path)
+
+
+def test_sign_zero_samples_the_vl_it_is_given():
+    # sign 'zero' samples Vl as given, so "Vl identically zero" tests the
+    # descriptor: a bump under sign 'zero' fails that check and nothing else
+    pot = PotentialSpec(Descriptor("constant", {"value": 1.0}),
+                        Descriptor("gaussian-bump", {"amplitude": -0.5}), "zero",
+                        Descriptor("zero"))
+    rep = validate(make_params(), pot)
+    assert [c.name for c in rep.failures()] == ["Vl identically zero"]
+    assert np.min(rep.potentials[1].values) == pytest.approx(-0.5)
+    with pytest.raises(ConfigError, match="Vl identically zero"):
+        build_context(make_params(), pot)
+
+
+def test_config_rejects_sign_zero_with_a_nonzero_tag(tmp_path):
+    path = tmp_path / "problem.ini"
+    path.write_text(CONFIG_OK.replace("sign = negative", "sign = zero"), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^\[potential.Vl\] sign 'zero' requires tag 'zero'$"):
+        load_problem_config(path)
+
+
+def test_shipped_configs_sample_vl_from_their_descriptor():
+    # under sign 'zero' the loader admits only tag zero, whose samples are
+    # the zeros the sign mode stood for
+    zero_sign = 0
+    for path in sorted(CONFIGS.glob("*.ini")):
+        params, pot = load_problem_config(path)
+        if pot.Vl_sign == "zero":
+            zero_sign += 1
+            grid = params.make_grid()
+            assert pot.Vl.tag == "zero"
+            assert sample_potentials(pot, grid)[1].values.tobytes() == np.zeros(grid.shape).tobytes()
+    assert zero_sign == 4

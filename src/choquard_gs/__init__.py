@@ -6,11 +6,9 @@ from .energy import (
     EnergyReport,
     brezis_lieb_check,
     build_context,
-    d_value,
     energy_report,
     energy_value,
     grad_energy,
-    q_boundary,
 )
 from .extension import (
     ExtendedField,

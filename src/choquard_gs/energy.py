@@ -91,17 +91,20 @@ def precondition(ctx: EnergyContext, g: Field) -> Field:
 
 
 def nonlocal_terms(ctx: EnergyContext, vals: np.ndarray) -> tuple[np.ndarray, float]:
-    """phi = I_alpha * |u|^p and D(u) = <phi, |u|^p> on raw grid values."""
+    """phi = I_alpha * |u|^p and D(u) = <phi, |u|^p> on raw grid values, or on
+    each row of a (k, *grid.shape) stack of them, D then an array of k."""
     up = np.abs(vals) ** ctx.params.p
     phi = apply_multiplier(ctx.kernel.conv_multiplier, up)
-    return phi, ctx.grid.cell_volume * float(np.vdot(phi, up))
+    return phi, ctx.grid.cell_volume * row_dots(phi, up, ctx.grid.N)
 
 
 def gamma_values(ctx: EnergyContext, vals: np.ndarray) -> float:
-    """G(u), the local-factor integral, on raw grid values."""
+    """G(u), the local-factor integral, on raw grid values, or an array of k on
+    a stack of them."""
     if not ctx.has_gamma:
-        return 0.0
-    return ctx.grid.cell_volume * float(np.vdot(ctx.Gamma.values, np.abs(vals) ** ctx.params.q))
+        return 0.0 if vals.ndim == ctx.grid.N else np.zeros(len(vals))
+    return ctx.grid.cell_volume * row_dots(ctx.Gamma.values, np.abs(vals) ** ctx.params.q,
+                                           ctx.grid.N)
 
 
 def grad_values(ctx: EnergyContext, vals: np.ndarray, bu: np.ndarray,
@@ -114,36 +117,16 @@ def grad_values(ctx: EnergyContext, vals: np.ndarray, bu: np.ndarray,
     return out
 
 
-def q_boundary(ctx: EnergyContext, u: Field) -> float:
-    """Quadratic form in the boundary representation; the squared problem norm."""
-    return ctx.grid.cell_volume * float(np.vdot(b_values(ctx, u.values), u.values))
-
-
-def d_value(ctx: EnergyContext, u: Field) -> float:
-    """Nonlocal interaction: pairing of the Riesz convolution of |u|^p with |u|^p."""
-    return nonlocal_terms(ctx, u.values)[1]
-
-
-def qdg_rows(ctx: EnergyContext, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Q, D and G of each row of a stack of raw grid values (k, *grid.shape),
-    each an array of k values."""
-    N, cv = ctx.grid.N, ctx.grid.cell_volume
-    q = cv * row_dots(b_values(ctx, vals), vals, N)
-    up = np.abs(vals) ** ctx.params.p
-    d = cv * row_dots(apply_multiplier(ctx.kernel.conv_multiplier, up), up, N)
-    if not ctx.has_gamma:
-        return q, d, np.zeros(q.shape)
-    return q, d, cv * row_dots(ctx.Gamma.values, np.abs(vals) ** ctx.params.q, N)
-
-
-def qdg(ctx: EnergyContext, u: Field) -> tuple[float, float, float]:
-    """The scalar triple (Q, D, G) from which every fiber quantity recombines."""
-    q, d, g = qdg_rows(ctx, u.values[None])
-    return float(q[0]), float(d[0]), float(g[0])
+def qdg(ctx: EnergyContext, vals: np.ndarray) -> tuple[float, float, float]:
+    """The triple (Q, D, G) from which every fiber quantity recombines: three
+    Python floats for one field's raw values, three arrays of k for a
+    (k, *grid.shape) stack of them."""
+    q = ctx.grid.cell_volume * row_dots(b_values(ctx, vals), vals, ctx.grid.N)
+    return q, nonlocal_terms(ctx, vals)[1], gamma_values(ctx, vals)
 
 
 def energy_value(ctx: EnergyContext, u: Field) -> float:
-    q, d, g = qdg(ctx, u)
+    q, d, g = qdg(ctx, u.values)
     return energy_from_qdg(ctx, q, d, g)
 
 
@@ -160,12 +143,6 @@ def fiber_residual_from_qdg(ctx: EnergyContext, q: float, d: float, g: float,
     broadcast as in energy_from_qdg."""
     p, qe = ctx.params.p, ctx.params.q
     return t**2 * q - t ** (2.0 * p) * d + t**qe * g
-
-
-def vl_integral(ctx: EnergyContext, u: Field) -> float:
-    if not ctx.has_vl:
-        return 0.0
-    return ctx.grid.cell_volume * float(np.vdot(ctx.Vl.values * u.values, u.values))
 
 
 def grad_energy(ctx: EnergyContext, u: Field) -> Field:
@@ -191,18 +168,19 @@ class EnergyReport:
 
 
 def energy_report(ctx: EnergyContext, u: Field) -> EnergyReport:
-    bu = b_values(ctx, u.values)
-    phi, d = nonlocal_terms(ctx, u.values)
-    q = ctx.grid.cell_volume * float(np.vdot(bu, u.values))
-    g = gamma_values(ctx, u.values)
+    cv, N, vals = ctx.grid.cell_volume, ctx.grid.N, u.values
+    bu = b_values(ctx, vals)
+    phi, d = nonlocal_terms(ctx, vals)
+    q = cv * row_dots(bu, vals, N)
+    g = gamma_values(ctx, vals)
     e = energy_from_qdg(ctx, q, d, g)
-    grad = Field(ctx.grid, grad_values(ctx, u.values, bu, phi))
+    grad = Field(ctx.grid, grad_values(ctx, vals, bu, phi))
     return EnergyReport(
         q_val=q,
         d_val=d,
         gamma_term=g,
         e_val=e,
-        e_per_val=e - 0.5 * vl_integral(ctx, u),
+        e_per_val=e - 0.5 * cv * row_dots(ctx.Vl.values * vals, vals, N),
         nehari_residual=fiber_residual_from_qdg(ctx, q, d, g),
         grad_norm=l2_norm(grad),
     )
@@ -222,7 +200,7 @@ def estimate_d_bound(ctx: EnergyContext) -> float:
     """
     rng = np.random.default_rng(D_BOUND_SEED)
     p = ctx.params.p
-    qs, ds, _ = qdg_rows(ctx, random_smooth_fields(ctx.grid, rng, D_BOUND_SAMPLES))
+    qs, ds, _ = qdg(ctx, random_smooth_fields(ctx.grid, rng, D_BOUND_SAMPLES))
     best = 0.0
     # Python floats: numpy's array ** differs from float ** in the last bit
     for q, d in zip(qs.tolist(), ds.tolist()):
@@ -238,12 +216,8 @@ def brezis_lieb_check(ctx: EnergyContext, u0: Field, w: Field, shifts) -> list[f
     For u_n = u0 + w(. - z_n) returns |D(u_n) - D(u_n - u0) - D(u0)| for each
     shift, which must sink toward the periodization floor as the bumps separate.
     """
-    d_u0 = d_value(ctx, u0)
-    deltas = []
-    for z in shifts:
-        wz = shift(w, z)
-        un = Field(ctx.grid, u0.values + wz.values)
-        delta = d_value(ctx, un) - d_value(ctx, wz) - d_u0
-        deltas.append(abs(delta))
-    return deltas
-
+    moved = np.array([shift(w, z).values for z in shifts]).reshape((-1,) + ctx.grid.shape)
+    # one stack: u0, then each u0 + w(. - z), then each w(. - z)
+    d = nonlocal_terms(ctx, np.concatenate([u0.values[None], u0.values + moved, moved]))[1]
+    d_un, d_wz = np.split(d[1:], 2)
+    return np.abs(d_un - d_wz - d[0]).tolist()

@@ -17,8 +17,7 @@ from ..energy import (
     energy_report,
     gamma_values,
     nonlocal_terms,
-    q_boundary,
-    qdg_rows,
+    qdg,
 )
 from ..extension import (
     WallGrid,
@@ -38,6 +37,7 @@ from ..grid import (
     l2_norm2,
     random_smooth_field,
     random_smooth_fields,
+    row_dots,
     save_field,
     shift,
 )
@@ -320,7 +320,7 @@ def _verify(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
 def _fiber_scan(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
                 rep: Report) -> None:
     u = gaussian_field(ctx.grid, np.zeros(ctx.grid.N), width=max(1.0, ctx.grid.L / 8.0))
-    scan = fiber_scan(ctx, qdg_rows(ctx, u.values[None]), 4.0, 41)
+    scan = fiber_scan(ctx, qdg(ctx, u.values[None]), 4.0, 41)
     (t_star,), (resid,) = scan.t_star.tolist(), scan.residual_at_t_star.tolist()
     rep.add_check("single rise-then-fall pattern", scan.slope_sign_ok[0])
     rep.add_check("scan maximum brackets the projection point",
@@ -349,16 +349,20 @@ def _aligned_distance(ctx: EnergyContext, u: Field, ref: Field) -> float:
     cv, cpu, axes = g.cell_volume, g.cells_per_unit(), tuple(range(g.N))
     vm = ctx.v_minus_m
     b_ref = b_values(ctx, ref.values)
-    q_a = q_boundary(ctx, u) - cv * float(np.vdot(vm * u.values, u.values))
+
+    def q(vals):  # Q alone: D and G would cost two transforms more
+        return cv * row_dots(b_values(ctx, vals), vals, g.N)
+
+    q_a = q(u.values) - cv * row_dots(vm * u.values, u.values, g.N)
     best, pick = np.inf, None
     for offsets in np.ndindex(*(7,) * g.N):
         moved = np.roll(u.values, tuple(cpu * (k - 3) for k in offsets), axis=axes)
-        cross = cv * float(np.vdot(moved, b_ref))
+        cross = cv * row_dots(moved, b_ref, g.N)
         # Q(ref) is common to every candidate; s = -1 wins only when strictly better
-        split = q_a + cv * float(np.vdot(vm * moved, moved)) - 2.0 * abs(cross)
+        split = q_a + cv * row_dots(vm * moved, moved, g.N) - 2.0 * abs(cross)
         if split < best:
             best, pick = split, (moved if cross >= 0.0 else -moved)
-    return float(np.sqrt(max(q_boundary(ctx, Field(g, pick - ref.values)), 0.0)))
+    return float(np.sqrt(max(q(pick - ref.values), 0.0)))
 
 
 def _gamma_sweep(ecfg: ExperimentConfig, pot: PotentialSpec, ctx_base: EnergyContext,

@@ -128,11 +128,6 @@ class ExtendedField:
     uhat: np.ndarray
 
     @cached_property
-    def values(self) -> np.ndarray:
-        """Extension values, shape (k, nx, *grid.shape), built on first read."""
-        return _rows(self.wall, self.uhat)
-
-    @cached_property
     def slab(self) -> np.ndarray:
         """Slab spectrum: per mode, the trapezoid integral over x of its share
         of v^2, so that its plain sum is the integral of v^2 (Parseval)."""
@@ -147,7 +142,7 @@ def harmonic_extend(u: np.ndarray, wall: WallGrid) -> ExtendedField:
 
     Per boundary mode the solution is exp(-x*sqrt(|xi|^2 + m^2)) times the
     mode amplitude; one forward transform gives every amplitude of every
-    trace, and the wall rows are synthesized only when read.
+    trace, and the wall rows are synthesized only where a check needs them.
     """
     check_stack(wall.grid, u)
     return ExtendedField(wall, u, dft(u, wall.grid.N))

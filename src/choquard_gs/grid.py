@@ -9,9 +9,9 @@ at x = -L. Fields are real, so only the half spectrum is kept, on the grid of
 last; sums over the full spectrum weight it by ``Grid.half_weights``. No other
 module calls ``np.fft``.
 
-Every inner product of grid values is ``float(np.vdot(a, b))``: one BLAS call,
-with no grid-sized temporary. A stack of them is ``row_dots``: ``np.vecdot``
-over the flattened trailing N axes, the same BLAS dot for each row.
+Every inner product of grid values is ``row_dots``: ``float(np.vdot(a, b))``
+for two grid arrays, one BLAS call with no grid-sized temporary, and for a
+stack ``np.vecdot`` over the trailing N axes, the same BLAS dot per row.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 FIELD_MAGIC = b"CGSF"
 _FIELD_HEADER = struct.Struct("<4sB3xIf")
+SMOOTH_FIELD_BUMPS = 3   # signed Gaussian bumps in each random smooth field
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -98,6 +99,8 @@ class Grid:
         if center is None:
             center = np.zeros(self.N)
         center = np.atleast_1d(np.asarray(center, dtype=float))
+        if center.shape != (self.N,):
+            raise ValueError(f"center must have {self.N} components, got {center.size}")
         x = self.axis_coords
         rows = []
         for axis in range(self.N):
@@ -128,7 +131,10 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values)
+        if np.iscomplexobj(values):
+            raise ValueError(f"field values must be real, got dtype {values.dtype}")
+        self.values = np.asarray(values, dtype=float)
         if self.values.shape != self.grid.shape:
             raise ValueError(
                 f"value shape {self.values.shape} does not match grid {self.grid.shape}"
@@ -192,9 +198,12 @@ def check_stack(grid: Grid, vals) -> None:
                          f"got {type(vals).__name__} of shape {np.shape(vals)}")
 
 
-def row_dots(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
-    """Inner products over the trailing N axes, one per row of a stack; either
-    side may be a single grid array that every row shares."""
+def row_dots(a: np.ndarray, b: np.ndarray, N: int) -> float | np.ndarray:
+    """Inner products over the trailing N axes: a Python float for two single
+    grid arrays, else one per row of a stack, either side of which may be a
+    single grid array that every row shares."""
+    if a.ndim == b.ndim == N:
+        return float(np.vdot(a, b))
     return np.vecdot(a.reshape(a.shape[:a.ndim - N] + (-1,)),
                      b.reshape(b.shape[:b.ndim - N] + (-1,)))
 
@@ -202,11 +211,11 @@ def row_dots(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
 def l2_inner(f: Field, g: Field) -> float:
     """Box inner product, Riemann sum with weight h^N."""
     _check_same_grid(f, g)
-    return f.grid.cell_volume * float(np.vdot(f.values, g.values))
+    return f.grid.cell_volume * row_dots(f.values, g.values, f.grid.N)
 
 
 def l2_norm2(f: Field) -> float:
-    return f.grid.cell_volume * float(np.vdot(f.values, f.values))
+    return f.grid.cell_volume * row_dots(f.values, f.values, f.grid.N)
 
 
 def l2_norm(f: Field) -> float:
@@ -293,14 +302,13 @@ def gaussian_field(grid: Grid, center=None, width: float = 1.0, amplitude: float
     return Field(grid, amplitude * np.exp(-grid.r2(center) / width**2))
 
 
-def random_smooth_fields(grid: Grid, rng: np.random.Generator, k: int,
-                         n_bumps: int = 3) -> np.ndarray:
-    """k random superpositions of n_bumps signed Gaussian bumps, generic smooth
-    test fields, as one (k, *grid.shape) stack of values.
+def random_smooth_fields(grid: Grid, rng: np.random.Generator, k: int) -> np.ndarray:
+    """k random superpositions of SMOOTH_FIELD_BUMPS signed Gaussian bumps,
+    generic smooth test fields, as one (k, *grid.shape) stack of values.
 
     Row i takes the draws the i-th of k calls of random_smooth_field takes,
-    and all k * n_bumps bumps are evaluated in one broadcast exp."""
-    N, L = grid.N, grid.L
+    and all k * SMOOTH_FIELD_BUMPS bumps are evaluated in one broadcast exp."""
+    N, L, n_bumps = grid.N, grid.L, SMOOTH_FIELD_BUMPS
     # per bump: N centre coordinates in [-L, L), the width, the amplitude's size
     lo = np.array([-L] * N + [0.5, 0.2])
     span = np.array([L] * N + [max(1.0, L / 4), 1.0]) - lo
@@ -329,9 +337,9 @@ def random_smooth_fields(grid: Grid, rng: np.random.Generator, k: int,
     return vals
 
 
-def random_smooth_field(grid: Grid, rng: np.random.Generator, n_bumps: int = 3) -> Field:
+def random_smooth_field(grid: Grid, rng: np.random.Generator) -> Field:
     """Random superposition of signed Gaussian bumps; generic smooth test field."""
-    return Field(grid, random_smooth_fields(grid, rng, 1, n_bumps)[0])
+    return Field(grid, random_smooth_fields(grid, rng, 1)[0])
 
 
 def save_field(f: Field, path, metadata: dict | None = None) -> None:

@@ -13,7 +13,6 @@ from .energy import (
     estimate_d_bound,
     fiber_residual_from_qdg,
     qdg,
-    qdg_rows,
 )
 from .grid import Field, check_stack
 
@@ -79,7 +78,7 @@ def nehari_t_from_qdg(q: float, d: float, g: float, p: float, qe: float) -> floa
 
 def project_to_nehari(ctx: EnergyContext, u: Field) -> tuple[float, Field]:
     """Scale u onto the manifold: t* with zero fiber residual, and t*u."""
-    q, d, g = qdg(ctx, u)
+    q, d, g = qdg(ctx, u.values)
     t = nehari_t_from_qdg(q, d, g, ctx.params.p, ctx.params.q)
     return t, Field(ctx.grid, t * u.values)
 
@@ -108,7 +107,7 @@ class FiberScan:
 
 def fiber_scan(ctx: EnergyContext, triples, spread: float, num: int) -> FiberScan:
     """Sample the fiber energy along t -> t*u of k fields from their triples
-    (Q, D, G) = qdg_rows(ctx, stack), three arrays of k values, at num scalings
+    (Q, D, G) = qdg(ctx, stack), three arrays of k values, at num scalings
     geometrically spaced from t*/spread to spread*t*, t* the projection point,
     and certify each ray's single rise-then-fall pattern."""
     if not spread > 1.0:
@@ -174,7 +173,7 @@ def check_J_conditions(ctx: EnergyContext, samples: np.ndarray,
     check_stack(ctx.grid, samples)
     if not np.all(np.any(samples.reshape(len(samples), -1), axis=1)):
         raise ValueError("sample fields must be nonzero")
-    q, d, g = qdg_rows(ctx, samples)
+    q, d, g = qdg(ctx, samples)
     C = estimate_d_bound(ctx)
     r = (1.0 / (4.0 * C)) ** (1.0 / (2.0 * p - 2.0))
     # sphere of radius r: energy at least r^2/4

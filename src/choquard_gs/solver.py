@@ -23,7 +23,7 @@ from .energy import (
     grad_values,
     nonlocal_terms,
 )
-from .grid import Field, Translations, dft, gaussian_field
+from .grid import Field, Translations, dft, gaussian_field, row_dots
 from .nehari import NehariProjectionError, nehari_t_from_qdg
 
 MEMORY = 5                  # curvature pairs behind an L-BFGS direction
@@ -96,7 +96,7 @@ def _onto_manifold(ctx: EnergyContext, u: np.ndarray, spec: np.ndarray | None = 
     """
     bu = b_values(ctx, u, spec)
     phi, d = nonlocal_terms(ctx, u)
-    q = ctx.grid.cell_volume * float(np.vdot(bu, u))
+    q = ctx.grid.cell_volume * row_dots(bu, u, ctx.grid.N)
     gam = gamma_values(ctx, u)
     t = nehari_t_from_qdg(q, d, gam, ctx.params.p, ctx.params.q)
     u, bu = t * u, t * bu

@@ -10,8 +10,16 @@ from choquard_gs.energy import (
     estimate_d_bound,
     fiber_residual_from_qdg,
 )
-from choquard_gs.extension import norm_equivalence_constants, volume_integrals
-from choquard_gs.grid import Field, apply_multiplier, dft, gaussian_field, idft_real
+from choquard_gs.extension import _rows, norm_equivalence_constants, volume_integrals
+from choquard_gs.grid import (
+    SMOOTH_FIELD_BUMPS,
+    Field,
+    apply_multiplier,
+    dft,
+    gaussian_field,
+    idft_real,
+    shift,
+)
 from choquard_gs.nehari import (
     JConditionReport,
     NehariProjectionError,
@@ -54,6 +62,12 @@ def q_form_volume(v, V_field, m):
     return grad + m * m * mass + g.cell_volume * float(np.vdot((V_field.values - m) * u0, u0))
 
 
+def extension_rows(v):
+    """The wall rows of an extension, (k, nx, *grid.shape): the extension's
+    values at every wall node, from one batched inverse transform."""
+    return _rows(v.wall, v.uhat)
+
+
 def pde_residual(v, m):
     """Interior residual of the extension equation of a one-trace extension:
     finite differences in x, spectral in y; decays at second order under wall
@@ -61,7 +75,7 @@ def pde_residual(v, m):
     g = v.wall.grid
     w = v.wall.weights
     dx = np.diff(v.wall.x).reshape((-1,) + (1,) * g.N)
-    hm, hp, vals = dx[:-1], dx[1:], v.values[0]
+    hm, hp, vals = dx[:-1], dx[1:], extension_rows(v)[0]
     d2 = 2.0 * (hm * vals[2:] - (hm + hp) * vals[1:-1] + hp * vals[:-2]) / (hm * hp * (hm + hp))
     r = -d2 + apply_multiplier(g.freq2 + m * m, vals[1:-1])
     axes = tuple(range(1, g.N + 1))
@@ -71,7 +85,7 @@ def pde_residual(v, m):
 
 
 
-def random_smooth_field_per_bump(grid, rng, n_bumps=3):
+def random_smooth_field_per_bump(grid, rng, n_bumps=SMOOTH_FIELD_BUMPS):
     """random_smooth_field built one gaussian_field per bump, its sign drawn by
     rng.choice: the reference for both its values and its use of the stream."""
     vals = np.zeros(grid.shape)
@@ -93,6 +107,18 @@ def qdg_per_field(ctx, u):
     if not ctx.has_gamma:
         return q, d, 0.0
     return q, d, cv * float(np.vdot(ctx.Gamma.values, np.abs(vals) ** ctx.params.q))
+
+
+def brezis_lieb_per_field(ctx, u0, w, shifts):
+    """|D(u0 + w(. - z)) - D(w(. - z)) - D(u0)| for each shift z, one field's D
+    at a time: the reference for the stacked brezis_lieb_check."""
+    d_u0 = qdg_per_field(ctx, u0)[1]
+    deltas = []
+    for z in shifts:
+        wz = shift(w, z)
+        un = Field(ctx.grid, u0.values + wz.values)
+        deltas.append(abs(qdg_per_field(ctx, un)[1] - qdg_per_field(ctx, wz)[1] - d_u0))
+    return deltas
 
 
 def j_conditions_per_field(ctx, samples, tol=1e-9):

@@ -16,7 +16,6 @@ from choquard_gs import (
     build_wall,
     check_norm_equivalence,
     check_trace_inequalities,
-    d_value,
     dtn_apply,
     gaussian_field,
     grad_energy,
@@ -25,7 +24,6 @@ from choquard_gs import (
     l2_norm,
     multistart,
     project_to_nehari,
-    q_boundary,
     riesz_convolve,
     shift,
     solve,
@@ -35,7 +33,6 @@ from choquard_gs.energy import (
     fiber_residual_from_qdg,
     gamma_values,
     qdg,
-    qdg_rows,
 )
 from choquard_gs.grid import Grid, random_smooth_field
 from choquard_gs.nehari import fiber_scan
@@ -106,11 +103,11 @@ def test_criterion_3_nonlocal_term_properties():
     rng = np.random.default_rng(303)
     u = random_smooth_field(ctx.grid, rng)
     p = ctx.params.p
-    d1 = d_value(ctx, u)
+    d1 = qdg(ctx, u.values)[1]
     for t in (0.5, 2.0, 3.0):
-        dt_ = d_value(ctx, Field(ctx.grid, t * u.values))
+        dt_ = qdg(ctx, t * u.values)[1]
         assert dt_ == pytest.approx(t ** (2 * p) * d1, rel=1e-11)
-    moved = d_value(ctx, shift(u, [5.0]))
+    moved = qdg(ctx, shift(u, [5.0]).values)[1]
     assert moved == pytest.approx(d1, rel=1e-12)
     u0 = gaussian_field(ctx.grid, [0.0], 1.0)
     w = gaussian_field(ctx.grid, [0.0], 0.8, amplitude=0.7)
@@ -144,15 +141,15 @@ def test_criterion_5_nehari_geometry():
     for i in range(50):
         u = random_smooth_field(ctx.grid, rng)
         _, u_star = project_to_nehari(ctx, u)
-        q, d, g = qdg(ctx, u_star)
+        q, d, g = qdg(ctx, u_star.values)
         assert abs(fiber_residual_from_qdg(ctx, q, d, g)) <= 1e-10 * q
         t_again, _ = project_to_nehari(ctx, u_star)
         assert 1 - 1e-8 <= t_again <= 1 + 1e-8
-        scan = fiber_scan(ctx, qdg_rows(ctx, u.values[None]), 8.0, 33)
+        scan = fiber_scan(ctx, qdg(ctx, u.values[None]), 8.0, 33)
         if not scan.slope_sign_ok[0]:
             violations += 1
         if i < 10:
-            q0, d0, g0 = qdg(ctx0, u)
+            q0, d0, g0 = qdg(ctx0, u.values)
             t_closed = (q0 / d0) ** (1.0 / (2 * ctx0.params.p - 2))
             t_num, _ = project_to_nehari(ctx0, u)
             assert t_num == pytest.approx(t_closed, rel=1e-10)
@@ -298,7 +295,7 @@ def test_criterion_10_vanishing_local_factor_compactness():
         for z in range(-3, 4):
             for sign in (1.0, -1.0):
                 diff = Field(ctx0.grid, sign * shift(r.u_final, [float(z)]).values - u0.values)
-                best_d = min(best_d, q_boundary(ctx0, diff))
+                best_d = min(best_d, qdg(ctx0, diff.values)[0])
         dists.append(np.sqrt(max(best_d, 0.0)))
     for i in range(len(dists) - 1):
         assert dists[i] >= dists[i + 1] - 1e-10

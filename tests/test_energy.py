@@ -9,7 +9,6 @@ from choquard_gs.energy import (
     b_values,
     brezis_lieb_check,
     build_context,
-    d_value,
     direction_and_b,
     energy_from_qdg,
     energy_report,
@@ -19,9 +18,7 @@ from choquard_gs.energy import (
     gamma_values,
     grad_energy,
     nonlocal_terms,
-    q_boundary,
     qdg,
-    qdg_rows,
 )
 from choquard_gs.grid import (
     Field,
@@ -34,7 +31,12 @@ from choquard_gs.grid import (
 )
 from choquard_gs.problem import ConfigError
 from conftest import config_context, const_potential, count_calls, gamma_potential, make_params
-from oracles import directional_derivative_fd, qdg_per_field, random_smooth_field_per_bump
+from oracles import (
+    brezis_lieb_per_field,
+    directional_derivative_fd,
+    qdg_per_field,
+    random_smooth_field_per_bump,
+)
 
 
 def zero_field(ctx):
@@ -45,7 +47,7 @@ def test_q_boundary_constant_field(ctx_const):
     # symbol at zero frequency cancels the mass: Q = V0 c^2 (2L)^N
     g = ctx_const.grid
     c = 1.5
-    q = q_boundary(ctx_const, Field(g, np.full(g.shape, c)))
+    q = qdg(ctx_const, np.full(g.shape, c))[0]
     assert q == pytest.approx(1.0 * c**2 * (2 * g.L) ** g.N, rel=1e-12)
 
 
@@ -55,25 +57,25 @@ def test_q_boundary_cosine_mode(ctx_const):
     xi1 = np.pi / g.L
     u = Field(g, np.cos(xi1 * g.axis_coords))
     expected = (np.sqrt(xi1**2 + m**2) - m + 1.0) * (2 * g.L) ** g.N / 2.0
-    assert q_boundary(ctx_const, u) == pytest.approx(expected, rel=1e-12)
+    assert qdg(ctx_const, u.values)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_q_boundary_zero(ctx_const):
-    assert q_boundary(ctx_const, zero_field(ctx_const)) == 0.0
+    assert qdg(ctx_const, zero_field(ctx_const).values)[0] == 0.0
 
 
 def test_q_boundary_positive_definite(ctx_const, rng):
     for _ in range(10):
         u = random_smooth_field(ctx_const.grid, rng)
-        assert q_boundary(ctx_const, u) > 0
+        assert qdg(ctx_const, u.values)[0] > 0
 
 
 def test_d_zero_and_homogeneity(ctx_const, rng):
-    assert d_value(ctx_const, zero_field(ctx_const)) == 0.0
+    assert qdg(ctx_const, zero_field(ctx_const).values)[1] == 0.0
     u = random_smooth_field(ctx_const.grid, rng)
     p = ctx_const.params.p
-    d1 = d_value(ctx_const, u)
-    d2 = d_value(ctx_const, Field(ctx_const.grid, 2.0 * u.values))
+    d1 = qdg(ctx_const, u.values)[1]
+    d2 = qdg(ctx_const, 2.0 * u.values)[1]
     assert d2 == pytest.approx(2.0 ** (2 * p) * d1, rel=1e-11)
     assert d1 >= 0
 
@@ -90,13 +92,13 @@ def test_d_matches_brute_double_sum():
     for i in range(16):
         for j in range(16):
             brute += h * h * S[(i - j) % 16] * gpow[i] * gpow[j]
-    assert d_value(ctx, u) == pytest.approx(brute, abs=1e-10, rel=1e-10)
+    assert qdg(ctx, u.values)[1] == pytest.approx(brute, abs=1e-10, rel=1e-10)
 
 
 def test_d_shift_equivariance(ctx_const, rng):
     u = random_smooth_field(ctx_const.grid, rng)
     moved = shift(u, [5.0])
-    assert d_value(ctx_const, moved) == pytest.approx(d_value(ctx_const, u), rel=1e-12)
+    assert qdg(ctx_const, moved.values)[1] == pytest.approx(qdg(ctx_const, u.values)[1], rel=1e-12)
 
 
 def test_energy_zero_field(ctx_gamma):
@@ -108,7 +110,7 @@ def test_energy_zero_field(ctx_gamma):
 def test_energy_fiber_closed_form(ctx_const, rng):
     # Gamma = 0: E(t u) = t^2 Q/2 - t^(2p) D/(2p) at twenty scalings
     u = random_smooth_field(ctx_const.grid, rng)
-    q, d, g = qdg(ctx_const, u)
+    q, d, g = qdg(ctx_const, u.values)
     assert g == 0.0
     p = ctx_const.params.p
     for t in np.linspace(0.1, 2.0, 20):
@@ -174,7 +176,7 @@ def test_grad_matches_finite_differences(ctx_gamma, rng):
 def test_grad_pairing_identity(ctx_gamma, rng):
     # E'(u)(u) recombines from the scalar triple
     u = random_smooth_field(ctx_gamma.grid, rng)
-    q, d, g = qdg(ctx_gamma, u)
+    q, d, g = qdg(ctx_gamma, u.values)
     pairing = l2_inner(grad_energy(ctx_gamma, u), u)
     assert pairing == pytest.approx(q - d + g, rel=1e-10, abs=1e-10)
 
@@ -186,8 +188,8 @@ def test_d_bound_regression(ctx_const, rng):
     p = ctx_const.params.p
     for _ in range(20):
         u = random_smooth_field(ctx_const.grid, rng)
-        q = q_boundary(ctx_const, u)
-        assert d_value(ctx_const, u) / (2 * p) <= C * q**p
+        q = qdg(ctx_const, u.values)[0]
+        assert qdg(ctx_const, u.values)[1] / (2 * p) <= C * q**p
 
 
 @pytest.mark.parametrize("N, n, p, alpha, q", [(1, 64, 2.0, 0.5, 3.0), (1, 64, 3.0, 0.5, 3.0),
@@ -199,14 +201,19 @@ def test_stacked_qdg_matches_the_per_field_oracle(N, n, p, alpha, q, gamma):
     ctx = build_context(params, gamma_potential(gamma) if gamma else const_potential())
     assert ctx.has_gamma == bool(gamma)
     stack = random_smooth_fields(ctx.grid, np.random.default_rng(3), 6)
-    got = np.array(qdg_rows(ctx, stack))
-    fields = [Field(ctx.grid, row) for row in stack]
-    want = np.array([qdg_per_field(ctx, u) for u in fields]).T
+    rows = [qdg_per_field(ctx, Field(ctx.grid, row)) for row in stack]
+    want = np.array(rows).T
+    got = np.array(qdg(ctx, stack))
     assert got.shape == (3, 6)
     assert got.tobytes() == want.tobytes()
-    # qdg is the one-row case, Python floats
-    assert [qdg(ctx, u) for u in fields] == [qdg_per_field(ctx, u) for u in fields]
-    assert all(type(x) is float for x in qdg(ctx, fields[0]))
+    # D and G alone take the stack the same way, one value per row
+    assert nonlocal_terms(ctx, stack)[1].tobytes() == want[1].tobytes()
+    assert gamma_values(ctx, stack).tobytes() == want[2].tobytes()
+    # one field's values are the one-row case, in Python floats
+    for vals, (q_, d_, g_) in zip(stack, rows):
+        one = (*qdg(ctx, vals), nonlocal_terms(ctx, vals)[1], gamma_values(ctx, vals))
+        assert one == (q_, d_, g_, d_, g_)
+        assert all(type(x) is float for x in one)
 
 
 @pytest.mark.parametrize("name", ["ctx_const", "ctx_gamma"])
@@ -227,6 +234,27 @@ def test_brezis_lieb_trivial_cases(ctx_const):
     shifts = [[2.0], [4.0]]
     assert all(d <= 1e-12 for d in brezis_lieb_check(ctx_const, u0, zero, shifts))
     assert all(d <= 1e-12 for d in brezis_lieb_check(ctx_const, zero, u0, shifts))
+    assert brezis_lieb_check(ctx_const, u0, u0, []) == []
+
+
+@pytest.mark.parametrize("name", ["default.ini", "gamma_sweep.ini", "smoke.ini", "verify.ini",
+                                  "vl_sign.ini"])
+def test_brezis_lieb_stack_matches_the_per_field_oracle(name, monkeypatch):
+    # on the verify suite's own fields and shifts, the one stacked D of the
+    # 2k + 1 fields gives the per-field deltas bit for bit, as Python floats
+    from choquard_gs import energy
+    from choquard_gs.experiments import drivers
+    from choquard_gs.experiments.config import Report
+
+    ctx = config_context(name)
+    calls = count_calls(monkeypatch, energy.brezis_lieb_check)
+    d_calls = count_calls(monkeypatch, energy.nonlocal_terms)
+    drivers._suite_brezis_lieb(ctx, Report("splitting"), 1.0)
+    (_, u0, w, shifts), = calls
+    assert [vals.shape for _, vals in d_calls] == [(2 * len(shifts) + 1,) + ctx.grid.shape]
+    got = brezis_lieb_check(ctx, u0, w, shifts)
+    assert got == brezis_lieb_per_field(ctx, u0, w, shifts)
+    assert all(type(x) is float for x in got)
 
 
 def test_brezis_lieb_separating_bumps(ctx_const):
@@ -243,7 +271,7 @@ def test_gamma_integral_zero_without_gamma(ctx_const, rng):
 
 def test_fiber_scalar_helpers(ctx_gamma, rng):
     u = random_smooth_field(ctx_gamma.grid, rng)
-    q, d, g = qdg(ctx_gamma, u)
+    q, d, g = qdg(ctx_gamma, u.values)
     t = 1.7
     scaled = Field(ctx_gamma.grid, t * u.values)
     assert energy_from_qdg(ctx_gamma, q, d, g, t) == pytest.approx(

@@ -313,7 +313,7 @@ def test_aligned_distance_matches_exhaustive_search(N, n, L, amplitude, rng):
     # the loop over every sign and roll with an exact Q each, as the sweep
     # computed it before the rolls were ranked by inner products; V_l makes
     # the potential part of Q(roll u) move with the roll
-    from choquard_gs.energy import q_boundary
+    from choquard_gs.energy import qdg
     from choquard_gs.experiments.drivers import _aligned_distance
     from choquard_gs.grid import random_smooth_field, shift
     from choquard_gs.problem import Descriptor, PotentialSpec
@@ -323,7 +323,7 @@ def test_aligned_distance_matches_exhaustive_search(N, n, L, amplitude, rng):
         for offsets in np.ndindex(*(7,) * ctx.grid.N):
             cand = shift(u, np.array(offsets, dtype=float) - 3.0)
             for sign in (1.0, -1.0):
-                best = min(best, q_boundary(ctx, Field(ctx.grid, sign * cand.values - ref.values)))
+                best = min(best, qdg(ctx, sign * cand.values - ref.values)[0])
         return float(np.sqrt(max(best, 0.0)))
 
     vl = (Descriptor("inverse-power", {"amplitude": amplitude, "width": 1.0}) if amplitude
@@ -336,7 +336,7 @@ def test_aligned_distance_matches_exhaustive_search(N, n, L, amplitude, rng):
         assert _aligned_distance(ctx, u, ref) == pytest.approx(exhaustive(ctx, u, ref), rel=1e-12)
         # a signed lattice translate of ref is at distance 0
         back = Field(ctx.grid, -shift(ref, np.full(N, -2.0)).values)
-        assert _aligned_distance(ctx, back, ref) <= 1e-7 * np.sqrt(q_boundary(ctx, ref))
+        assert _aligned_distance(ctx, back, ref) <= 1e-7 * np.sqrt(qdg(ctx, ref.values)[0])
 
 
 def test_cli_vl_sign_small(tmp_path):
@@ -534,3 +534,23 @@ def test_verify_passes_and_reruns_byte_identically(name, tmp_path):
         assert main(args + (["--tol-scale", "10"] if name == "smoke.ini" else [])) == 0
         reports.append((out / "report.md").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_exit_codes_of_every_kind_on_every_shipped_config(tmp_path):
+    # the exit-code table ROADMAP records, seed 7, smoke.ini at --tol-scale 10:
+    # gamma-sweep needs V_l = 0 and vl-sign a nonzero V_l (both exit 2 otherwise);
+    # box-sweep's spacing and tail-mass checks fail (1) off default.ini
+    assert set(KINDS) == {"solve", "verify", "fiber-scan", "gamma-sweep", "vl-sign",
+                          "box-sweep"}
+    want, got = {}, {}
+    for name in CONFIGS:
+        want[name] = {"solve": 0, "verify": 0, "fiber-scan": 0,
+                      "gamma-sweep": 2 if name == "vl_sign.ini" else 0,
+                      "vl-sign": 0 if name == "vl_sign.ini" else 2,
+                      "box-sweep": 0 if name == "default.ini" else 1}
+        config = Path(__file__).resolve().parents[1] / "configs" / name
+        tol = ["--tol-scale", "10"] if name == "smoke.ini" else []
+        got[name] = {kind: main([kind, "--config", str(config), "--seed", "7",
+                                 "--out", str(tmp_path / name / kind)] + tol)
+                     for kind in KINDS}
+    assert got == want

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from choquard_gs.energy import q_boundary
+from choquard_gs import extension
+from choquard_gs.energy import qdg
 from choquard_gs.extension import (
     WallGrid,
     build_wall,
@@ -24,8 +25,8 @@ from choquard_gs.grid import (
     random_smooth_fields,
 )
 from choquard_gs.operators import apply_sqrt, build_sqrt_op
-from conftest import refined_wall
-from oracles import pde_residual, q_form_volume, trace_checks_per_field
+from conftest import count_calls, refined_wall
+from oracles import extension_rows, pde_residual, q_form_volume, trace_checks_per_field
 
 
 @pytest.fixture(scope="module")
@@ -71,14 +72,14 @@ def test_extend_constant_decays_at_mass_rate(grid, wall):
     c = 2.0
     v = harmonic_extend(np.full((1, grid.n), c), wall)
     for i in (0, wall.nx // 2, wall.nx - 1):
-        assert np.allclose(v.values[0, i], c * np.exp(-m * wall.x[i]), rtol=1e-12)
-    assert np.allclose(v.values[0, 0], c, atol=1e-12)
+        assert np.allclose(extension_rows(v)[0, i], c * np.exp(-m * wall.x[i]), rtol=1e-12)
+    assert np.allclose(extension_rows(v)[0, 0], c, atol=1e-12)
 
 
 def test_extend_trace_reproduces_boundary(grid, wall, rng):
     u = random_smooth_fields(grid, rng, 1)
     v = harmonic_extend(u, wall)
-    assert np.max(np.abs(v.values[:, 0] - u)) <= 1e-12 * np.max(np.abs(u))
+    assert np.max(np.abs(extension_rows(v)[:, 0] - u)) <= 1e-12 * np.max(np.abs(u))
 
 
 def test_pde_residual_second_order(grid):
@@ -171,16 +172,16 @@ def test_q_form_volume_matches_boundary_form(grid, wall, ctx_const, rng):
         v = harmonic_extend(u.values[None], wall)
         qv = q_form_volume(v, V, m)
         assert check_norm_equivalence(v, V)[1].tolist() == [qv]  # the form the sandwich checks
-        qb = q_boundary(ctx_const, u)
+        qb = qdg(ctx_const, u.values)[0]
         gaps.append(abs(qv - qb) / abs(qb))
     assert max(gaps) <= 1e-4
     # gap shrinks under wall refinement
     u = random_smooth_field(grid, rng)
     coarse = abs(q_form_volume(harmonic_extend(u.values[None], wall), V, m)
-                 - q_boundary(ctx_const, u))
+                 - qdg(ctx_const, u.values)[0])
     fine_wall = refined_wall(wall, 2)
     fine = abs(q_form_volume(harmonic_extend(u.values[None], fine_wall), V, m)
-               - q_boundary(ctx_const, u))
+               - qdg(ctx_const, u.values)[0])
     assert fine < coarse
 
 
@@ -303,8 +304,9 @@ VARIANTS = ("default", "refined", "extended")
 @pytest.mark.parametrize("N,n,L", [(1, 64, 8.0), (2, 16, 4.0)])
 @pytest.mark.parametrize("variant,p", [(v, 3.0) for v in VARIANTS] + [(v, 2.0) for v in VARIANTS],
                          ids=list(VARIANTS) + [f"{v}-p2" for v in VARIANTS])
-def test_slab_integrals_match_real_space_oracle(N, n, L, variant, p, rng):
+def test_slab_integrals_match_real_space_oracle(N, n, L, variant, p, rng, monkeypatch):
     g = Grid(N, L, n)
+    built = count_calls(monkeypatch, extension._rows)
     m = 0.8
     wall = build_wall(g, m)
     wall = {"default": wall, "refined": refined_wall(wall, 2),
@@ -317,8 +319,9 @@ def test_slab_integrals_match_real_space_oracle(N, n, L, variant, p, rng):
         rep = check_trace_inequalities(v, p)
         got = np.concatenate([rep.trace_p_lhs, rep.trace_p_rhs, rep.trace_2_lhs, rep.trace_2_rhs])
         assert got == pytest.approx(trace, rel=1e-12)
-        # p != 2 builds the rows of each trace in turn, never the cached stack's
-        assert "values" not in v.__dict__
+        # p != 2 builds the rows of its one trace, p = 2 none
+        assert [uhat.shape for _, uhat in built] == (p != 2) * [v.uhat.shape[1:]]
+        built.clear()
         # the per-wall table reproduces the sum over every row's spectrum
         rows = np.tensordot(wall.weights, np.abs(v.uhat[0] * wall.decay) ** 2, axes=1)
         old = (g.cell_volume / g.size) * g.half_weights * rows
@@ -356,12 +359,7 @@ def test_transforms_per_extended_field(monkeypatch, rng, N, names):
     volume_integrals(v)
     assert calls == one_forward
     q_form_volume(v, V, 1.0)
-    v.values
-    assert calls == with_rows
-    calls.clear()
-    v = harmonic_extend(u, wall)
-    v.values
-    v.values
+    extension_rows(v)
     assert calls == with_rows
     calls.clear()
     v = harmonic_extend(u, wall)
@@ -386,7 +384,7 @@ def test_each_wall_follows_its_own_mass(grid, rng):
             with pytest.raises(ValueError):
                 got[0] = 0.0
         v = harmonic_extend(np.full((1, grid.n), 2.0), wall)
-        assert np.allclose(v.values[0, :, 0], 2.0 * np.exp(-m * wall.x), rtol=1e-12)
+        assert np.allclose(extension_rows(v)[0, :, 0], 2.0 * np.exp(-m * wall.x), rtol=1e-12)
         u = random_smooth_field(grid, rng)
         w = np.linalg.solve(np.vander(wall.x[:3], 3, increasing=True).T, [0.0, 1.0, 0.0])
         symbol = np.tensordot(w, tables["decay"][:3], axes=1)
@@ -394,14 +392,14 @@ def test_each_wall_follows_its_own_mass(grid, rng):
         assert dtn_apply(u, wall).values.tobytes() == want.tobytes()
         v = harmonic_extend(u.values[None], wall)
         assert v.uhat.tobytes() == dft(u.values).tobytes()
-        assert v.values[0].tobytes() == idft_real(v.uhat[0] * decay, grid.shape).tobytes()
+        assert extension_rows(v)[0].tobytes() == idft_real(v.uhat[0] * decay, grid.shape).tobytes()
         assert [x.tolist() for x in volume_integrals(v)] == [
             [float(np.vdot(v.slab, tables["grad"]))], [float(np.sum(v.slab))]]
 
 
 @pytest.mark.parametrize("N, n", [(1, 64), (2, 16), (3, 8)])
 @pytest.mark.parametrize("p", [2.0, 3.0])
-def test_stacked_trace_checks_match_the_per_field_oracle(N, n, p):
+def test_stacked_trace_checks_match_the_per_field_oracle(N, n, p, monkeypatch):
     # one extension of a stack gives, row by row, the bits one extension per
     # trace gives, and a one-trace stack gives arrays of one value
     g = Grid(N, 4.0, n)
@@ -409,7 +407,10 @@ def test_stacked_trace_checks_match_the_per_field_oracle(N, n, p):
     stack = random_smooth_fields(g, np.random.default_rng(8), 5)
     V = Field(g, 1.0 + 0.25 * np.cos(np.sqrt(g.r2())))
     v = harmonic_extend(stack, wall)
+    built = count_calls(monkeypatch, extension._rows)
     rep = check_trace_inequalities(v, p)
+    # p != 2 builds the wall rows one trace at a time, never the stack's
+    assert [uhat.shape for _, uhat in built] == (p != 2) * 5 * [v.uhat.shape[1:]]
     got_sides = np.array([rep.trace_p_lhs, rep.trace_p_rhs, rep.trace_2_lhs, rep.trace_2_rhs])
     got_volume = np.array(volume_integrals(v))
     ok, q, low, high = check_norm_equivalence(v, V)
@@ -430,11 +431,10 @@ def test_stacked_trace_checks_match_the_per_field_oracle(N, n, p):
                           (check_norm_equivalence(one, V), want_norm)):
             assert all(type(x) is np.ndarray and x.shape == (1,) for x in got)
             assert np.array(got)[:, 0].tobytes() == want[:, i].tobytes()
-    # p != 2 builds the wall rows one trace at a time, never the stack's
-    assert "values" not in v.__dict__
-    assert v.values.shape == (5, wall.nx) + g.shape
-    for row, row_values in zip(stack, v.values):
-        assert row_values.tobytes() == harmonic_extend(row[None], wall).values[0].tobytes()
+    assert extension_rows(v).shape == (5, wall.nx) + g.shape
+    for row, row_values in zip(stack, extension_rows(v)):
+        one = harmonic_extend(row[None], wall)
+        assert row_values.tobytes() == extension_rows(one)[0].tobytes()
 
 
 def test_harmonic_extend_checks_the_stack_shape(grid, wall):

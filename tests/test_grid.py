@@ -22,6 +22,7 @@ from choquard_gs.grid import (
     save_field,
     shift,
 )
+from choquard_gs import grid as grid_module
 from oracles import random_smooth_field_per_bump
 
 
@@ -53,6 +54,14 @@ def test_field_shape_and_finite_guard():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         Field(g, bad)
+
+
+@pytest.mark.parametrize("values", [np.ones(16) * (1 + 1j), np.zeros(16, dtype=complex),
+                                    [1j] * 16])
+def test_field_rejects_complex_values(values):
+    # the imaginary part is refused, never dropped with a ComplexWarning
+    with pytest.raises(ValueError, match="must be real, got dtype complex128"):
+        Field(Grid(1, 2.0, 16), values)
 
 
 def test_forward_constant_is_mean():
@@ -320,6 +329,19 @@ def test_load_rejects_trailing_bytes(tmp_path):
         load_field(p)
 
 
+def test_centre_needs_one_component_per_axis():
+    # a centre of the wrong length raises a ValueError naming N, as shift does,
+    # neither dropping components nor failing on an index
+    with pytest.raises(ValueError, match="center must have 1 components, got 2"):
+        gaussian_field(Grid(1, 4.0, 8), [0.0, 5.0])
+    with pytest.raises(ValueError, match="center must have 2 components, got 1"):
+        gaussian_field(Grid(2, 4.0, 8), [0.0])
+    with pytest.raises(ValueError, match="center must have 3 components, got 2"):
+        Grid(3, 4.0, 8).r2([0.0, 1.0])
+    g = Grid(1, 4.0, 8)
+    assert gaussian_field(g, 1.0).values.tobytes() == gaussian_field(g, [1.0]).values.tobytes()
+
+
 def test_gaussian_field_is_smooth_on_torus():
     g = Grid(1, 8.0, 128)
     f = gaussian_field(g, [7.5], 1.0)
@@ -362,11 +384,14 @@ def test_grid_tables_are_built_once_and_read_only(N, n):
 
 @pytest.mark.parametrize("N, n", [(1, 64), (2, 16), (3, 8)])
 @pytest.mark.parametrize("n_bumps", [3, 12])
-def test_random_smooth_field_matches_the_per_bump_oracle(N, n, n_bumps):
+def test_random_smooth_field_matches_the_per_bump_oracle(N, n, n_bumps, monkeypatch):
+    # the default bump count, and another one set through the module constant
+    assert grid_module.SMOOTH_FIELD_BUMPS == 3
+    monkeypatch.setattr(grid_module, "SMOOTH_FIELD_BUMPS", n_bumps)
     g = Grid(N, 4.0, n)
     for seed in range(6):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = random_smooth_field(g, rng, n_bumps)
+        got = random_smooth_field(g, rng)
         want = random_smooth_field_per_bump(g, ref, n_bumps)
         assert got.values.tobytes() == want.values.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -374,12 +399,13 @@ def test_random_smooth_field_matches_the_per_bump_oracle(N, n, n_bumps):
 
 @pytest.mark.parametrize("N, n", [(1, 64), (2, 16), (3, 8)])
 @pytest.mark.parametrize("n_bumps", [3, 12])
-def test_random_smooth_fields_match_k_per_bump_oracle_draws(N, n, n_bumps):
+def test_random_smooth_fields_match_k_per_bump_oracle_draws(N, n, n_bumps, monkeypatch):
     # one stack, every row and the generator state after it as k oracle draws
+    monkeypatch.setattr(grid_module, "SMOOTH_FIELD_BUMPS", n_bumps)
     g = Grid(N, 4.0, n)
     for seed, k in [(0, 1), (1, 2), (2, 7), (3, 20)]:
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = random_smooth_fields(g, rng, k, n_bumps)
+        got = random_smooth_fields(g, rng, k)
         want = np.stack([random_smooth_field_per_bump(g, ref, n_bumps).values
                          for _ in range(k)])
         assert got.shape == (k,) + g.shape
@@ -411,4 +437,7 @@ def test_row_dots_match_vdot_row_by_row(N, n):
     assert row_dots(a, b, N).tobytes() == np.array(want).tobytes()
     shared = [float(np.vdot(b[0], y)) for y in a]
     assert row_dots(b[0], a, N).tobytes() == np.array(shared).tobytes()
-    assert row_dots(a[0], b[0], N) == want[0]
+    # two single grid arrays give np.vdot's Python float itself
+    one = row_dots(a[0], b[0], N)
+    assert type(one) is float and one == want[0]
+    assert row_dots(a[:1], b[:1], N).tobytes() == np.array(want[:1]).tobytes()

@@ -7,9 +7,7 @@ from choquard_gs.energy import (
     D_BOUND_SAMPLES,
     energy_value,
     fiber_residual_from_qdg,
-    q_boundary,
     qdg,
-    qdg_rows,
 )
 from choquard_gs.grid import (
     Field,
@@ -32,7 +30,7 @@ from choquard_gs.nehari import (
 
 def test_closed_form_projection_without_gamma(ctx_const, rng):
     u = random_smooth_field(ctx_const.grid, rng)
-    q, d, g = qdg(ctx_const, u)
+    q, d, g = qdg(ctx_const, u.values)
     assert g == 0.0
     p = ctx_const.params.p
     t_star, _ = project_to_nehari(ctx_const, u)
@@ -43,7 +41,7 @@ def test_projection_residual_small(ctx_gamma, rng):
     for _ in range(10):
         u = random_smooth_field(ctx_gamma.grid, rng)
         t_star, u_star = project_to_nehari(ctx_gamma, u)
-        q, d, g = qdg(ctx_gamma, u_star)
+        q, d, g = qdg(ctx_gamma, u_star.values)
         resid = fiber_residual_from_qdg(ctx_gamma, q, d, g)
         assert abs(resid) <= 1e-10 * q
 
@@ -117,9 +115,9 @@ def test_scalar_solver_against_bisection_oracle(rng):
 def test_fiber_scan_reference_maximum(ctx_const, rng):
     # p = 2, Gamma = 0: max of E(t u) equals Q^2/(4 D)
     u = random_smooth_field(ctx_const.grid, rng)
-    q, d, _ = qdg(ctx_const, u)
+    q, d, _ = qdg(ctx_const, u.values)
     t_star, _ = project_to_nehari(ctx_const, u)
-    scan = fiber_scan(ctx_const, qdg_rows(ctx_const, u.values[None]), 4.0, 41)
+    scan = fiber_scan(ctx_const, qdg(ctx_const, u.values[None]), 4.0, 41)
     assert np.max(scan.e_values) <= q * q / (4 * d) + 1e-12
     peak = energy_value(ctx_const, Field(ctx_const.grid, t_star * u.values))
     assert peak == pytest.approx(q * q / (4 * d), rel=1e-11)
@@ -129,7 +127,7 @@ def test_fiber_scan_sign_pattern(ctx_gamma, rng):
     for _ in range(10):
         u = random_smooth_field(ctx_gamma.grid, rng)
         _, u_star = project_to_nehari(ctx_gamma, u)
-        scan = fiber_scan(ctx_gamma, qdg_rows(ctx_gamma, u.values[None]), 8.0, 33)
+        scan = fiber_scan(ctx_gamma, qdg(ctx_gamma, u.values[None]), 8.0, 33)
         assert scan.slope_sign_ok.tolist() == [True]
         assert scan.max_bracket_contains_t_star().tolist() == [True]
         peak = energy_value(ctx_gamma, u_star)
@@ -140,12 +138,12 @@ def test_fiber_scan_rejects_nonpositive_grid(ctx_const, rng):
     u = random_smooth_field(ctx_const.grid, rng)
     for spread in (-1.0, 1.0):    # negative scalings, an empty bracket
         with pytest.raises(ValueError):
-            fiber_scan(ctx_const, qdg_rows(ctx_const, u.values[None]), spread, 3)
+            fiber_scan(ctx_const, qdg(ctx_const, u.values[None]), spread, 3)
 
 
 def test_fiber_scan_csv_format(ctx_gamma, rng):
     u = random_smooth_field(ctx_gamma.grid, rng)
-    scan = fiber_scan(ctx_gamma, qdg_rows(ctx_gamma, u.values[None]), 2.0, 3)
+    scan = fiber_scan(ctx_gamma, qdg(ctx_gamma, u.values[None]), 2.0, 3)
     text = fiber_scan_csv(scan)
     lines = text.strip().splitlines()
     assert lines[0] == "t,energy,residual"
@@ -192,13 +190,12 @@ def test_j_conditions_on_random_fields(ctx_gamma, rng):
 
 
 def test_j_conditions_evaluate_each_field_once(ctx_gamma, rng, monkeypatch):
-    # one stacked (Q, D, G) evaluation for the samples, one for the D bound's
-    # fields, and no per-field qdg
+    # one (Q, D, G) evaluation on the samples' stack, one on the D bound's
+    # fields, and no per-field one
     fields = random_smooth_fields(ctx_gamma.grid, rng, 5)
-    per_field = count_calls(monkeypatch, qdg)
-    stacked = count_calls(monkeypatch, qdg_rows)
+    stacked = count_calls(monkeypatch, qdg)
     assert check_J_conditions(ctx_gamma, fields).j3_ok
-    assert per_field == []
+    assert [vals.ndim for _, vals in stacked] == [2, 2]
     assert sorted(len(vals) for _, vals in stacked) == [len(fields), D_BOUND_SAMPLES]
     samples, = [vals for _, vals in stacked if len(vals) == len(fields)]
     assert samples.tobytes() == fields.tobytes()
@@ -225,11 +222,12 @@ def test_fiber_scan_driver_evaluates_its_field_once(tmp_path, monkeypatch):
     from choquard_gs.experiments.config import ExperimentConfig
 
     config = Path(__file__).resolve().parents[1] / "configs" / "smoke.ini"
-    calls = count_calls(monkeypatch, qdg_rows)
+    calls = count_calls(monkeypatch, qdg)
     ecfg = ExperimentConfig("fiber-scan", str(config), out_dir=str(tmp_path),
                             tolerance_scale=10.0)
     assert drivers.run(ecfg) == 0
-    assert [vals.shape[0] for _, vals in calls] == [1]
+    # one evaluation, on a stack of one
+    assert [(len(vals), vals.ndim) for _, vals in calls] == [(1, 2)]
     rows = (tmp_path / "fiber_scan.csv").read_text().splitlines()
     assert len(rows) == 42
 
@@ -252,7 +250,7 @@ def test_fiber_scan_csv_holds_the_scan_numbers(tmp_path, monkeypatch):
 def test_fiber_scan_csv_needs_only_the_scan(ctx_gamma, rng):
     # the residual row is the fiber residual evaluated on the scan's t row
     u = random_smooth_field(ctx_gamma.grid, rng)
-    q, d, g = qdg_rows(ctx_gamma, u.values[None])
+    q, d, g = qdg(ctx_gamma, u.values[None])
     scan = fiber_scan(ctx_gamma, (q, d, g), 2.0, 3)
     want = fiber_residual_from_qdg(ctx_gamma, q[0], d[0], g[0], scan.t_values[0])
     assert scan.residuals[0].tobytes() == want.tobytes()
@@ -263,7 +261,7 @@ def test_j2_growth_is_monotone(ctx_gamma, rng):
     p, qe = ctx_gamma.params.p, ctx_gamma.params.q
     for _ in range(10):
         u = random_smooth_field(ctx_gamma.grid, rng)
-        _, d, g = qdg(ctx_gamma, u)
+        _, d, g = qdg(ctx_gamma, u.values)
         vals = [t ** (2 * p - qe) * d / (2 * p) - g / qe for t in (10, 100, 1000)]
         assert vals[2] > vals[1] > vals[0]
 
@@ -277,7 +275,7 @@ def test_projection_unique_slope_sign_change(ctx_gamma, rng):
     # discrete fiber slope changes sign exactly once on refinements of the grid
     u = random_smooth_field(ctx_gamma.grid, rng)
     for n_pts in (17, 65, 257):
-        scan = fiber_scan(ctx_gamma, qdg_rows(ctx_gamma, u.values[None]), 5.0, n_pts)
+        scan = fiber_scan(ctx_gamma, qdg(ctx_gamma, u.values[None]), 5.0, n_pts)
         d = np.diff(scan.e_values[0])
         signs = np.sign(d[d != 0])
         flips = np.sum(signs[1:] != signs[:-1])
@@ -295,7 +293,7 @@ def config_ctx(request):
 def test_stacked_fiber_scan_rows_are_single_scans(config_ctx):
     # row i of a k-stack scan is the scan of a stack of one, bit for bit
     fields = random_smooth_fields(config_ctx.grid, np.random.default_rng(7), 50)
-    q, d, g = qdg_rows(config_ctx, fields)
+    q, d, g = qdg(config_ctx, fields)
     scan = fiber_scan(config_ctx, (q, d, g), 8.0, 33)
     assert scan.t_values.shape == scan.e_values.shape == scan.residuals.shape == (50, 33)
     brackets = scan.max_bracket_contains_t_star()
@@ -334,14 +332,14 @@ def test_j_conditions_scan_every_fiber_at_once(ctx_gamma, rng, monkeypatch):
 
 def test_fiber_scan_takes_only_stacks(ctx_gamma, rng):
     # scalar triples or rows of unequal length are no stack of triples
-    q, d, g = qdg_rows(ctx_gamma, random_smooth_fields(ctx_gamma.grid, rng, 2))
+    q, d, g = qdg(ctx_gamma, random_smooth_fields(ctx_gamma.grid, rng, 2))
     for bad in ((q[0], d[0], g[0]), (q, d, g[:1]), (q[None], d[None], g[None])):
         with pytest.raises(ValueError, match="three arrays of k values"):
             fiber_scan(ctx_gamma, bad, 2.0, 3)
 
 
 def test_fiber_scan_csv_takes_one_ray(ctx_gamma, rng):
-    triples = qdg_rows(ctx_gamma, random_smooth_fields(ctx_gamma.grid, rng, 2))
+    triples = qdg(ctx_gamma, random_smooth_fields(ctx_gamma.grid, rng, 2))
     scan = fiber_scan(ctx_gamma, triples, 2.0, 3)
     with pytest.raises(ValueError, match=r"one ray, got t_values of shape \(2, 3\)"):
         fiber_scan_csv(scan)

@@ -45,7 +45,7 @@ def test_energy_trace_monotone(converged):
 
 
 def test_iterates_stay_on_manifold(ctx_solver, converged):
-    q, d, g = qdg(ctx_solver, converged.u_final)
+    q, d, g = qdg(ctx_solver, converged.u_final.values)
     assert abs(q - d + g) <= 1e-10 * q
 
 
@@ -111,7 +111,7 @@ def test_recentering_guarded_by_localized_potential(amplitude, home, monkeypatch
     assert r.energy_trace[-1] < still.energy_trace[-1]
     assert r.energy_trace[-1] == pytest.approx(energy_value(ctx, r.u_final), rel=1e-12)
     # the move's trial is evaluated fresh on the manifold
-    q, d, gam = qdg(ctx, r.u_final)
+    q, d, gam = qdg(ctx, r.u_final.values)
     assert abs(q - d + gam) <= 1e-10 * q
 
 
@@ -373,7 +373,7 @@ def test_solve_in_higher_dimensions(N, alpha, qe, L, n):
     r = solve(ctx, init, SolverConfig())
     assert r.status == "converged"
     assert r.energy_trace[-1] > 0
-    q, d, g = qdg(ctx, r.u_final)
+    q, d, g = qdg(ctx, r.u_final.values)
     assert abs(q - d + g) <= 1e-10 * q
 
 
@@ -450,7 +450,7 @@ def test_cached_terms_do_not_drift(monkeypatch):
     assert moves(r) and max(moves(r)) <= 100
     fresh = energy_value(ctx, r.u_final)
     assert r.energy_trace[-1] == pytest.approx(fresh, rel=1e-12)
-    q, _, _ = qdg(ctx, r.u_final)
+    q, _, _ = qdg(ctx, r.u_final.values)
     assert r.history[-1]["qnorm"] ** 2 == pytest.approx(q, rel=1e-12)
 
 
@@ -469,7 +469,7 @@ def test_cached_terms_exact_between_checkpoints(max_iters):
     assert r.history[0]["residual"] == pytest.approx(np.sqrt(l2_norm2(grad_energy(ctx, start))),
                                                      rel=1e-12)
     assert r.energy_trace[-1] == pytest.approx(energy_value(ctx, r.u_final), rel=1e-12)
-    q, _, _ = qdg(ctx, r.u_final)
+    q, _, _ = qdg(ctx, r.u_final.values)
     assert r.history[-1]["qnorm"] ** 2 == pytest.approx(q, rel=1e-12)
     fresh_residual = np.sqrt(l2_norm2(grad_energy(ctx, r.u_final)))
     assert r.history[-1]["residual"] == pytest.approx(fresh_residual, rel=1e-9)

@@ -81,7 +81,9 @@ def direction_and_b(ctx: EnergyContext, grad: np.ndarray) -> tuple[np.ndarray, n
     pg = apply_multiplier(ctx._precond, grad)
     if ctx._pg_shift is None:
         return pg, grad
-    return pg, grad + ctx._pg_shift * pg
+    b_pg = ctx._pg_shift * pg
+    b_pg += grad
+    return pg, b_pg
 
 
 def precondition(ctx: EnergyContext, g: Field) -> Field:
@@ -90,10 +92,26 @@ def precondition(ctx: EnergyContext, g: Field) -> Field:
     return Field(ctx.grid, apply_multiplier(ctx._precond, g.values))
 
 
+def _abs_power(vals: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
+    """|u|^e as a new array, bit for bit np.abs(u) ** e; given out, out * |u|^e
+    written into out, which e = 0, a factor of ones, leaves as it is.
+    np.power costs about two multiplies; e = 2 and e = 1 round the same without
+    it (one rounding, or none), e = 3 does not (u*u*|u| rounds twice) and keeps it."""
+    if e == 0.0 and out is not None:
+        return out
+    if e == 2.0:
+        a = np.square(vals)
+    elif e == 1.0:
+        a = np.abs(vals)
+    else:
+        a = np.abs(vals) ** e
+    return a if out is None else np.multiply(out, a, out=out)
+
+
 def nonlocal_terms(ctx: EnergyContext, vals: np.ndarray) -> tuple[np.ndarray, float]:
     """phi = I_alpha * |u|^p and D(u) = <phi, |u|^p> on raw grid values, or on
     each row of a (k, *grid.shape) stack of them, D then an array of k."""
-    up = np.abs(vals) ** ctx.params.p
+    up = _abs_power(vals, ctx.params.p)
     phi = apply_multiplier(ctx.kernel.conv_multiplier, up)
     return phi, ctx.grid.cell_volume * row_dots(phi, up, ctx.grid.N)
 
@@ -103,17 +121,22 @@ def gamma_values(ctx: EnergyContext, vals: np.ndarray) -> float:
     a stack of them."""
     if not ctx.has_gamma:
         return 0.0 if vals.ndim == ctx.grid.N else np.zeros(len(vals))
-    return ctx.grid.cell_volume * row_dots(ctx.Gamma.values, np.abs(vals) ** ctx.params.q,
+    return ctx.grid.cell_volume * row_dots(ctx.Gamma.values, _abs_power(vals, ctx.params.q),
                                            ctx.grid.N)
 
 
 def grad_values(ctx: EnergyContext, vals: np.ndarray, bu: np.ndarray,
                 phi: np.ndarray) -> np.ndarray:
-    """L^2 gradient at raw values u from Bu and phi = I_alpha * |u|^p; no transform."""
-    p, qe = ctx.params.p, ctx.params.q
-    out = bu - phi * np.abs(vals) ** (p - 2.0) * vals
+    """L^2 gradient at raw values u from Bu and phi = I_alpha * |u|^p; no
+    transform. phi is consumed: its array becomes the gradient."""
+    out = _abs_power(vals, ctx.params.p - 2.0, out=phi)
+    out *= vals
+    np.subtract(bu, out, out=out)
     if ctx.has_gamma:
-        out = out + ctx.Gamma.values * np.abs(vals) ** (qe - 2.0) * vals
+        local = _abs_power(vals, ctx.params.q - 2.0)
+        local *= ctx.Gamma.values
+        local *= vals
+        out += local
     return out
 
 
@@ -121,6 +144,12 @@ def qdg(ctx: EnergyContext, vals: np.ndarray) -> tuple[float, float, float]:
     """The triple (Q, D, G) from which every fiber quantity recombines: three
     Python floats for one field's raw values, three arrays of k for a
     (k, *grid.shape) stack of them."""
+    shape = ctx.grid.shape
+    got = getattr(vals, "shape", None)
+    if got != shape and (got is None or got[1:] != shape or got[0] == 0):
+        raise ValueError(f"qdg takes one field's values of shape {shape} or a non-empty "
+                         f"(k, *{shape}) stack of them, got {type(vals).__name__} of "
+                         f"shape {np.shape(vals)}")
     q = ctx.grid.cell_volume * row_dots(b_values(ctx, vals), vals, ctx.grid.N)
     return q, nonlocal_terms(ctx, vals)[1], gamma_values(ctx, vals)
 

@@ -29,7 +29,9 @@ def nehari_t_from_qdg(q: float, d: float, g: float, p: float, qe: float) -> floa
 
     The scalar equation is the fiber stationarity condition divided by t^2.
     Bracketing plus safeguarded Newton; the closed form (q/d)^(1/(2p-2)) is
-    both the g = 0 answer and the lower bracket end otherwise.
+    both the g = 0 answer and the lower bracket end otherwise. A triple whose
+    scaling leaves the floats, t0 zero or infinite or t^(2p-2) overflowing,
+    raises NehariProjectionError like any other degenerate triple.
     """
     if not (math.isfinite(q) and math.isfinite(d) and math.isfinite(g)):
         raise NehariProjectionError(f"non-finite triple ({q}, {d}, {g})")
@@ -39,40 +41,38 @@ def nehari_t_from_qdg(q: float, d: float, g: float, p: float, qe: float) -> floa
         raise NehariProjectionError(f"nonlocal term must be positive, got {d}")
     a = 2.0 * p - 2.0
     b = qe - 2.0
-    t0 = (q / d) ** (1.0 / a)
-    if g == 0.0:
-        return t0
-
-    def resid(t):
-        return q - t**a * d + t**b * g
-
-    def dresid(t):
-        return -a * t ** (a - 1.0) * d + b * t ** (b - 1.0) * g
-
-    lo = t0
-    hi = t0
-    for _ in range(200):
-        hi *= 2.0
-        if resid(hi) < 0:
-            break
-    else:
-        raise NehariProjectionError("failed to bracket the manifold scaling")
-    t = hi
-    for _ in range(200):
-        r = resid(t)
-        if abs(r) <= NEHARI_RTOL * q:
-            return t
-        if r > 0:
-            lo = t
+    try:
+        t0 = (q / d) ** (1.0 / a)
+        if not 0.0 < t0 < math.inf:
+            raise NehariProjectionError(f"manifold scaling out of range: (q/d)^(1/(2p-2)) = {t0}")
+        if g == 0.0:
+            return t0
+        lo = hi = t0
+        for _ in range(200):
+            hi *= 2.0
+            if q - hi**a * d + hi**b * g < 0:
+                break
         else:
-            hi = t
-        dr = dresid(t)
-        t_new = t - r / dr if dr != 0 else 0.5 * (lo + hi)
-        if not (lo < t_new < hi):
-            t_new = 0.5 * (lo + hi)
-        if abs(t_new - t) <= 1e-16 * t:
-            return t_new
-        t = t_new
+            raise NehariProjectionError("failed to bracket the manifold scaling")
+        t = hi
+        for _ in range(200):
+            r = q - t**a * d + t**b * g
+            if abs(r) <= NEHARI_RTOL * q:
+                return t
+            if r > 0:
+                lo = t
+            else:
+                hi = t
+            dr = -a * t ** (a - 1.0) * d + b * t ** (b - 1.0) * g
+            t_new = t - r / dr if dr != 0 else 0.5 * (lo + hi)
+            if not (lo < t_new < hi):
+                t_new = 0.5 * (lo + hi)
+            if abs(t_new - t) <= 1e-16 * t:
+                return t_new
+            t = t_new
+    except OverflowError:
+        raise NehariProjectionError(f"manifold scaling overflows for the triple "
+                                    f"({q}, {d}, {g})") from None
     raise NehariProjectionError("manifold scaling did not converge")
 
 

@@ -9,6 +9,7 @@ is the gradient in that inner product when V is constant (a Sobolev gradient).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -99,8 +100,10 @@ def _onto_manifold(ctx: EnergyContext, u: np.ndarray, spec: np.ndarray | None = 
     q = ctx.grid.cell_volume * row_dots(bu, u, ctx.grid.N)
     gam = gamma_values(ctx, u)
     t = nehari_t_from_qdg(q, d, gam, ctx.params.p, ctx.params.q)
-    u, bu = t * u, t * bu
-    return (t, u, bu, grad_values(ctx, u, bu, t ** ctx.params.p * phi), t * t * q,
+    u = t * u
+    bu *= t
+    phi *= t ** ctx.params.p
+    return (t, u, bu, grad_values(ctx, u, bu, phi), t * t * q,
             energy_from_qdg(ctx, q, d, gam, t))
 
 
@@ -170,12 +173,17 @@ def _quasi_newton(ctx: EnergyContext, grad: np.ndarray, pairs: list):
     cv = ctx.grid.cell_volume
     if pairs:
         tmp = np.empty_like(grad)
-        q = grad.copy()
+        q = grad
         alphas = []
         for s, y, _, rho in reversed(pairs):
             alphas.append(rho * cv * float(np.vdot(s, q)))
-            q -= np.multiply(alphas[-1], y, out=tmp)
-        d, bd = direction_and_b(ctx, q)    # for constant V, bd is q, our own copy
+            if q is grad:
+                # the first pair writes q = g - alpha*y into a new array: g stays as it is
+                q = np.multiply(alphas[-1], y)
+                np.subtract(grad, q, out=q)
+            else:
+                q -= np.multiply(alphas[-1], y, out=tmp)
+        d, bd = direction_and_b(ctx, q)    # for constant V, bd is q, our own array
         del q
         for (s, y, bs, rho), a in zip(pairs, reversed(alphas)):
             c = a - rho * cv * float(np.vdot(y, d))
@@ -239,16 +247,16 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
 
     step, n_trials, n_pairs, accept, shift = 0.0, 0, 0, None, None
     pairs: list[tuple] = []
-    threshold = max(GRAD_TOL * float(np.sqrt(cv * np.vdot(grad, grad))),
-                    ROUND_OFF * float(np.sqrt(cv * np.vdot(bu, bu))))
+    threshold = max(GRAD_TOL * math.sqrt(cv * float(np.vdot(grad, grad))),
+                    ROUND_OFF * math.sqrt(cv * float(np.vdot(bu, bu))))
     status = "max_iters"
     it = 0
     for it in range(cfg.max_iters + 1):
-        res = float(np.sqrt(cv * np.vdot(grad, grad)))
+        res = math.sqrt(cv * float(np.vdot(grad, grad)))
         history.append({"iter": it, "energy": float(e), "residual": res, "t_star": float(t_star),
                         "step": float(step), "trials": n_trials, "pairs": n_pairs,
                         "accept": accept, "t_s": time.perf_counter() - t_start,
-                        "shift": shift, "qnorm": float(np.sqrt(max(q, 0.0)))})
+                        "shift": shift, "qnorm": math.sqrt(max(q, 0.0))})
         shift = None
         if res <= threshold:
             status = "converged"
@@ -260,8 +268,9 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         bu_dir = cv * float(np.vdot(bu, direction))
         bdir_dir = cv * float(np.vdot(b_dir, direction))
         tau = STEP_INIT
+        cand = np.empty_like(u)    # every trial's u - tau*d, the accepted one's t*(u - tau*d)
         for bt in range(MAX_BACKTRACKS):
-            cand = u - tau * direction
+            np.subtract(u, np.multiply(direction, tau, out=cand), out=cand)
             qc = q - 2.0 * tau * bu_dir + tau * tau * bdir_dir
             phi_c, dc = nonlocal_terms(ctx, cand)
             gc = gamma_values(ctx, cand)
@@ -275,12 +284,14 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
             if armijo or e_new <= e + 1e-14 * (1.0 + abs(e)):
                 # the trial's arrays, scaled in place, become the iterate's
                 u_c = np.multiply(cand, t_c, out=cand)
-                bu_c = bu - tau * b_dir
+                bu_c = np.multiply(b_dir, tau)
+                np.subtract(bu, bu_c, out=bu_c)
                 bu_c *= t_c
                 phi_c *= t_c**p
                 grad_c = grad_values(ctx, u_c, bu_c, phi_c)
-                dphi = -t_c * cv * float(np.vdot(grad_c, direction))
-                if armijo or dphi <= (1.0 - 2.0 * delta) * slope:
+                # the approximate-Wolfe slope phi'(tau), only when Armijo fails
+                if armijo or (-t_c * cv * float(np.vdot(grad_c, direction))
+                              <= (1.0 - 2.0 * delta) * slope):
                     accept = "armijo" if armijo else "derivative"
                     break
             tau *= SHRINK
@@ -288,7 +299,9 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
             status = "stalled"
             break
         del cand, direction, b_dir
-        s_new, y_new = u_c - u, grad_c - grad
+        # s and y, and Bs if the pair is kept, take the arrays of the iterate
+        # they replace, which nothing else holds
+        s_new, y_new = np.subtract(u_c, u, out=u), np.subtract(grad_c, grad, out=grad)
         sy = cv * float(np.vdot(s_new, y_new))
         # y must stand above the gradient's round-off, ~1e-12 |Bu|: pairs of
         # noise would feed the errors of the cached Bu back into Bd, where they
@@ -296,7 +309,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
         if sy > 0.0 and np.vdot(y_new, y_new) > 1e-24 * np.vdot(bu_c, bu_c):
             if len(pairs) == MEMORY:
                 del pairs[0]    # before the new pair's Bs exists
-            pairs.append((s_new, y_new, bu_c - bu, 1.0 / sy))
+            pairs.append((s_new, y_new, np.subtract(bu_c, bu, out=bu), 1.0 / sy))
         u, bu, grad = u_c, bu_c, grad_c
         # the iterate's names and the memory alone keep its arrays
         del s_new, y_new, u_c, bu_c, phi_c, grad_c

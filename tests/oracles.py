@@ -109,6 +109,21 @@ def qdg_per_field(ctx, u):
     return q, d, cv * float(np.vdot(ctx.Gamma.values, np.abs(vals) ** ctx.params.q))
 
 
+def nonlinear_terms_plain(ctx, vals):
+    """phi, D, G and the gradient at one field's raw values with every power
+    of |u| written np.abs(u) ** e: the reference for the exponent shortcuts,
+    which must match it bit for bit."""
+    cv, p, qe = ctx.grid.cell_volume, ctx.params.p, ctx.params.q
+    up = np.abs(vals) ** p
+    phi = apply_multiplier(ctx.kernel.conv_multiplier, up)
+    d = cv * float(np.vdot(phi, up))
+    grad = b_values(ctx, vals) - phi * np.abs(vals) ** (p - 2.0) * vals
+    if not ctx.has_gamma:
+        return phi, d, 0.0, grad
+    g = cv * float(np.vdot(ctx.Gamma.values, np.abs(vals) ** qe))
+    return phi, d, g, grad + ctx.Gamma.values * np.abs(vals) ** (qe - 2.0) * vals
+
+
 def brezis_lieb_per_field(ctx, u0, w, shifts):
     """|D(u0 + w(. - z)) - D(w(. - z)) - D(u0)| for each shift z, one field's D
     at a time: the reference for the stacked brezis_lieb_check."""

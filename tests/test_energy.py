@@ -17,6 +17,7 @@ from choquard_gs.energy import (
     fiber_residual_from_qdg,
     gamma_values,
     grad_energy,
+    grad_values,
     nonlocal_terms,
     qdg,
 )
@@ -34,6 +35,7 @@ from conftest import config_context, const_potential, count_calls, gamma_potenti
 from oracles import (
     brezis_lieb_per_field,
     directional_derivative_fd,
+    nonlinear_terms_plain,
     qdg_per_field,
     random_smooth_field_per_bump,
 )
@@ -216,6 +218,32 @@ def test_stacked_qdg_matches_the_per_field_oracle(N, n, p, alpha, q, gamma):
         assert all(type(x) is float for x in one)
 
 
+@pytest.mark.parametrize("N, n, alpha", [(1, 64, 0.5), (2, 16, 1.5)])
+@pytest.mark.parametrize("p, q", [(2.0, 3.0), (2.0, 2.5), (3.0, 3.0), (3.0, 2.5)])
+def test_exponent_shortcuts_match_the_plain_power_oracle(N, n, alpha, p, q):
+    # |u|^e is a square for e = 2, |u| for e = 1 and no factor for e = 0, on
+    # one field and on a stack: the bits of np.abs(u) ** e, with exact zeros
+    # (of either sign) and sign changes among the values
+    ctx = build_context(make_params(N=N, n=n, L=4.0, p=p, alpha=alpha, q=q), gamma_potential(0.5))
+    stack = random_smooth_fields(ctx.grid, np.random.default_rng(5), 4)
+    flat = stack.reshape(len(stack), -1)
+    flat[:, ::7] = 0.0
+    flat[:, 3::11] = -0.0
+    assert np.any(stack > 0) and np.any(stack < 0) and np.any(np.signbit(stack) & (stack == 0))
+    want = [nonlinear_terms_plain(ctx, vals) for vals in stack]
+    for vals, (phi_w, d_w, g_w, grad_w) in zip(stack, want):
+        phi, d = nonlocal_terms(ctx, vals)
+        assert phi.tobytes() == phi_w.tobytes() and d == d_w
+        assert gamma_values(ctx, vals) == g_w
+        assert grad_values(ctx, vals, b_values(ctx, vals), phi).tobytes() == grad_w.tobytes()
+    phi, d = nonlocal_terms(ctx, stack)
+    assert phi.tobytes() == np.array([w[0] for w in want]).tobytes()
+    assert d.tolist() == [w[1] for w in want]
+    assert gamma_values(ctx, stack).tolist() == [w[2] for w in want]
+    grad = grad_values(ctx, stack, b_values(ctx, stack), phi)
+    assert grad.tobytes() == np.array([w[3] for w in want]).tobytes()
+
+
 @pytest.mark.parametrize("name", ["ctx_const", "ctx_gamma"])
 def test_d_bound_matches_the_per_field_estimate(name, request):
     # the largest per-field ratio D/(2p Q^p), Python floats throughout
@@ -225,6 +253,14 @@ def test_d_bound_matches_the_per_field_estimate(name, request):
         q, d, _ = qdg_per_field(ctx, random_smooth_field_per_bump(ctx.grid, rng))
         best = max(best, d / (2.0 * p * q**p))
     assert estimate_d_bound(ctx) == D_BOUND_SAFETY * best
+
+
+def test_qdg_rejects_what_is_not_values_or_a_stack(ctx_gamma, rng):
+    g = ctx_gamma.grid
+    u = random_smooth_field(g, rng)
+    for bad in (u, u.values[:10], u.values[None, :10], np.zeros((0,) + g.shape), [u.values]):
+        with pytest.raises(ValueError, match=rf"shape \({g.n},\) or a non-empty \(k, \*\({g.n},\)\)"):
+            qdg(ctx_gamma, bad)
 
 
 def test_brezis_lieb_trivial_cases(ctx_const):

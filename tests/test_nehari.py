@@ -88,6 +88,17 @@ def test_scalar_solver_rejects_non_finite_triple():
             nehari_t_from_qdg(*triple, 2.0, 3.0)
 
 
+@pytest.mark.parametrize("triple", [(1.0, 1e-300, 0.5), (1.0, 1e-320, 0.0), (1e-300, 1e300, 0.0)])
+def test_scaling_out_of_float_range_is_a_projection_error(ctx_const, triple):
+    # t^(2p-2) overflows while the bracket grows, q/d overflows to an infinite
+    # closed form, or underflows to t = 0: none escapes as OverflowError or as
+    # a scaling that is not positive and finite
+    with pytest.raises(NehariProjectionError):
+        nehari_t_from_qdg(*triple, 2.0, 3.0)
+    with pytest.raises(NehariProjectionError):
+        fiber_scan(ctx_const, tuple([x] for x in triple), 2.0, 5)
+
+
 def test_scalar_solver_against_bisection_oracle(rng):
     # frozen oracle: plain bisection on the fiber stationarity scalar
     p, qe = 2.0, 3.0

@@ -764,6 +764,48 @@ def test_quasi_newton_matches_dense_bfgs_oracle(rng):
     assert slope == pytest.approx(cv * float(s @ pg), rel=1e-12) and slope > 0.0
 
 
+@pytest.mark.parametrize("name, reset", [("gamma_sweep.ini", False), ("verify.ini", False),
+                                         ("gamma_sweep.ini", True)])
+def test_quasi_newton_leaves_grad_and_pairs_as_they_are(name, reset, rng):
+    # q = g - alpha*y starts a new array, never a write into g: with a full
+    # memory under constant V (gamma_sweep.ini) and under verify.ini's cosine V,
+    # whose B(Pq) adds (V - min V) Pq, and after the negative-curvature reset,
+    # which reads g again for the plain Pg
+    from choquard_gs.energy import b_values
+    from choquard_gs.grid import random_smooth_fields
+    from choquard_gs.solver import _quasi_newton
+
+    ctx = config_context(name)
+    cv = ctx.grid.cell_volume
+    assert (ctx._pg_shift is None) == (name == "gamma_sweep.ini")
+    grad, *ss = random_smooth_fields(ctx.grid, rng, MEMORY + 1)
+    pairs = []
+    if reset:
+        pairs.append((grad, -grad, b_values(ctx, grad), -1.0 / (cv * float(np.vdot(grad, grad)))))
+    else:
+        for s, e in zip(ss, random_smooth_fields(ctx.grid, rng, MEMORY)):
+            y = b_values(ctx, s) + 0.3 * e
+            pairs.append((s, y, b_values(ctx, s), 1.0 / (cv * float(np.vdot(s, y)))))
+    before = grad.copy(), [tuple(a.copy() for a in pair[:3]) for pair in pairs]
+    stored = list(pairs)
+    d, bd, slope, n_pairs = _quasi_newton(ctx, grad, pairs)
+    assert n_pairs == (0 if reset else MEMORY) and slope > 0.0
+    assert grad.tobytes() == before[0].tobytes()
+    for pair, kept in zip(stored, before[1]):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(pair, kept))
+
+
+def test_solve_leaves_its_start_as_it_is(rng):
+    # the solver scales, shifts and differences its own arrays in place, never
+    # the caller's; 30 iterations on vl_sign.ini pass one translation checkpoint
+    ctx = config_context("vl_sign.ini")
+    init = random_initial(ctx, rng)
+    kept = init.values.copy()
+    result = solve(ctx, init, SolverConfig(max_iters=30))
+    assert result.iterations > RECENTER_EVERY
+    assert init.values.tobytes() == kept.tobytes()
+
+
 def test_every_direction_is_a_descent_direction(monkeypatch):
     # <g, d> > 0 on every step, recomputed from the returned d, on the
     # gamma_sweep.ini multistart and on vl_sign.ini's escapes with their moves

@@ -37,7 +37,6 @@ from .nehari import (
     NehariProjectionError,
     check_J_conditions,
     fiber_scan,
-    project_to_nehari,
 )
 from .operators import (
     RieszKernel,

@@ -45,7 +45,7 @@ from ..nehari import (
     check_J_conditions,
     fiber_scan,
     fiber_scan_csv,
-    project_to_nehari,
+    nehari_t_from_qdg,
 )
 from ..operators import apply_sqrt, build_riesz, epstein_zeta, riesz_convolve
 from ..problem import (
@@ -100,8 +100,9 @@ def _ground_state(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext
 # verification suites
 
 
-def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
-    """Gamma(a, x) for x >= 2 by Legendre's continued fraction (modified Lentz)."""
+def _upper_gamma(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gamma(a, x) for x >= 2 by Legendre's continued fraction (modified Lentz),
+    one fraction per row of x, its exponent the same row of the column a."""
     b = x + 1.0 - a
     c = np.full_like(x, np.inf)
     d = 1.0 / b
@@ -115,20 +116,27 @@ def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
     return np.exp(a * np.log(x) - x) * h
 
 
-def _epstein_oracle(N: int, s: float) -> float:
-    """Z_N(s) by Epstein's incomplete-gamma formula with split point lam.
+def _epstein_oracle(N: int, s_values: tuple[float, ...]) -> list[float]:
+    """Z_N(s) at each s by Epstein's incomplete-gamma formula with split point lam.
 
     Sums over the lattice shells directly; its value does not depend on lam,
-    so lam != 1 also checks the analytic terms of the split.
+    so lam != 1 also checks the analytic terms of the split. The two
+    incomplete-gamma fractions of every s run as one stack.
     """
     lam = 1.5
     k = np.arange(-7, 8) ** 2
     r2 = sum(np.meshgrid(*[k] * N, indexing="ij")).ravel()
     r2, mult = np.unique(r2[r2 > 0], return_counts=True)
     x = np.pi * r2
-    a, b = s / 2.0, (N - s) / 2.0
-    shells = mult @ (x**-a * _upper_gamma(a, lam * x) + x**-b * _upper_gamma(b, x / lam))
-    return math.pi**a / math.gamma(a) * (shells - 2.0 * lam**-b / (N - s) - 2.0 * lam**a / s)
+    exps = [(s / 2.0, (N - s) / 2.0) for s in s_values]
+    frac = _upper_gamma(np.array(exps).reshape(-1, 1),
+                        np.tile([lam * x, x / lam], (len(exps), 1)))
+    zs = []
+    for s, (a, b), ga, gb in zip(s_values, exps, frac[0::2], frac[1::2]):
+        shells = mult @ (x**-a * ga + x**-b * gb)
+        zs.append(math.pi**a / math.gamma(a)
+                  * (shells - 2.0 * lam**-b / (N - s) - 2.0 * lam**a / s))
+    return zs
 
 
 def _gaussian_riesz(N: int, alpha: float, r2: np.ndarray) -> np.ndarray:
@@ -148,7 +156,7 @@ def _suite_kernel_oracles(ctx: EnergyContext, rep: Report, scale: float) -> None
     rep.section("Riesz kernel oracles")
     g = ctx.grid
     N, alpha = g.N, ctx.params.alpha
-    z0, z2 = _epstein_oracle(N, N - alpha), _epstein_oracle(N, N - alpha - 2.0)
+    z0, z2 = _epstein_oracle(N, (N - alpha, N - alpha - 2.0))
     err_z = max(abs(epstein_zeta(N, N - alpha) - z0) / max(1.0, abs(z0)),
                 abs(epstein_zeta(N, N - alpha - 2.0) - z2) / max(1.0, abs(z2)))
     rep.add_check("Epstein zeta matches the incomplete-gamma lattice sum",
@@ -337,8 +345,9 @@ def _fiber_scan(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext,
 # sweeps
 
 
-def _aligned_distance(ctx: EnergyContext, u: Field, ref: Field) -> float:
-    """Problem-norm distance after optimal sign and lattice-shift alignment.
+def _aligned_distance(ctx: EnergyContext, u: Field, ref: Field, b_ref: np.ndarray) -> float:
+    """Problem-norm distance after optimal sign and lattice-shift alignment;
+    b_ref is B ref, b_values of ref's values.
 
     B is symmetric and its A part commutes with the rolls R, so
     Q(s R u - ref) = Q_A(u) + <(V - m) R u, R u> - 2 s <R u, B ref> + Q(ref):
@@ -348,7 +357,6 @@ def _aligned_distance(ctx: EnergyContext, u: Field, ref: Field) -> float:
     g = ctx.grid
     cv, cpu, axes = g.cell_volume, g.cells_per_unit(), tuple(range(g.N))
     vm = ctx.v_minus_m
-    b_ref = b_values(ctx, ref.values)
 
     def q(vals):  # Q alone: D and G would cost two transforms more
         return cv * row_dots(b_values(ctx, vals), vals, g.N)
@@ -389,6 +397,10 @@ def _gamma_sweep(ecfg: ExperimentConfig, pot: PotentialSpec, ctx_base: EnergyCon
     ctx0 = contexts[-1]
     u0 = results[-1].u_final
     c0 = c[-1]
+    # Q and D of the limit state do not depend on Gamma's scale; only G does
+    b_u0 = b_values(ctx0, u0.values)
+    q_u0 = ctx0.grid.cell_volume * row_dots(b_u0, u0.values, ctx0.grid.N)
+    d_u0 = nonlocal_terms(ctx0, u0.values)[1]
 
     rep.section("Sweep")
     slack = 1e-8 * (1.0 + abs(c0)) * ecfg.tolerance_scale
@@ -397,11 +409,11 @@ def _gamma_sweep(ecfg: ExperimentConfig, pot: PotentialSpec, ctx_base: EnergyCon
     upper_ok = True
     dist = []
     for e, ctx, r in zip(eps, contexts, results):
-        s_i, _ = project_to_nehari(ctx, u0)
         gam_term = gamma_values(ctx, u0.values)
+        s_i = nehari_t_from_qdg(q_u0, d_u0, gam_term, ctx.params.p, ctx.params.q)
         upper = c0 + s_i**ctx.params.q / ctx.params.q * gam_term
         upper_ok = upper_ok and (r.energy_trace[-1] <= upper + slack)
-        d_i = _aligned_distance(ctx0, r.u_final, u0)
+        d_i = _aligned_distance(ctx0, r.u_final, u0, b_u0)
         dist.append(d_i)
         rep.add_metric(eps=e, c=r.energy_trace[-1], upper_bound=upper, distance=d_i)
         rep.add_line(f"- eps={e}: c={float(r.energy_trace[-1])!r}, sandwich top={float(upper)!r}, "

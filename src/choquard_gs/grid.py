@@ -101,12 +101,8 @@ class Grid:
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if center.shape != (self.N,):
             raise ValueError(f"center must have {self.N} components, got {center.size}")
-        x = self.axis_coords
-        rows = []
-        for axis in range(self.N):
-            d = min_image(self, x - center[axis])
-            rows.append(d * d)
-        return self._axis_sum(rows)
+        d = min_image(self, self.axis_coords - center[:, None])
+        return self._axis_sum(list(d * d))
 
     def offset_r2(self) -> np.ndarray:
         """Squared minimal-image length of each node offset, FFT index order (0 first)."""
@@ -290,11 +286,24 @@ class Translations:
 
 
 def min_image(grid: Grid, x: np.ndarray) -> np.ndarray:
-    """Wrap an array of coordinates to the fundamental box [-L, L). np.fmod
-    plus 2L where it is negative is numpy's float % bit for bit, at a
-    fraction of its cost."""
-    w = np.fmod(np.asarray(x) + grid.L, 2.0 * grid.L)
-    return np.add(w, 2.0 * grid.L, out=w, where=w < 0) - grid.L
+    """Wrap an array of coordinates to the fundamental box [-L, L): numpy's
+    float remainder (x + L) % 2L - L, bit for bit.
+
+    With every y = x + L in [-2L, 4L), the remainder is y, y + 2L below 0,
+    or y - 2L from 2L on, a difference that is exact there (Sterbenz).
+    Otherwise np.fmod, which costs several times these passes, plus 2L where
+    it is negative gives it."""
+    L, two = grid.L, 2.0 * grid.L
+    w = np.asarray(x) + L
+    lo, hi = w.min(initial=np.inf), w.max(initial=-np.inf)
+    if not (lo >= -two and hi < 2.0 * two):   # NaN lands here too
+        w = np.fmod(w, two)
+    elif hi >= two:
+        np.subtract(w, two, out=w, where=w >= two)
+    if lo < 0.0:
+        np.add(w, two, out=w, where=w < 0.0)
+    w -= L
+    return w
 
 
 def gaussian_field(grid: Grid, center=None, width: float = 1.0, amplitude: float = 1.0) -> Field:
@@ -307,20 +316,44 @@ def random_smooth_fields(grid: Grid, rng: np.random.Generator, k: int) -> np.nda
     generic smooth test fields, as one (k, *grid.shape) stack of values.
 
     Row i takes the draws the i-th of k calls of random_smooth_field takes,
-    and all k * SMOOTH_FIELD_BUMPS bumps are evaluated in one broadcast exp."""
+    and all k * SMOOTH_FIELD_BUMPS bumps are evaluated in one broadcast exp.
+
+    Each bump takes rng.random(N + 2), then the sign rng.integers(0, 2) would
+    give, and the generator is left in the state those calls leave; all of
+    them are read from one block of raw PCG64 words, so rng must be a PCG64
+    generator (TypeError otherwise). A double is (word >> 11) * 2**-53. A
+    sign is the top bit of a 32-bit half (Lemire's bounded draw on [0, 2)),
+    and PCG64 hands out halves low first, keeping the high one for the next
+    32-bit draw: a bump takes a fresh word only when no half is kept."""
+    gen = rng.bit_generator
+    if type(gen) is not np.random.PCG64:
+        raise TypeError("random smooth fields reproduce the PCG64 stream, "
+                        f"got a {type(gen).__name__} generator")
     N, L, n_bumps = grid.N, grid.L, SMOOTH_FIELD_BUMPS
-    # per bump: N centre coordinates in [-L, L), the width, the amplitude's size
+    per, m = N + 2, k * n_bumps
+    state = gen.state
+    held = state["has_uint32"]
+    # bump j starts after j * per doubles and the fresh words of the bumps
+    # before it; bumps held, held + 2, ... draw one
+    j = np.arange(m)
+    start = j * per + (j + 1 - held) // 2
+    words = gen.random_raw(m * per + (m + 1 - held) // 2)
+    fresh = words[start[held::2] + per]
+    halves = np.stack([fresh & 0xFFFFFFFF, fresh >> 32], axis=1).ravel()
+    if held:
+        halves = np.concatenate([np.array([state["uinteger"]], dtype=np.uint64), halves])
+    state = gen.state   # random_raw advanced it; the kept half is set here
+    state["has_uint32"] = (held + m) % 2
+    if len(fresh):
+        state["uinteger"] = int(fresh[-1] >> 32)
+    gen.state = state
+    # per bump: N centre coordinates in [-L, L), the width, the amplitude's
+    # size; rng.uniform(lo, hi) is lo + (hi - lo) * rng.random()
     lo = np.array([-L] * N + [0.5, 0.2])
     span = np.array([L] * N + [max(1.0, L / 4), 1.0]) - lo
-    units, bits = [], []
-    for _ in range(k * n_bumps):
-        # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(): the same
-        # values and stream, one call per bump
-        units.append(rng.random(N + 2))
-        # the same draw as rng.choice([-1.0, 1.0]), without its argument handling
-        bits.append(rng.integers(0, 2))
-    draws = lo + span * np.array(units).reshape(-1, N + 2)
-    signs = 2.0 * np.array(bits) - 1.0
+    units = (words[start[:, None] + np.arange(per)] >> 11) * 2.0**-53
+    draws = lo + span * units
+    signs = 2.0 * (halves[:m] >> 31) - 1.0
     # Python's float ** (C pow), not numpy's square: they differ in the last
     # bit for about one width in a thousand
     width2 = np.array([w**2 for w in draws[:, N].tolist()])

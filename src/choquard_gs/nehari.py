@@ -14,7 +14,7 @@ from .energy import (
     fiber_residual_from_qdg,
     qdg,
 )
-from .grid import Field, check_stack
+from .grid import check_stack
 
 
 class NehariProjectionError(ValueError):
@@ -74,13 +74,6 @@ def nehari_t_from_qdg(q: float, d: float, g: float, p: float, qe: float) -> floa
         raise NehariProjectionError(f"manifold scaling overflows for the triple "
                                     f"({q}, {d}, {g})") from None
     raise NehariProjectionError("manifold scaling did not converge")
-
-
-def project_to_nehari(ctx: EnergyContext, u: Field) -> tuple[float, Field]:
-    """Scale u onto the manifold: t* with zero fiber residual, and t*u."""
-    q, d, g = qdg(ctx, u.values)
-    t = nehari_t_from_qdg(q, d, g, ctx.params.p, ctx.params.q)
-    return t, Field(ctx.grid, t * u.values)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Reference computations the tests check production code against; the package
 itself never calls them."""
 
+import math
+
 import numpy as np
 
 from choquard_gs.energy import (
@@ -9,6 +11,7 @@ from choquard_gs.energy import (
     energy_value,
     estimate_d_bound,
     fiber_residual_from_qdg,
+    qdg,
 )
 from choquard_gs.extension import _rows, norm_equivalence_constants, volume_integrals
 from choquard_gs.grid import (
@@ -20,12 +23,14 @@ from choquard_gs.grid import (
     idft_real,
     shift,
 )
-from choquard_gs.nehari import (
-    JConditionReport,
-    NehariProjectionError,
-    nehari_t_from_qdg,
-    project_to_nehari,
-)
+from choquard_gs.nehari import JConditionReport, NehariProjectionError, nehari_t_from_qdg
+
+
+def project_to_nehari(ctx, u):
+    """Scale u onto the manifold: t* with zero fiber residual, and t*u."""
+    q, d, g = qdg(ctx, u.values)
+    t = nehari_t_from_qdg(q, d, g, ctx.params.p, ctx.params.q)
+    return t, Field(ctx.grid, t * u.values)
 
 
 def directional_derivative_fd(ctx, u, w, eps=1e-5):
@@ -220,3 +225,34 @@ def potential_profile(section, tag, params, grid):
             lambda: par["amplitude"] * np.prod([(1.0 + c) / 2.0 for c in cosines], axis=0),
     }
     return profiles[section, tag]()
+
+
+def upper_gamma_per_call(a, x):
+    """Gamma(a, x) for x >= 2 by Legendre's continued fraction (modified Lentz)
+    for one exponent a, a Python float, over the array x."""
+    b = x + 1.0 - a
+    c = np.full_like(x, np.inf)
+    d = 1.0 / b
+    h = d
+    for i in range(1, 60):
+        an = -i * (i - a)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h = h * d * c
+    return np.exp(a * np.log(x) - x) * h
+
+
+def epstein_oracle_per_call(N, s):
+    """Z_N(s) by Epstein's incomplete-gamma formula with split point 1.5, its two
+    continued fractions run one call each: the reference for the stacked
+    oracle of verify's kernel suite, which must match it bit for bit."""
+    lam = 1.5
+    k = np.arange(-7, 8) ** 2
+    r2 = sum(np.meshgrid(*[k] * N, indexing="ij")).ravel()
+    r2, mult = np.unique(r2[r2 > 0], return_counts=True)
+    x = np.pi * r2
+    a, b = s / 2.0, (N - s) / 2.0
+    shells = mult @ (x**-a * upper_gamma_per_call(a, lam * x)
+                     + x**-b * upper_gamma_per_call(b, x / lam))
+    return math.pi**a / math.gamma(a) * (shells - 2.0 * lam**-b / (N - s) - 2.0 * lam**a / s)

@@ -23,7 +23,6 @@ from choquard_gs import (
     l2_inner,
     l2_norm,
     multistart,
-    project_to_nehari,
     riesz_convolve,
     shift,
     solve,
@@ -39,7 +38,7 @@ from choquard_gs.nehari import fiber_scan
 from choquard_gs.problem import Descriptor, PotentialSpec
 from choquard_gs.solver import SolverConfig
 from conftest import const_potential, gamma_potential, make_params, refined_wall
-from oracles import directional_derivative_fd
+from oracles import directional_derivative_fd, project_to_nehari
 
 
 class Budget:

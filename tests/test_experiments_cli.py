@@ -313,7 +313,7 @@ def test_aligned_distance_matches_exhaustive_search(N, n, L, amplitude, rng):
     # the loop over every sign and roll with an exact Q each, as the sweep
     # computed it before the rolls were ranked by inner products; V_l makes
     # the potential part of Q(roll u) move with the roll
-    from choquard_gs.energy import qdg
+    from choquard_gs.energy import b_values, qdg
     from choquard_gs.experiments.drivers import _aligned_distance
     from choquard_gs.grid import random_smooth_field, shift
     from choquard_gs.problem import Descriptor, PotentialSpec
@@ -333,10 +333,30 @@ def test_aligned_distance_matches_exhaustive_search(N, n, L, amplitude, rng):
     ctx = build_context(make_params(N=N, n=n, L=L), pot)
     for _ in range(3):
         u, ref = random_smooth_field(ctx.grid, rng), random_smooth_field(ctx.grid, rng)
-        assert _aligned_distance(ctx, u, ref) == pytest.approx(exhaustive(ctx, u, ref), rel=1e-12)
+        b_ref = b_values(ctx, ref.values)
+        assert (_aligned_distance(ctx, u, ref, b_ref)
+                == pytest.approx(exhaustive(ctx, u, ref), rel=1e-12))
         # a signed lattice translate of ref is at distance 0
         back = Field(ctx.grid, -shift(ref, np.full(N, -2.0)).values)
-        assert _aligned_distance(ctx, back, ref) <= 1e-7 * np.sqrt(qdg(ctx, ref.values)[0])
+        assert _aligned_distance(ctx, back, ref, b_ref) <= 1e-7 * np.sqrt(qdg(ctx, ref.values)[0])
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_stacked_epstein_oracle_matches_the_per_call_fractions(N):
+    # Z(N - alpha) and Z(N - alpha - 2) from one stack of four continued
+    # fractions, bit for bit as one call per fraction, at every shipped alpha
+    from choquard_gs.experiments.drivers import _epstein_oracle
+    from choquard_gs.problem import load_problem_config
+    from oracles import epstein_oracle_per_call
+
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+    alphas = sorted({load_problem_config(path)[0].alpha for path in configs})
+    assert alphas == [0.5]
+    for alpha in alphas + [0.25, 0.75]:
+        s = (N - alpha, N - alpha - 2.0)
+        got = _epstein_oracle(N, s)
+        want = [epstein_oracle_per_call(N, x) for x in s]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_cli_vl_sign_small(tmp_path):
@@ -378,6 +398,41 @@ def test_gamma_sweep_reruns_bit_identically(config_path, tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+
+
+def test_gamma_sweep_table_matches_the_per_context_projection(tmp_path, monkeypatch):
+    # each level's sandwich top and distance, as the sweep computed them before
+    # it took Q and D of the limit state and B of it once: a projection and a
+    # B u0 per context, compared by repr with metrics.csv
+    import choquard_gs.experiments.drivers as drivers
+    from choquard_gs.energy import b_values, gamma_values
+    from oracles import project_to_nehari
+
+    solved = []
+
+    def recording(solver):
+        def wrapper(ctx, *args):
+            out = solver(ctx, *args)
+            solved.append((ctx, out[0] if isinstance(out, tuple) else out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(drivers, "multistart", recording(drivers.multistart))
+    monkeypatch.setattr(drivers, "_solve_best", recording(drivers._solve_best))
+    config = Path(__file__).resolve().parents[1] / "configs" / "gamma_sweep.ini"
+    out = tmp_path / "sweep"
+    assert main(["gamma-sweep", "--config", str(config), "--eps-list", "0.5,0.2,0",
+                 "--multistarts", "2", "--seed", "3", "--out", str(out)]) == 0
+    ctx0, limit = solved[-1]
+    u0, c0 = limit.u_final, limit.energy_trace[-1]
+    rows = []
+    for ctx, r in solved:
+        s_i, _ = project_to_nehari(ctx, u0)
+        upper = c0 + s_i**ctx.params.q / ctx.params.q * gamma_values(ctx, u0.values)
+        dist = drivers._aligned_distance(ctx0, r.u_final, u0, b_values(ctx0, u0.values))
+        rows.append(",".join(repr(float(v)) for v in (r.energy_trace[-1], upper, dist)))
+    got = [line.split(",", 1)[1] for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+    assert got == rows
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -400,31 +400,54 @@ def test_random_smooth_field_matches_the_per_bump_oracle(N, n, n_bumps, monkeypa
 @pytest.mark.parametrize("N, n", [(1, 64), (2, 16), (3, 8)])
 @pytest.mark.parametrize("n_bumps", [3, 12])
 def test_random_smooth_fields_match_k_per_bump_oracle_draws(N, n, n_bumps, monkeypatch):
-    # one stack, every row and the generator state after it as k oracle draws
+    # one stack, every row and the generator state after it as k oracle draws;
+    # the last seed takes verify's pattern, stacks of 7, 100, 1 and 50 in turn
+    # from one generator (and an empty one, which draws nothing), so a stack
+    # can start with a 32-bit half the one before it left kept
     monkeypatch.setattr(grid_module, "SMOOTH_FIELD_BUMPS", n_bumps)
     g = Grid(N, 4.0, n)
-    for seed, k in [(0, 1), (1, 2), (2, 7), (3, 20)]:
+    kept = []
+    for seed, ks in [(0, [1]), (1, [2]), (2, [7]), (3, [20]), (4, [7, 100, 0, 1, 50])]:
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = random_smooth_fields(g, rng, k)
-        want = np.stack([random_smooth_field_per_bump(g, ref, n_bumps).values
-                         for _ in range(k)])
-        assert got.shape == (k,) + g.shape
-        assert got.tobytes() == want.tobytes()
-        assert rng.bit_generator.state == ref.bit_generator.state
+        for k in ks:
+            kept.append(rng.bit_generator.state["has_uint32"])
+            got = random_smooth_fields(g, rng, k)
+            want = [random_smooth_field_per_bump(g, ref, n_bumps).values for _ in range(k)]
+            assert got.shape == (k,) + g.shape
+            assert got.tobytes() == np.array(want).tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+    assert kept[4:] == ([0, 1, 1, 1, 0] if n_bumps % 2 else [0] * 5)
+
+
+def test_random_smooth_fields_take_only_a_pcg64_stream():
+    g = Grid(1, 4.0, 16)
+    with pytest.raises(TypeError, match="PCG64"):
+        random_smooth_fields(g, np.random.Generator(np.random.MT19937(0)), 2)
+    with pytest.raises(TypeError, match="PCG64"):
+        random_smooth_field(g, np.random.Generator(np.random.PCG64DXSM(0)))
 
 
 @pytest.mark.parametrize("N, n, L", [(1, 64, 4.0), (2, 16, 3.0), (3, 8, 16.0)])
 def test_min_image_matches_the_float_remainder(N, n, L):
     # bit for bit numpy's (x + L) % (2L) - L, on a grid's coordinate rows and
-    # on values below -L and above L, exact multiples of 2L, the box ends and -0.0
+    # on values below -L and above L, exact multiples of 2L, the box ends,
+    # -0.0, and the x where x + L is 2L, 4L or -2L (the ends of the range
+    # wrapped without np.fmod) with their neighbours; each value also as its
+    # own array, so that every one in that range takes the path without fmod
     g = Grid(N, L, n)
     rng = np.random.default_rng(N)
-    special = np.array([-0.0, 0.0, -L, L, 2 * L, -2 * L, 6 * L, -6 * L, 3 * L, -3 * L,
-                        np.nextafter(-L, 0), np.nextafter(L, 0), np.nextafter(-L, -np.inf),
-                        -1e-300, 1e-300, -5e-324, 7.5 * L, -7.5 * L])
+    ends = np.array([L, 3 * L, -3 * L])
+    special = np.concatenate([
+        [-0.0, 0.0, -L, L, 2 * L, -2 * L, 6 * L, -6 * L, 3 * L, -3 * L,
+         np.nextafter(-L, 0), np.nextafter(L, 0), np.nextafter(-L, -np.inf),
+         -1e-300, 1e-300, -5e-324, 7.5 * L, -7.5 * L],
+        np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf), [-4 * L, 4 * L]])
+    assert [(e + L) / L for e in ends] == [2.0, 4.0, -2.0]
     values = np.concatenate([special, rng.uniform(-9 * L, 9 * L, 500)])
+    in_range = values[(values + L >= -2 * L) & (values + L < 4 * L)]
     draws = values[: 6 * N].reshape(6, N, 1)
-    for x in (values, values.reshape(-1, 2), g.axis_coords - draws, g.axis_coords):
+    for x in (values, values.reshape(-1, 2), in_range, *special[:, None],
+              g.axis_coords - draws, g.axis_coords, np.zeros((0, N, n))):
         want = (x + L) % (2 * L) - L
         assert min_image(g, x).tobytes() == want.tobytes()
 

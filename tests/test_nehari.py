@@ -17,14 +17,13 @@ from choquard_gs.grid import (
     shift,
 )
 from conftest import config_context, count_calls
-from oracles import ground_level, j_conditions_per_field
+from oracles import ground_level, j_conditions_per_field, project_to_nehari
 from choquard_gs.nehari import (
     NehariProjectionError,
     check_J_conditions,
     fiber_scan,
     fiber_scan_csv,
     nehari_t_from_qdg,
-    project_to_nehari,
 )
 
 

@@ -459,7 +459,7 @@ def test_cached_terms_exact_between_checkpoints(max_iters):
     # mid-descent, before the first recentering checkpoint rebuilds the cache,
     # the recorded energy, norm and residual come from the cached terms alone;
     # verify.ini has a non-constant V and a non-zero Gamma, so every term counts
-    from choquard_gs.nehari import project_to_nehari
+    from oracles import project_to_nehari
 
     ctx = config_context("verify.ini")
     init = gaussian_field(ctx.grid, [0.0], 2.0)
@@ -620,7 +620,7 @@ def test_restart_steps_are_preconditioned_gradient(monkeypatch):
     # the memory is empty at the start and after a translation move, so those
     # steps are u -> t*(u - tau*P grad) with the recorded tau; other steps are not
     from choquard_gs.grid import l2_inner
-    from choquard_gs.nehari import project_to_nehari
+    from oracles import project_to_nehari
 
     def plain_step(ctx, u, tau):
         pg = _full_fft_precondition(ctx, grad_energy(ctx, u).values)

@@ -75,9 +75,13 @@ def _ground_state(ecfg: ExperimentConfig, pot: PotentialSpec, ctx: EnergyContext
                   rep: Report) -> None:
     best, runs = multistart(ctx, ecfg.multistarts, ecfg.solver_config)
     rep.section("Runs")
+    levels = [float(r.energy_trace[-1]) for r in runs]
     for i, r in enumerate(runs):
+        # a join row carries the joined level, first reached by the start it joined
+        joins = "".join(f", joined start {levels.index(row['energy'])} at iteration {row['iter']}"
+                        for row in r.history if row["accept"] == "join")
         rep.add_line(f"- start {i}: status={r.status}, iterations={r.iterations}, "
-                     f"energy={float(r.energy_trace[-1])!r}, residual={r.history[-1]['residual']:.3e}")
+                     f"energy={levels[i]!r}, residual={r.history[-1]['residual']:.3e}{joins}")
     rep.add_line(f"- ran {len(runs)} of {ecfg.multistarts} starts, stopped by "
                  + ("the stopping rule" if enough_starts(runs) else "the cap"))
     rep.add_check("best run converged", best.status == "converged",

@@ -32,6 +32,8 @@ def _solve_ratio(nx: int, x_max: float, delta0: float) -> float:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:   # the bracket shrinks no further
+            break
         if gap(mid) < 0:
             lo = mid
         else:
@@ -77,6 +79,12 @@ class WallGrid:
     def slab_weights(self) -> np.ndarray:
         """Per mode, the read-only trapezoid integral over x of exp(-2 x s)."""
         return _read_only(np.tensordot(self.weights, self.decay**2, axes=1))
+
+    @cached_property
+    def dtn_symbol(self) -> np.ndarray:
+        """The read-only symbol of dtn_apply: minus the second-order one-sided
+        derivative at x = 0 over the first three rows of decay."""
+        return _read_only(-np.tensordot(_diff_weights(self.x[:3]), self.decay[:3], axes=1))
 
     @cached_property
     def s2(self) -> np.ndarray:
@@ -166,9 +174,7 @@ def dtn_apply(u: Field, wall: WallGrid) -> Field:
     """
     if u.grid != wall.grid:
         raise ValueError("field grid does not match wall grid")
-    w = _diff_weights(wall.x[:3])
-    symbol = np.tensordot(w, wall.decay[:3], axes=1)
-    return Field(u.grid, apply_multiplier(-symbol, u.values))
+    return Field(u.grid, apply_multiplier(wall.dtn_symbol, u.values))
 
 
 def _sums(g: Grid, rows: np.ndarray) -> np.ndarray:

@@ -9,9 +9,11 @@ is the gradient in that inner product when V is constant (a Sobolev gradient).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +39,7 @@ MAX_BACKTRACKS = 60
 RECENTER_EVERY = 25         # iterations between translation checkpoints
 INIT_NOISE = 1e-3           # amplitude of random_initial's second bump
 MINIMA_RTOL = 1e-10         # converged levels closer than this, relative, are one minimum
+JOIN_RADIUS = 1e-3          # problem-norm distance, relative to sqrt(Q*), within which a start joins
 
 
 class SolveFailure(RuntimeError):
@@ -63,7 +66,9 @@ class SolverResult:
     this order: iter; energy; residual, the gradient's norm; t_star, the Nehari
     scaling; step, the accepted tau; trials, the line-search trials; pairs, the
     L-BFGS pairs behind the direction (0: the plain Pg); accept, 'armijo' or
-    'derivative' (None, with step, trials and pairs 0, at the start); t_s,
+    'derivative', or 'join' for an iterate moved onto a kept minimum (None at
+    the start; step, trials and pairs are 0 there and on a join, and t_star
+    is 1 on a join); t_s,
     seconds since solve started; shift, the displacement in cells, a list of
     floats, of the translation move behind the iterate or, on the last row, of
     the roll home at exit (else None); qnorm, sqrt(Q).
@@ -78,6 +83,14 @@ class SolverResult:
     status: str
     iterations: int
     threshold: float                 # max(GRAD_TOL * res_0, ROUND_OFF * |Bu_0|) at the projected start
+    # B u_final and the gradient there, formed when a later start first joins this result
+    join_terms: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+
+    @functools.cached_property
+    def peak(self) -> np.ndarray:
+        """Node index of the peak of |u_final| on each axis."""
+        u = self.u_final.values
+        return np.array(np.unravel_index(int(np.argmax(np.abs(u))), u.shape))
 
     @property
     def energy_trace(self) -> np.ndarray:
@@ -197,9 +210,47 @@ def _quasi_newton(ctx: EnergyContext, grad: np.ndarray, pairs: list):
     return d, bd, cv * float(np.vdot(grad, d)), 0
 
 
+def _join(ctx: EnergyContext, u: np.ndarray, bu: np.ndarray, q: float, kept: SolverResult):
+    """The basin test of the kept minimum u* at the iterate u, with Bu and Q(u)
+    given: the iterate's new u, Bu and gradient, s*R u*, s*R Bu* and
+    s*R grad E(u*), when Q(u - s*R u*) < (JOIN_RADIUS)^2 Q(u*); else None.
+
+    Without V_l the lattice roll R, a symmetry of the problem, moves u* by the
+    whole unit-lattice vector nearest the offset between the peaks of |u| and
+    |u*|; V_l breaks that symmetry, and R is then the identity. s is the sign
+    of <Bu, R u*>, and with B symmetric and Q(R u*) = Q(u*) the distance is
+    Q(u) - 2|<Bu, R u*>| + Q(u*), one roll and one inner product. Q(u*) is the
+    square of the kept start's last qnorm. Bu* and grad E(u*) cost four
+    transforms, on the first join onto the kept result, which keeps them.
+    """
+    g = ctx.grid
+    axes = tuple(range(g.N))
+    roll = np.zeros(g.N, dtype=int)
+    if not ctx.has_vl:
+        cpu = g.cells_per_unit()
+        here = np.unravel_index(int(np.argmax(np.abs(u))), g.shape)
+        offset = (np.array(here) - kept.peak + g.n // 2) % g.n - g.n // 2
+        roll = cpu * np.round(offset / cpu).astype(int)
+    ustar = kept.u_final.values
+    moved = np.roll(ustar, tuple(roll), axis=axes)
+    cross = g.cell_volume * float(np.vdot(bu, moved))
+    q_star = kept.history[-1]["qnorm"] ** 2
+    if not q - 2.0 * abs(cross) + q_star < JOIN_RADIUS**2 * q_star:
+        return None
+    if kept.join_terms is None:
+        bu_star = b_values(ctx, ustar)
+        kept.join_terms = (bu_star, grad_values(ctx, ustar, bu_star, nonlocal_terms(ctx, ustar)[0]))
+    out = [moved] + [np.roll(a, tuple(roll), axis=axes) for a in kept.join_terms]
+    if cross < 0.0:
+        for a in out:
+            np.negative(a, out=a)
+    return out
+
+
 # overflow shows as a non-finite Q, D or G, which fails the projection or the trial
 @np.errstate(over="ignore", invalid="ignore")
-def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> SolverResult:
+def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None,
+          known: Sequence[SolverResult] = ()) -> SolverResult:
     """Minimize the energy over the manifold from one initial field.
 
     Step: limited-memory BFGS with H0 = P = (A - m + inf V)^-1, A =
@@ -222,6 +273,16 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     must fall to GRAD_TOL times the start's, or to the gradient's round-off
     ROUND_OFF * |Bu_0|, where a converged start stops instead of wandering.
 
+    known holds converged results of this problem, each at a different
+    minimum m, in multistart the first start to reach it. At the first
+    iterate whose energy e lies in [m, m + MINIMA_RTOL*|m|] the start runs
+    _join's basin test against that minimum, once; when it holds, the iterate
+    becomes the minimum's state, its lattice copy nearest the iterate, with
+    energy m and Q(u*), the memory is cleared and the move takes a row of its
+    own, accept 'join'. The residual test then decides as on any iterate. A
+    join lowers the energy or keeps it, since e >= m. The start's grid must be
+    the problem's: another raises ValueError.
+
     The loop runs on arrays and caches Bu per iterate, and phi until the
     iterate's gradient is formed, so a gradient needs no transform, a
     direction one forward and one inverse and a trial only the Riesz pair:
@@ -234,6 +295,8 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     t_start = time.perf_counter()
     cfg = cfg or SolverConfig()
     g = ctx.grid
+    if init.grid != ctx.grid:
+        raise ValueError(f"the start lies on {init.grid}, the problem on {ctx.grid}")
     cv = g.cell_volume
     p, qe = ctx.params.p, ctx.params.q
     delta = SUFFICIENT_DECREASE
@@ -250,6 +313,7 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
     threshold = max(GRAD_TOL * math.sqrt(cv * float(np.vdot(grad, grad))),
                     ROUND_OFF * math.sqrt(cv * float(np.vdot(bu, bu))))
     status = "max_iters"
+    untested = [(float(r.history[-1]["energy"]), r) for r in known]   # (m, kept) not yet tested
     it = 0
     for it in range(cfg.max_iters + 1):
         res = math.sqrt(cv * float(np.vdot(grad, grad)))
@@ -263,6 +327,16 @@ def solve(ctx: EnergyContext, init: Field, cfg: SolverConfig | None = None) -> S
             break
         if it == cfg.max_iters:
             break
+        hit = next((k for k in untested if k[0] <= e <= k[0] + MINIMA_RTOL * abs(k[0])), None)
+        if hit is not None:
+            untested.remove(hit)
+            joined = _join(ctx, u, bu, q, hit[1])
+            if joined is not None:
+                u, bu, grad = joined
+                pairs.clear()
+                e, q = hit[0], hit[1].history[-1]["qnorm"] ** 2
+                t_star, step, n_trials, n_pairs, accept = 1.0, 0.0, 0, 0, "join"
+                continue
 
         direction, b_dir, slope, n_pairs = _quasi_newton(ctx, grad, pairs)
         bu_dir = cv * float(np.vdot(bu, direction))
@@ -344,11 +418,27 @@ def random_initial(ctx: EnergyContext, rng: np.random.Generator) -> Field:
 
 
 def best_converged(results: list[SolverResult]) -> SolverResult:
-    """The converged run with the lowest final energy; the first one on a tie."""
+    """The first converged run whose final energy lies within MINIMA_RTOL,
+    relative, of the lowest: round-off in the last bits does not pick it."""
     converged = [r for r in results if r.status == "converged"]
     if not converged:
         raise SolveFailure(f"none of {len(results)} starts converged")
-    return min(converged, key=lambda r: r.energy_trace[-1])
+    lowest = min(float(r.energy_trace[-1]) for r in converged)
+    return next(r for r in converged if r.energy_trace[-1] <= lowest + MINIMA_RTOL * abs(lowest))
+
+
+def kept_minima(results: list[SolverResult]) -> list[SolverResult]:
+    """The converged result of each distinct minimum among results, the first
+    start to reach it: a level is a new minimum when it differs from every
+    kept one by more than MINIMA_RTOL relative."""
+    kept: list[SolverResult] = []
+    for r in results:
+        if r.status != "converged":
+            continue
+        e = float(r.energy_trace[-1])
+        if all(abs(e - m) > MINIMA_RTOL * abs(m) for m in (float(k.energy_trace[-1]) for k in kept)):
+            kept.append(r)
+    return kept
 
 
 def enough_starts(results: list[SolverResult]) -> bool:
@@ -357,16 +447,12 @@ def enough_starts(results: list[SolverResult]) -> bool:
 
     With j starts run and w distinct minima among the converged ones, the
     posterior estimate of the number of minima is w(j - 1)/(j - w - 2); the
-    rule holds once j > w + 2 and the estimate falls below w + 1/2. A level is
-    a new minimum when it differs from every kept one by more than MINIMA_RTOL
-    relative. A start that did not converge counts in j and finds no minimum;
-    with none found the rule never holds. One minimum takes j = 8, two j = 17.
+    rule holds once j > w + 2 and the estimate falls below w + 1/2. The
+    minima are kept_minima's. A start that did not converge counts in j and
+    finds no minimum; with none found the rule never holds. One minimum takes
+    j = 8, two j = 17.
     """
-    minima: list[float] = []
-    for e in (float(r.energy_trace[-1]) for r in results if r.status == "converged"):
-        if all(abs(e - m) > MINIMA_RTOL * abs(m) for m in minima):
-            minima.append(e)
-    j, w = len(results), len(minima)
+    j, w = len(results), len(kept_minima(results))
     # w(j-1)/(j-w-2) < w + 1/2, times 2(j-w-2) > 0
     return w > 0 and j > w + 2 and 2 * w * (j - 1) < (2 * w + 1) * (j - w - 2)
 
@@ -374,18 +460,20 @@ def enough_starts(results: list[SolverResult]) -> bool:
 def multistart(ctx: EnergyContext, k: int,
                cfg: SolverConfig | None = None) -> tuple[SolverResult, list[SolverResult]]:
     """Seeded runs, one after another, until enough_starts holds or k have run;
-    best converged final energy wins.
+    best_converged picks the winner.
 
     Start i runs from random_initial(ctx, default_rng([cfg.seed, i])), so the
     starts that run are the first ones of a k-start batch. A cap of 7 or less
-    runs every start.
+    runs every start. Each start gets the kept minima of the starts before
+    it, which it may join (see solve).
     """
     if k < 1:
         raise ValueError("need at least one start")
     cfg = cfg or SolverConfig()
     results: list[SolverResult] = []
     for i in range(k):
-        results.append(solve(ctx, random_initial(ctx, np.random.default_rng([cfg.seed, i])), cfg))
+        results.append(solve(ctx, random_initial(ctx, np.random.default_rng([cfg.seed, i])), cfg,
+                             known=kept_minima(results)))
         if enough_starts(results):
             break
     return best_converged(results), results

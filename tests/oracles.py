@@ -256,3 +256,25 @@ def epstein_oracle_per_call(N, s):
     shells = mult @ (x**-a * upper_gamma_per_call(a, lam * x)
                      + x**-b * upper_gamma_per_call(b, x / lam))
     return math.pi**a / math.gamma(a) * (shells - 2.0 * lam**-b / (N - s) - 2.0 * lam**a / s)
+
+
+def wall_ratio_200_steps(nx, x_max, delta0):
+    """The wall's geometric ratio r > 1 with delta0*(r^(nx-1) - 1)/(r - 1) =
+    x_max by 200 bisection steps, every one run."""
+
+    def gap(r):
+        expo = (nx - 1) * np.log(r)
+        if expo > 700.0:
+            return np.inf
+        return delta0 * np.expm1(expo) / (r - 1.0) - x_max
+
+    lo, hi = 1.0 + 1e-12, 2.0
+    while gap(hi) < 0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

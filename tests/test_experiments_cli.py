@@ -211,6 +211,22 @@ def test_cli_solve_writes_outputs(config_path, tmp_path):
     assert json.loads(trace_lines[-1])["residual"] <= json.loads(trace_lines[0])["residual"]
 
 
+def test_cli_solve_runs_name_the_start_each_start_joined(tmp_path):
+    out = tmp_path / "out"
+    config = Path(__file__).resolve().parents[1] / "configs" / "gamma_sweep.ini"
+    assert main(["solve", "--config", str(config), "--out", str(out),
+                 "--multistarts", "16", "--seed", "1"]) == 0
+    runs = [line for line in (out / "report.md").read_text().splitlines()
+            if line.startswith("- start ")]
+    assert len(runs) == 8 and "joined" not in runs[0]
+    for line in runs[1:]:
+        assert re.search(r", joined start 0 at iteration \d+$", line)
+    # the winner is start 0, whose rows trace.ndjson writes
+    rows = [json.loads(line) for line in (out / "trace.ndjson").read_text().splitlines()]
+    assert len(rows) == int(re.search(r"iterations=(\d+)", runs[0])[1]) + 1
+    assert all(row["accept"] != "join" for row in rows)
+
+
 def test_cli_verify_default_passes(config_path, tmp_path):
     out = tmp_path / "verify"
     code = main(["verify", "--config", str(config_path), "--out", str(out)])

@@ -26,7 +26,13 @@ from choquard_gs.grid import (
 )
 from choquard_gs.operators import apply_sqrt, build_sqrt_op
 from conftest import count_calls, refined_wall
-from oracles import extension_rows, pde_residual, q_form_volume, trace_checks_per_field
+from oracles import (
+    extension_rows,
+    pde_residual,
+    q_form_volume,
+    trace_checks_per_field,
+    wall_ratio_200_steps,
+)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +64,32 @@ def test_wall_geometry(grid, wall):
     fine = refined_wall(wall, 2)
     assert fine.nx == 2 * wall.nx
     assert fine.x[1] == pytest.approx(wall.x[1] / 2.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("N, L, n", [(1, 16.0, 128), (1, 2.0, 8), (2, 8.0, 128), (3, 4.0, 48)])
+@pytest.mark.parametrize("m", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("nx", [16, 97, 384, 1536])
+def test_wall_ratio_matches_200_bisection_steps(N, L, n, m, nx):
+    # the bisection stops once its midpoint equals an end, with the bits all
+    # 200 steps give: the bracket shrinks no further after that
+    g = Grid(N, L, n)
+    s_max = np.sqrt(np.max(g.freq2) + m * m)
+    delta0 = (0.01 / s_max) * (384.0 / nx)
+    want = wall_ratio_200_steps(nx, 23.1 / m, delta0)
+    assert extension._solve_ratio(nx, 23.1 / m, delta0) == want
+    assert build_wall(g, m, nx).x[-1] == pytest.approx(23.1 / m, rel=1e-12)
+
+
+def test_dtn_symbol_is_built_once_per_wall(grid, rng, monkeypatch):
+    wall = build_wall(grid, 0.7)
+    solves = count_calls(monkeypatch, extension._diff_weights)
+    u = random_smooth_field(grid, rng)
+    first = dtn_apply(u, wall).values
+    for _ in range(6):
+        assert dtn_apply(u, wall).values.tobytes() == first.tobytes()
+    assert len(solves) == 1
+    with pytest.raises(ValueError):
+        wall.dtn_symbol[0] = 0.0
 
 
 def test_wall_rejects_tiny(grid):

@@ -1,18 +1,22 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from choquard_gs.energy import build_context, energy_value, grad_energy, qdg
-from choquard_gs.grid import Field, gaussian_field, l2_norm2, shift
+from choquard_gs.grid import Field, Grid, gaussian_field, l2_norm2, shift
 import choquard_gs.solver as solver_module
 from choquard_gs.solver import (
     MEMORY,
+    MINIMA_RTOL,
     RECENTER_EVERY,
     SUFFICIENT_DECREASE,
     SolveFailure,
     SolverConfig,
+    best_converged,
     enough_starts,
+    kept_minima,
     multistart,
     random_initial,
     solve,
@@ -205,7 +209,7 @@ def _stub_starts(monkeypatch, outcomes):
     """solve returns the next (status, level) of outcomes; the number of calls."""
     calls = []
 
-    def fake_solve(ctx, init, cfg):
+    def fake_solve(ctx, init, cfg, known=()):
         status, level = outcomes[len(calls)]
         calls.append(init)
         return SimpleNamespace(status=status, energy_trace=np.array([level]))
@@ -255,6 +259,83 @@ def test_multistart_counts_starts_that_did_not_converge(monkeypatch):
     assert best is runs[1]
     # counting only the converged starts would run two more
     assert not enough_starts(runs[:7]) and enough_starts(runs)
+
+
+def test_best_converged_takes_the_first_start_within_minima_rtol():
+    def runs(*outcomes):
+        return [SimpleNamespace(status=st, energy_trace=np.array([e])) for st, e in outcomes]
+
+    # levels 1e-15 apart are one minimum: the first converged start wins, not the lowest bits
+    tied = runs(("stalled", 0.25), ("converged", 0.5 * (1.0 + 3e-15)), ("converged", 0.5),
+                ("converged", 0.5 * (1.0 + 1e-15)))
+    assert best_converged(tied) is tied[1]
+    # a level more than MINIMA_RTOL above the lowest is another minimum
+    apart = runs(("converged", 0.5 * (1.0 + 3.0 * MINIMA_RTOL)), ("converged", 0.5 * (1.0 + 1e-15)),
+                 ("converged", 0.5))
+    assert best_converged(apart) is apart[1]
+    assert kept_minima(apart) == apart[:2] and kept_minima(tied) == [tied[1]]
+
+
+def test_solve_refuses_a_start_on_another_grid(ctx_solver):
+    # another n used to fail inside numpy's broadcasting, another L to solve
+    # the start's values on the problem's box and report converged
+    g = ctx_solver.grid
+    for other in (Grid(g.N, g.L, 2 * g.n), Grid(g.N, 2.0 * g.L, g.n)):
+        with pytest.raises(ValueError, match=rf"{re.escape(str(other))}.*{re.escape(str(g))}"):
+            solve(ctx_solver, gaussian_field(other, [0.0], 2.0))
+
+
+def _rows(result):
+    return [{k: v for k, v in row.items() if k != "t_s"} for row in result.history]
+
+
+def test_later_starts_join_the_first_minimum_on_its_lattice_copy():
+    # gamma_sweep.ini, seed 1: every later start moves onto a lattice copy of
+    # start 0's state and stops there by its own residual test
+    ctx = config_context("gamma_sweep.ini")
+    best, runs = multistart(ctx, 16, SolverConfig(seed=1))
+    assert len(runs) == 8 and best is runs[0]
+    assert all(row["accept"] != "join" for row in runs[0].history)
+    # start 0's peak sits at x = 0.5, a tie of the roll home, which ends a copy
+    # at x = 0.5 or at x = -0.5: u_final is one of these, bit for bit, up to sign
+    u0, cpu = runs[0].u_final.values, ctx.grid.cells_per_unit()
+    copies = {(sign * np.roll(u0, k)).tobytes() for k in (0, -cpu) for sign in (1.0, -1.0)}
+    for r in runs[1:]:
+        last = r.history[-1]
+        assert r.status == "converged" and last["accept"] == "join"
+        assert last["residual"] <= r.threshold
+        assert (last["step"], last["trials"], last["pairs"]) == (0.0, 0, 0)
+        assert last["energy"] == runs[0].history[-1]["energy"]
+        assert r.u_final.values.tobytes() in copies
+        # up to the join the start ran as it runs alone
+        alone = solve(ctx, random_initial(ctx, np.random.default_rng([1, runs.index(r)])),
+                      SolverConfig(seed=1))
+        assert _rows(r)[:-1] == _rows(alone)[:len(r.history) - 1]
+        assert alone.iterations > r.iterations
+
+
+def test_no_start_joins_a_higher_minimum(monkeypatch):
+    # two levels: start 0, an exactly even bump at a peak of the cosine Gamma,
+    # converges at 0.2705 (a saddle, kept as a minimum); the random starts reach
+    # the ground level 0.26825 without ever joining the higher one
+    ctx = config_context("gamma_sweep.ini")
+    seeded = solver_module.random_initial
+    even = gaussian_field(ctx.grid, [0.0], 2.0)
+    monkeypatch.setattr(solver_module, "random_initial",
+                        lambda c, rng: even if rng.bit_generator.seed_seq.entropy[1] == 0
+                        else seeded(c, rng))
+    _, runs = multistart(ctx, 12, SolverConfig(seed=1))
+    assert len(runs) == 12 and all(r.status == "converged" for r in runs)
+    high, low = runs[0].energy_trace[-1], runs[1].energy_trace[-1]
+    assert high > low * (1.0 + 1e-3)
+    assert kept_minima(runs) == runs[:2]
+    for i, r in enumerate(runs[1:], 1):
+        assert r.energy_trace[-1] == pytest.approx(low, rel=MINIMA_RTOL)
+        joins = [row for row in r.history if row["accept"] == "join"]
+        assert [row["energy"] for row in joins] == ([] if i == 1 else [low])
+        alone = solve(ctx, seeded(ctx, np.random.default_rng([1, i])), SolverConfig(seed=1))
+        n = len(r.history) - len(joins)
+        assert _rows(r)[:n] == _rows(alone)[:n]
 
 
 def test_solve_best_skips_failed_starts(ctx_solver):
@@ -588,7 +669,8 @@ def test_multistart_on_solve_2d_runs_the_first_eight_starts(solve_2d_starts):
         assert np.array_equal(r.u_final.values, direct.u_final.values)
         for key in ("energy", "t_star", "step", "residual"):
             assert np.array_equal(column(r, key), column(direct, key))
-    assert best.energy_trace[-1] == min(r.energy_trace[-1] for r in starts[:8])
+    # the eight levels agree within MINIMA_RTOL, so the first start wins
+    assert best is runs[0]
     assert best.energy_trace[-1] == pytest.approx(min(r.energy_trace[-1] for r in starts),
                                                   rel=1e-10)
 

@@ -280,7 +280,8 @@ class Translations:
 
     def home(self, values: np.ndarray) -> np.ndarray:
         """The lattice roll, in cells, that moves the peak of |u| into the unit
-        cell at the origin."""
+        cell at the origin. Coordinates round half to even: a peak at a
+        half-integer x goes home to +0.5 if floor(x) is even, else to -0.5."""
         peak = np.unravel_index(int(np.argmax(np.abs(values))), self.shape)
         return np.array([-round(self._x[k]) * self._cpu for k in peak], dtype=float)
 
@@ -315,45 +316,17 @@ def random_smooth_fields(grid: Grid, rng: np.random.Generator, k: int) -> np.nda
     """k random superpositions of SMOOTH_FIELD_BUMPS signed Gaussian bumps,
     generic smooth test fields, as one (k, *grid.shape) stack of values.
 
-    Row i takes the draws the i-th of k calls of random_smooth_field takes,
-    and all k * SMOOTH_FIELD_BUMPS bumps are evaluated in one broadcast exp.
-
-    Each bump takes rng.random(N + 2), then the sign rng.integers(0, 2) would
-    give, and the generator is left in the state those calls leave; all of
-    them are read from one block of raw PCG64 words, so rng must be a PCG64
-    generator (TypeError otherwise). A double is (word >> 11) * 2**-53. A
-    sign is the top bit of a 32-bit half (Lemire's bounded draw on [0, 2)),
-    and PCG64 hands out halves low first, keeping the high one for the next
-    32-bit draw: a bump takes a fresh word only when no half is kept."""
-    gen = rng.bit_generator
-    if type(gen) is not np.random.PCG64:
-        raise TypeError("random smooth fields reproduce the PCG64 stream, "
-                        f"got a {type(gen).__name__} generator")
+    One rng.random block gives each bump, in C order over (field, bump), N + 3
+    doubles: N centre coordinates in [-L, L), the width in [0.5, max(1, L/4))
+    and the amplitude's size in [0.2, 1), each lo + (hi - lo) * u as in
+    rng.uniform, then the sign, negative below 0.5. So row i, and the state
+    left, are those of k calls of random_smooth_field; one exp takes all."""
     N, L, n_bumps = grid.N, grid.L, SMOOTH_FIELD_BUMPS
-    per, m = N + 2, k * n_bumps
-    state = gen.state
-    held = state["has_uint32"]
-    # bump j starts after j * per doubles and the fresh words of the bumps
-    # before it; bumps held, held + 2, ... draw one
-    j = np.arange(m)
-    start = j * per + (j + 1 - held) // 2
-    words = gen.random_raw(m * per + (m + 1 - held) // 2)
-    fresh = words[start[held::2] + per]
-    halves = np.stack([fresh & 0xFFFFFFFF, fresh >> 32], axis=1).ravel()
-    if held:
-        halves = np.concatenate([np.array([state["uinteger"]], dtype=np.uint64), halves])
-    state = gen.state   # random_raw advanced it; the kept half is set here
-    state["has_uint32"] = (held + m) % 2
-    if len(fresh):
-        state["uinteger"] = int(fresh[-1] >> 32)
-    gen.state = state
-    # per bump: N centre coordinates in [-L, L), the width, the amplitude's
-    # size; rng.uniform(lo, hi) is lo + (hi - lo) * rng.random()
+    units = rng.random((k * n_bumps, N + 3))
     lo = np.array([-L] * N + [0.5, 0.2])
     span = np.array([L] * N + [max(1.0, L / 4), 1.0]) - lo
-    units = (words[start[:, None] + np.arange(per)] >> 11) * 2.0**-53
-    draws = lo + span * units
-    signs = 2.0 * (halves[:m] >> 31) - 1.0
+    draws = lo + span * units[:, :-1]
+    amps = draws[:, N + 1] * np.where(units[:, -1] < 0.5, -1.0, 1.0)
     # Python's float ** (C pow), not numpy's square: they differ in the last
     # bit for about one width in a thousand
     width2 = np.array([w**2 for w in draws[:, N].tolist()])
@@ -361,13 +334,9 @@ def random_smooth_fields(grid: Grid, rng: np.random.Generator, k: int) -> np.nda
     r2 = d2[:, 0]
     for i in range(1, N):
         r2 = r2[..., None] + d2[:, i].reshape((-1,) + (1,) * i + (grid.n,))
-    shape = (k, n_bumps) + (1,) * N
-    bumps = (draws[:, N + 1] * signs).reshape(shape) * np.exp(
-        -r2.reshape((k, n_bumps) + grid.shape) / width2.reshape(shape))
-    vals = np.zeros((k,) + grid.shape)
-    for j in range(n_bumps):
-        vals += bumps[:, j]
-    return vals
+    col = (-1,) + (1,) * N
+    bumps = amps.reshape(col) * np.exp(-r2 / width2.reshape(col))
+    return bumps.reshape((k, n_bumps) + grid.shape).sum(axis=1)
 
 
 def random_smooth_field(grid: Grid, rng: np.random.Generator) -> Field:

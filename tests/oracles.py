@@ -91,14 +91,17 @@ def pde_residual(v, m):
 
 
 def random_smooth_field_per_bump(grid, rng, n_bumps=SMOOTH_FIELD_BUMPS):
-    """random_smooth_field built one gaussian_field per bump, its sign drawn by
-    rng.choice: the reference for both its values and its use of the stream."""
+    """random_smooth_field built one gaussian_field per bump, each bump from its
+    own rng.random(N + 3): the reference for both its values and its use of
+    the stream."""
+    N, L = grid.N, grid.L
     vals = np.zeros(grid.shape)
     for _ in range(n_bumps):
-        center = rng.uniform(-grid.L, grid.L, size=grid.N)
-        width = rng.uniform(0.5, max(1.0, grid.L / 4))
-        amp = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
-        vals += gaussian_field(grid, center, width, amp).values
+        *center, width, size, sign = rng.random(N + 3).tolist()
+        center = [-L + 2.0 * L * u for u in center]
+        width = 0.5 + (max(1.0, L / 4) - 0.5) * width
+        amp = (0.2 + 0.8 * size) * (-1.0 if sign < 0.5 else 1.0)
+        vals += gaussian_field(grid, np.array(center), width, amp).values
     return Field(grid, vals)
 
 

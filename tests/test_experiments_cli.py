@@ -607,6 +607,16 @@ def test_verify_passes_and_reruns_byte_identically(name, tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_verify_passes_at_ten_seeds(tmp_path):
+    # every seed draws other random test fields; the verify-1d benchmark runs
+    # a new seed in each repetition
+    config = Path(__file__).resolve().parents[1] / "configs" / "verify.ini"
+    for seed in range(10):
+        out = tmp_path / str(seed)
+        assert main(["verify", "--config", str(config), "--out", str(out),
+                     "--seed", str(seed)]) == 0, f"seed {seed}"
+
+
 def test_exit_codes_of_every_kind_on_every_shipped_config(tmp_path):
     # the exit-code table ROADMAP records, seed 7, smoke.ini at --tol-scale 10:
     # gamma-sweep needs V_l = 0 and vl-sign a nonzero V_l (both exit 2 otherwise);
